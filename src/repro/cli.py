@@ -9,11 +9,12 @@ Commands
               process-parallel) through the runtime Engine
 ``bench``     scaling benchmarks: the ``locator``/``consumer`` suites
               time scalar vs batched backends (BENCH_locator.json,
-              BENCH_consumer.json); the ``pipeline`` suite times
-              staged vs streamed execution and records the Fig. 3
-              overlap win (BENCH_pipeline.json); the ``pincr`` suite
-              times shard-routed incremental updates against full
-              fleet re-records (BENCH_pincr.json)
+              BENCH_consumer.json); the ``event`` suite records the
+              staged, streamed and discrete-event pipeline cycles —
+              the Fig. 3 overlap win — from one report per tier
+              (BENCH_event.json); the ``pincr`` suite times
+              shard-routed incremental updates against full fleet
+              re-records (BENCH_pincr.json)
 ``spy``       ASCII spy plot of a dataset before/after islandization
 ``experiments`` regenerate every paper table/figure (slow)
 ``cache``     inspect, clear, or size-evict the persistent artifact
@@ -70,7 +71,6 @@ from repro.eval.bench_incremental import DELTA_TIERS, run_incremental_bench
 from repro.eval.bench_locator import BENCH_TIERS, run_locator_bench
 from repro.eval.bench_partition import PARTITION_TIERS, run_partition_bench
 from repro.eval.bench_pincr import PINCR_DELTA_TIERS, run_pincr_bench
-from repro.eval.bench_pipeline import run_pipeline_bench
 from repro.eval.experiments import (
     experiment_fig9,
     experiment_fig10,
@@ -104,6 +104,10 @@ __all__ = ["main", "build_parser"]
 #: "flag only applies to igcn" guard in _cmd_run.
 _DEFAULT_PREAGG_K = 6
 _DEFAULT_CMAX = 64
+#: ``run --functional`` fails when the islandized output differs from
+#: the scipy reference by more than this, relative to the largest
+#: reference entry (the two agree to a few ulps, ~1e-15).
+_FUNCTIONAL_RTOL = 1e-9
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,17 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "outputs are identical, only speed differs")
         p.add_argument("--pipeline", choices=["streamed", "staged", "event"],
                        default="streamed",
-                       help="locator/consumer execution mode: 'streamed' "
-                            "(default) consumes islands per locator round "
-                            "as they form and reports overlapped cycles "
-                            "(the paper's Fig. 3); 'staged' runs the two "
-                            "phases back-to-back; 'event' refines the "
-                            "streamed model to a discrete-event simulation "
-                            "(per-island release, PE contention, ring/PRC "
-                            "arbitration) and adds per-island p50/p99 "
-                            "latency; counts, traffic and outputs are "
-                            "identical in every mode, only the cycle model "
-                            "differs")
+                       help="cycle model of the locator/consumer pipeline; "
+                            "every mode consumes islands per locator round "
+                            "as they form: 'streamed' (default) reports the "
+                            "overlapped cycles (the paper's Fig. 3), "
+                            "'staged' the back-to-back sum of the two "
+                            "phases, 'event' refines the streamed model to "
+                            "a discrete-event simulation (per-island "
+                            "release, PE contention, ring/PRC arbitration) "
+                            "and adds per-island p50/p99 latency; counts, "
+                            "traffic and outputs are identical in every "
+                            "mode, only the cycle model differs")
 
     # Accept aliases too, so platform names printed by compare/sweep
     # ("awb-gcn", ...) round-trip as input.
@@ -186,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cmax", type=int, default=_DEFAULT_CMAX)
     run.add_argument("--functional", action="store_true",
                      help="execute real math and verify vs reference "
-                          "(igcn only)")
+                          "(igcn only; exit 2 when the relative error "
+                          "exceeds 1e-9)")
     run.add_argument("--validate", action="store_true",
                      help="replay the event trace through the conformance "
                           "validator after the run (requires --pipeline "
@@ -252,15 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="performance benchmarks (backends and pipeline modes)"
     )
     bench.add_argument("suite",
-                       choices=["locator", "consumer", "pipeline", "event",
+                       choices=["locator", "consumer", "event",
                                 "partition", "incremental", "pincr"],
                        help="benchmark suite to run: locator/consumer time "
-                            "scalar vs batched backends, pipeline times "
-                            "staged vs streamed execution and records the "
-                            "modelled overlap win, event runs the "
+                            "scalar vs batched backends, event runs the "
                             "discrete-event pipeline against its "
                             "streamed/staged sandwich bounds and records "
-                            "per-island p50/p99 latency, partition times "
+                            "the modelled overlap win plus per-island "
+                            "p50/p99 latency, partition times "
                             "monolithic vs sharded islandization in fresh "
                             "processes and records peak RSS plus the "
                             "quality delta, incremental times delta-driven "
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="graph-scale tiers by undirected edge count "
                             "(default: every tier of the chosen suite; "
-                            "locator/consumer/pipeline ladder ends at 2e6, "
+                            "locator/consumer/event ladder ends at 2e6, "
                             "the partition ladder is 2e5/2e6/2e7; the "
                             "incremental suite's tiers are *delta sizes* "
                             "1e1/1e3/1e5 on one ~2e6-entry graph)")
@@ -284,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=7)
     bench.add_argument("--cmax", type=int, default=64)
     bench.add_argument("--preagg-k", type=int, default=_DEFAULT_PREAGG_K,
-                       help="consumer suite: pre-aggregation window width")
+                       help="consumer/event suites: pre-aggregation window "
+                            "width")
     bench.add_argument("--partitions", type=int, default=4,
                        help="partition/pincr suites: shard count for the "
                             "partitioned contender (pincr real runs use "
@@ -554,8 +559,16 @@ def _cmd_run(args) -> int:
             ds.graph.without_self_loops(), model, ds.features,
             init_weights(model, seed=0),
         )
-        err = float(np.max(np.abs(report.outputs - ref)))
-        print(f"max |islandized - reference| = {err:.2e}")
+        err = float(np.max(np.abs(report.outputs - ref), initial=0.0))
+        scale = float(np.max(np.abs(ref), initial=0.0))
+        rel = err / scale if scale else err
+        print(f"max |islandized - reference| = {err:.2e} "
+              f"({rel:.2e} relative)")
+        if not rel <= _FUNCTIONAL_RTOL:
+            raise SimulationError(
+                f"islandized output differs from the reference by "
+                f"{rel:.2e} relative (tolerance {_FUNCTIONAL_RTOL:g})"
+            )
     return 0
 
 
@@ -900,6 +913,13 @@ def _cmd_bench(args) -> int:
         raise SimulationError(
             "--delta-seed only applies to the incremental and pincr suites"
         )
+    if args.suite not in ("consumer", "event") and (
+        args.preagg_k != _DEFAULT_PREAGG_K
+    ):
+        raise SimulationError(
+            "--preagg-k configures the consumer scan and only applies "
+            "to the consumer and event suites"
+        )
     tiers = args.tiers or (
         list(PARTITION_TIERS) if args.suite == "partition"
         else list(DELTA_TIERS) if args.suite == "incremental"
@@ -920,11 +940,6 @@ def _cmd_bench(args) -> int:
             verify=not args.no_verify,
         )
     elif args.suite == "pincr":
-        if args.preagg_k != _DEFAULT_PREAGG_K:
-            raise SimulationError(
-                "--preagg-k configures the consumer scan and only applies "
-                "to the consumer and pipeline suites"
-            )
         record = run_pincr_bench(
             tiers=tiers,
             repeats=args.repeats,
@@ -939,11 +954,6 @@ def _cmd_bench(args) -> int:
             verify=not args.no_verify,
         )
     elif args.suite == "incremental":
-        if args.preagg_k != _DEFAULT_PREAGG_K:
-            raise SimulationError(
-                "--preagg-k configures the consumer scan and only applies "
-                "to the consumer and pipeline suites"
-            )
         record = run_incremental_bench(
             tiers=tiers,
             repeats=args.repeats,
@@ -954,11 +964,6 @@ def _cmd_bench(args) -> int:
             verify=not args.no_verify,
         )
     elif args.suite == "locator":
-        if args.preagg_k != _DEFAULT_PREAGG_K:
-            raise SimulationError(
-                "--preagg-k configures the consumer scan and only applies "
-                "to the consumer and pipeline suites"
-            )
         record = run_locator_bench(
             tiers=tiers,
             repeats=args.repeats,
@@ -975,17 +980,8 @@ def _cmd_bench(args) -> int:
             preagg_k=args.preagg_k,
             verify=not args.no_verify,
         )
-    elif args.suite == "event":
-        record = run_event_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            c_max=args.cmax,
-            preagg_k=args.preagg_k,
-            verify=not args.no_verify,
-        )
     else:
-        record = run_pipeline_bench(
+        record = run_event_bench(
             tiers=tiers,
             repeats=args.repeats,
             seed=args.seed,
@@ -1057,21 +1053,6 @@ def _cmd_bench(args) -> int:
             f"{record['graph']['edges']}-entry graph "
             f"(best-of wall clock)"
         )
-    elif args.suite == "pipeline":
-        rows = [
-            {
-                "tier": row["tier"],
-                "rounds": row["rounds"],
-                "staged_cyc": row["staged_cycles"],
-                "streamed_cyc": row["streamed_cycles"],
-                "overlap_win": row["overlap_win"],
-                "staged_s": row["staged_s"],
-                "streamed_s": row["streamed_s"],
-                "equal": "-" if row["equal"] is None else str(row["equal"]),
-            }
-            for row in record["tiers"]
-        ]
-        title = "pipeline overlap: staged vs streamed (modelled cycles)"
     elif args.suite == "event":
         rows = [
             {
@@ -1146,7 +1127,6 @@ def _cmd_bench(args) -> int:
             if args.suite == "incremental"
             else "the shard-routed update and the fleet re-record"
             if args.suite == "pincr"
-            else "pipeline modes" if args.suite == "pipeline"
             else "the event contract (sandwich/determinism/equality)"
             if args.suite == "event"
             else "backends"

@@ -1,24 +1,27 @@
 """The I-GCN accelerator: locator + consumer + hardware models (§3-§4).
 
 :class:`IGCNAccelerator` is the library's front door.  ``run`` performs
-a full multi-layer inference:
+a full multi-layer inference in one pass over Fig. 3's
+producer/consumer pipeline (§3.1.1):
 
-1. islandize the (self-loop-free) graph once — structure is shared by
-   all layers;
-2. build island tasks and the inter-hub plan once;
-3. run the Island Consumer per layer (functional or counting);
+1. islandize the (self-loop-free) graph; the locator *streams*
+   :class:`~repro.core.types.RoundOutput` chunks, and a cached or
+   partitioned islandization replays its recorded round stream;
+2. assemble each round's island tasks as its chunk arrives, and build
+   the inter-hub plan once — structure is shared by all layers;
+3. run the Island Consumer per layer over the round chunks (functional
+   or counting), tallying the measured consumer work of every round;
 4. fold operation counts, DRAM traffic, locator work, and the
-   locator/consumer overlap into latency and energy via ``repro.hw``.
+   per-round release/work schedule into latency and energy via
+   ``repro.hw``.
 
-Steps 1-3 run in one of two pipeline modes
-(:attr:`ConsumerConfig.pipeline`), reproducing Fig. 3's overlap claim
-(§3.1.1) at the software level:
+One pass, three models: step 4 prices the same round schedule under
+every pipeline model, and :attr:`ConsumerConfig.pipeline` only picks
+which total becomes ``total_cycles``:
 
-* ``"streamed"`` (default) — the locator *streams*
-  :class:`~repro.core.types.RoundOutput` chunks; island tasks are
-  assembled per round as chunks arrive, layers execute chunk-by-chunk,
-  and end-to-end cycles come from the measured per-round release/work
-  schedule (:func:`~repro.core.pipeline.streamed_schedule`);
+* ``"streamed"`` (default) — the work-conserving makespan of the
+  measured per-round release/work schedule
+  (:func:`~repro.core.pipeline.streamed_schedule`);
 * ``"staged"`` — islandize to completion, then consume; cycles are the
   plain sum of the two phases;
 * ``"event"`` — the discrete-event refinement
@@ -28,9 +31,10 @@ Steps 1-3 run in one of two pipeline modes
   trace and per-island latency records (p50/p99), and the makespan is
   sandwiched ``streamed <= event <= staged`` on every input.
 
-Counts, traffic, and functional outputs are byte-identical across
-modes (and across both locator/consumer backends); only the overlap
-model differs (``tests/test_pipeline_stream.py``).
+Every report carries the staged and streamed totals, so one run
+compares the models.  Counts, traffic, and functional outputs do not
+depend on the mode (and are byte-identical across both
+locator/consumer backends, ``tests/test_pipeline_stream.py``).
 
 The returned :class:`IGCNReport` carries everything the paper's tables
 and figures need: pruning rates (Fig 10), traffic breakdown (Fig 14A),
@@ -76,9 +80,14 @@ class IGCNReport(BaseReport):
     meter: TrafficMeter
     locator_cycles: float
     consumer_cycles: float
+    #: The selected pipeline model's end-to-end cycles.
     total_cycles: float
     latency_us: float
     energy: EnergyReport
+    #: End-to-end cycles under the staged and streamed models; every
+    #: run prices both, whichever mode it selects.
+    staged_cycles: float
+    streamed_cycles: float
     pipeline: str = "streamed"
     outputs: np.ndarray | None = field(default=None, repr=False)
     #: Event-mode only: the discrete-event trace + per-island records.
@@ -129,13 +138,9 @@ class IGCNReport(BaseReport):
         """Cycles the pipeline overlap hides vs. a staged back-to-back run.
 
         Zero in staged mode by construction; in streamed mode this is
-        the Fig. 3 win — ``(locator + consumer + fill) - total``.
+        the Fig. 3 win — ``staged_cycles - total_cycles``.
         """
-        staged_total = (
-            self.locator_cycles + self.consumer_cycles
-            + IGCNAccelerator.PIPELINE_FILL_CYCLES
-        )
-        return max(0.0, staged_total - self.total_cycles)
+        return max(0.0, self.staged_cycles - self.total_cycles)
 
     def _summary_extras(self) -> dict[str, object]:
         """Islandization and pruning metrics unique to I-GCN."""
@@ -206,64 +211,46 @@ class IGCNAccelerator:
         """
         if functional and features is None:
             raise SimulationError("functional mode requires features")
-        # Event mode shares the streamed chunked execution path — the
-        # per-round work tallies it measures feed the event schedule —
-        # so counts/traffic/outputs stay byte-identical to streamed.
-        streamed = self.consumer_config.pipeline in ("streamed", "event")
         consumer = IslandConsumer(self.consumer_config, self.hw)
-        if islandization is not None:
-            # The locator already holds the self-loop-free copy it ran
-            # on; reuse it instead of rebuilding an O(nnz) clean graph
-            # per call (the runtime Engine leans on this).
-            clean = islandization.graph
-            result = islandization
-        else:
-            clean = graph.without_self_loops()
-            result = None
+        # A cached islandization already holds the self-loop-free copy
+        # the locator ran on; reuse it instead of rebuilding an O(nnz)
+        # clean graph per call (the runtime Engine leans on this).
+        result = islandization
+        clean = graph.without_self_loops() if result is None else result.graph
 
         # Normalisation depends only on the clean graph, so it is known
-        # before islandization starts — the streamed pipeline needs it
-        # to assemble tasks while the locator is still running.
+        # before islandization starts — the pipeline needs it to
+        # assemble tasks while the locator is still running.
         norm = normalization_for(clean, model.aggregation, gin_eps=model.gin_eps)
         if functional and weights is None:
             weights = init_weights(model, seed=seed)
 
-        if streamed:
-            # Fig. 3's producer/consumer hand-off: one task chunk per
-            # locator round, assembled as each RoundOutput arrives — a
-            # cached islandization replays its recorded round stream.
-            chunks: list = []
-            scratch: dict = {}  # per-inference reusable assembly maps
+        # Fig. 3's producer/consumer hand-off: one task chunk per
+        # locator round, assembled as each RoundOutput arrives.
+        chunks: list = []
+        scratch: dict = {}  # per-inference reusable assembly maps
 
-            def assemble(chunk) -> None:
-                chunks.append(
-                    consumer.prepare_chunk(
-                        clean, chunk.islands,
-                        add_self_loops=norm.add_self_loops,
-                        scratch=scratch,
-                    )
+        def assemble(chunk) -> None:
+            chunks.append(
+                consumer.prepare_chunk(
+                    clean, chunk.islands,
+                    add_self_loops=norm.add_self_loops,
+                    scratch=scratch,
                 )
+            )
 
-            if result is None and self.locator_config.partitions == 1:
-                result = IslandLocator(self.locator_config).run(
-                    clean, on_round=assemble
-                )
-            else:
-                if result is None:
-                    # Partitioned locator: no live round stream — the
-                    # merged result replays its recorded rounds, which
-                    # the streamed overlap model consumes identically
-                    # (the cached-islandization path below).
-                    result = islandize(clean, self.locator_config)
-                for chunk in result.iter_rounds():
-                    assemble(chunk)
+        if result is None and self.locator_config.partitions == 1:
+            result = IslandLocator(self.locator_config).run(
+                clean, on_round=assemble
+            )
         else:
             if result is None:
+                # Partitioned locator: no live round stream — the
+                # merged result replays its recorded rounds, as a
+                # cached islandization does.
                 result = islandize(clean, self.locator_config)
-            # Backend-appropriate task representation (packed TaskBatch
-            # for the batched consumer, per-island bitmaps for the
-            # scalar oracle), built once and shared by every layer.
-            tasks = consumer.prepare(result, add_self_loops=norm.add_self_loops)
+            for chunk in result.iter_rounds():
+                assemble(chunk)
 
         interhub = build_interhub_plan(result, add_self_loops=norm.add_self_loops)
         meter = TrafficMeter()
@@ -275,25 +262,18 @@ class IGCNAccelerator:
         x = features
         for idx, layer in enumerate(model.layers):
             layer_meter = TrafficMeter()
-            layer_kwargs = dict(
+            chunk_work: list[int] = []
+            execution = consumer.run_layer_chunked(
+                result, chunks, interhub, norm, layer,
                 layer_index=idx,
                 meter=layer_meter,
                 x=x if functional else None,
                 w=weights[idx] if functional else None,
                 feature_density=feature_density if idx == 0 else 1.0,
                 final_layer=idx == model.num_layers - 1,
+                chunk_work=chunk_work,
             )
-            if streamed:
-                chunk_work: list[int] = []
-                execution = consumer.run_layer_chunked(
-                    result, chunks, interhub, norm, layer,
-                    chunk_work=chunk_work, **layer_kwargs,
-                )
-                round_work += np.asarray(chunk_work, dtype=np.float64)
-            else:
-                execution = consumer.run_layer(
-                    result, tasks, interhub, norm, layer, **layer_kwargs
-                )
+            round_work += np.asarray(chunk_work, dtype=np.float64)
             layer_counts.append(execution.counts)
             compute = execution.counts.total_macs / self.hw.macs_per_cycle
             # Latency charges only the bytes that must cross the pins;
@@ -308,15 +288,10 @@ class IGCNAccelerator:
             if functional:
                 x = execution.output
 
-        event = None
-        if self.consumer_config.pipeline == "event":
-            locator_cycles, consumer_cycles, total_cycles, event = (
-                self._event_latency(result, layer_cycles, round_work, model)
-            )
-        else:
-            locator_cycles, consumer_cycles, total_cycles = self._latency(
-                result, layer_cycles, round_work if streamed else None
-            )
+        locator_cycles, consumer_cycles, totals, event = self._latency(
+            result, layer_cycles, round_work, model
+        )
+        total_cycles = totals[self.consumer_config.pipeline]
         latency_s = self.hw.cycles_to_seconds(total_cycles)
         energy = estimate_energy(
             self.hw,
@@ -337,6 +312,8 @@ class IGCNAccelerator:
             total_cycles=total_cycles,
             latency_us=self.hw.cycles_to_us(total_cycles),
             energy=energy,
+            staged_cycles=totals["staged"],
+            streamed_cycles=totals["streamed"],
             pipeline=self.consumer_config.pipeline,
             outputs=x if functional else None,
             event=event,
@@ -353,47 +330,85 @@ class IGCNAccelerator:
         self,
         result: IslandizationResult,
         layer_cycles: list[float],
-        round_work: np.ndarray | None = None,
-    ) -> tuple[float, float, float]:
-        """End-to-end cycles of one inference, per pipeline mode.
+        round_work: np.ndarray,
+        model: ModelConfig,
+    ) -> tuple[float, float, dict[str, float], EventSimResult | None]:
+        """End-to-end cycles of one inference under each pipeline model.
 
-        ``round_work`` is the measured per-round consumer work vector a
-        streamed run collected (``None`` in staged mode).  Staged runs
-        the phases strictly back-to-back — locator, then consumer —
-        so their cycles simply add.  Streamed overlaps them (Fig 3):
-        islands stream to the consumer as they form, so round r's work
-        releases at the round's start and the total is the
+        Returns ``(locator, consumer, totals, event)``: ``totals`` maps
+        ``"staged"`` and ``"streamed"`` — plus ``"event"`` when the
+        consumer config selects it, with ``event`` its simulation — to
+        end-to-end cycles.  ``round_work`` is the measured per-round
+        consumer work vector the chunked layers collected.
+
+        Staged runs the phases strictly back-to-back — locator, then
+        consumer — so their cycles simply add.  Streamed overlaps them
+        (Fig 3): islands stream to the consumer as they form, so round
+        r's work releases at the round's start and the total is the
         work-conserving makespan of the measured release/work schedule
-        (floored at the locator itself, which must still finish).  A
-        small fixed fill covers the first-island delay in both modes.
+        (floored at the locator itself, which must still finish).  The
+        event model splits each round's chunk of that same schedule
+        over the round's islands by their member + hub counts, released
+        at their production times inside the round, which keeps the
+        sandwich ``streamed <= event <= staged`` structural (see
+        :mod:`repro.core.event_sim`).  A small fixed fill covers the
+        first-island delay in every model.
         """
         round_cycles = self._round_cycles(result)
         locator_cycles = float(sum(round_cycles))
         consumer_cycles = float(sum(layer_cycles))
         pipeline_fill = self.PIPELINE_FILL_CYCLES
+        totals = {"staged": locator_cycles + consumer_cycles + pipeline_fill}
+        chunks: list[float] = []
+        if round_cycles:
+            releases, chunks = streamed_schedule(
+                round_cycles, round_work.tolist(), consumer_cycles
+            )
+            totals["streamed"] = max(
+                pipelined_makespan(releases, chunks), locator_cycles
+            ) + pipeline_fill
+        else:
+            # Degenerate graphs (0 nodes, or nothing left after
+            # self-loop removal) produce zero locator rounds; there is
+            # no release schedule to overlap, so the consumer runs
+            # start-to-finish under every model.
+            totals["streamed"] = consumer_cycles + pipeline_fill
 
-        # Degenerate graphs (0 nodes, or nothing left after self-loop
-        # removal) produce zero locator rounds; there is no release
-        # schedule to overlap, so the consumer runs start-to-finish in
-        # either mode.
-        if not round_cycles:
-            return 0.0, consumer_cycles, consumer_cycles + pipeline_fill
-
-        if round_work is None:
-            total = locator_cycles + consumer_cycles + pipeline_fill
-            return locator_cycles, consumer_cycles, total
-
-        releases, chunks = streamed_schedule(
-            round_cycles, round_work.tolist(), consumer_cycles
+        if self.consumer_config.pipeline != "event":
+            return locator_cycles, consumer_cycles, totals, None
+        round_index = {
+            stats.round_id: idx for idx, stats in enumerate(result.rounds)
+        }
+        round_islands: list[list[tuple[int, float, tuple[int, ...]]]] = [
+            [] for _ in round_cycles
+        ]
+        for island_id, island in enumerate(result.islands):
+            round_islands[round_index[island.round_id]].append(
+                (
+                    island_id,
+                    float(island.num_members + island.num_hubs),
+                    tuple(int(h) for h in island.hubs),
+                )
+            )
+        row_bytes = 4 * max(
+            (layer.out_dim for layer in model.layers), default=1
         )
-        total = max(
-            pipelined_makespan(releases, chunks), locator_cycles
-        ) + pipeline_fill
-        return locator_cycles, consumer_cycles, total
+        sim = simulate_events(
+            round_cycles,
+            round_islands,
+            chunks,
+            num_pes=self.consumer_config.num_pes,
+            cache_entries=max(1, self.hw.hub_xw_cache_bytes // row_bytes),
+        )
+        totals["event"] = (
+            max(sim.makespan, locator_cycles) + pipeline_fill
+            if round_cycles else totals["streamed"]
+        )
+        return locator_cycles, consumer_cycles, totals, sim
 
     # ------------------------------------------------------------------
     def _round_cycles(self, result: IslandizationResult) -> list[float]:
-        """Per-round locator cycle estimates (shared by every mode).
+        """Per-round locator cycle estimates (shared by every model).
 
         Each round is the max of its hub-detection scan, its TP-BFS
         adjacency scan, and — for adjacency beyond on-chip capacity —
@@ -417,68 +432,3 @@ class IGCNAccelerator:
             dram = stats.adjacency_bytes * spill_cycles_per_byte
             round_cycles.append(max(detect, scans, dram))
         return round_cycles
-
-    # ------------------------------------------------------------------
-    def _event_latency(
-        self,
-        result: IslandizationResult,
-        layer_cycles: list[float],
-        round_work: np.ndarray,
-        model: ModelConfig,
-    ) -> tuple[float, float, float, EventSimResult]:
-        """End-to-end cycles of the discrete-event pipeline mode.
-
-        The per-round consumer chunks come from the same
-        :func:`~repro.core.pipeline.streamed_schedule` the streamed
-        mode uses — so the event schedule conserves exactly the same
-        cycle total — and each chunk is split over the round's islands
-        by their member + hub counts, released at their production
-        times inside the round.  The makespan is floored at the
-        locator (which must still finish) plus the shared fill, which
-        keeps the sandwich ``streamed <= event <= staged`` structural
-        (see :mod:`repro.core.event_sim`).
-        """
-        round_cycles = self._round_cycles(result)
-        locator_cycles = float(sum(round_cycles))
-        consumer_cycles = float(sum(layer_cycles))
-        pipeline_fill = self.PIPELINE_FILL_CYCLES
-        num_pes = self.consumer_config.num_pes
-        row_bytes = 4 * max(
-            (layer.out_dim for layer in model.layers), default=1
-        )
-        cache_entries = max(1, self.hw.hub_xw_cache_bytes // row_bytes)
-        if not round_cycles:
-            # Degenerate graphs: no rounds, no schedule to refine —
-            # same start-to-finish total as the other modes.
-            sim = simulate_events(
-                [], [], [], num_pes=num_pes, cache_entries=cache_entries
-            )
-            return (
-                0.0, consumer_cycles, consumer_cycles + pipeline_fill, sim
-            )
-        _, chunks = streamed_schedule(
-            round_cycles, round_work.tolist(), consumer_cycles
-        )
-        round_index = {
-            stats.round_id: idx for idx, stats in enumerate(result.rounds)
-        }
-        round_islands: list[list[tuple[int, float, tuple[int, ...]]]] = [
-            [] for _ in round_cycles
-        ]
-        for island_id, island in enumerate(result.islands):
-            round_islands[round_index[island.round_id]].append(
-                (
-                    island_id,
-                    float(island.num_members + island.num_hubs),
-                    tuple(int(h) for h in island.hubs),
-                )
-            )
-        sim = simulate_events(
-            round_cycles,
-            round_islands,
-            chunks,
-            num_pes=num_pes,
-            cache_entries=cache_entries,
-        )
-        total = max(sim.makespan, locator_cycles) + pipeline_fill
-        return locator_cycles, consumer_cycles, total, sim

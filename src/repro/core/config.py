@@ -161,24 +161,24 @@ class ConsumerConfig:
         functional mode) output matrices; the backend is still part of
         the config digest so cached artifacts never mix backends.
     pipeline:
-        How the consumer ingests the locator's islands (§3.1.1,
-        Fig. 3).  ``"streamed"`` (default, the paper's architecture)
-        consumes per-round chunks as the Island Locator produces them
-        and reports end-to-end cycles from the measured per-round
-        release/work schedule; ``"staged"`` runs the two phases
-        strictly back-to-back and reports their sum; ``"event"`` runs
-        the discrete-event refinement (``repro.core.event_sim``) —
-        per-island release inside each round, PE contention, ring and
-        DHUB-PRC port arbitration, hub-cache occupancy — and
-        additionally reports per-island latency records with p50/p99
-        summaries.  Counts, DRAM traffic, ring/cache statistics and
-        functional outputs are byte-identical in all modes
-        (``tests/test_pipeline_stream.py`` pins this); only the cycle
-        model — ``total_cycles`` and everything derived from it —
-        differs, and the event makespan is always sandwiched
+        Which cycle model prices the locator→consumer pipeline
+        (§3.1.1, Fig. 3).  Every mode runs the same pass — the consumer
+        ingests per-round chunks as the Island Locator produces them —
+        and every report carries the staged and streamed totals; the
+        mode only picks which total becomes ``total_cycles``.
+        ``"streamed"`` (default, the paper's architecture) is the
+        makespan of the measured per-round release/work schedule;
+        ``"staged"`` is the plain back-to-back sum of the two phases;
+        ``"event"`` runs the discrete-event refinement
+        (``repro.core.event_sim``) — per-island release inside each
+        round, PE contention, ring and DHUB-PRC port arbitration,
+        hub-cache occupancy — and additionally reports per-island
+        latency records with p50/p99 summaries.  Counts, DRAM traffic,
+        ring/cache statistics and functional outputs do not depend on
+        the mode, and the event makespan is always sandwiched
         ``streamed <= event <= staged``.  Like ``backend``, the mode is
-        part of the config digest, so cached reports and summary rows
-        never mix pipeline modes.
+        part of the config digest: it selects ``latency_us``, so cached
+        reports and summary rows never mix pipeline modes.
     """
 
     num_pes: int = 8

@@ -218,19 +218,17 @@ class IslandConsumer:
 
     # ------------------------------------------------------------------
     def prepare(self, result: IslandizationResult, *, add_self_loops: bool):
-        """Task representation for this consumer's backend.
+        """Task representation of a whole islandization, as one chunk.
 
+        :meth:`prepare_chunk` over every island of ``result``:
         ``"batched"`` → one packed
-        :class:`~repro.core.consumer_batched.TaskBatch` (assembled in a
-        single vectorized pass over the global CSR); ``"scalar"`` → the
-        per-island :func:`prepare_tasks` list.  Either is shared across
-        all layers of one inference.
+        :class:`~repro.core.consumer_batched.TaskBatch`; ``"scalar"`` →
+        the per-island :func:`prepare_tasks` list.  Either is shared
+        across all layers of one inference.
         """
-        if self.config.backend == "batched":
-            from repro.core.consumer_batched import TaskBatch
-
-            return TaskBatch.from_result(result, add_self_loops=add_self_loops)
-        return prepare_tasks(result, add_self_loops=add_self_loops)
+        return self.prepare_chunk(
+            result.graph, result.islands, add_self_loops=add_self_loops
+        )
 
     # ------------------------------------------------------------------
     def prepare_chunk(
@@ -243,9 +241,9 @@ class IslandConsumer:
         locator is still running later rounds*, so task assembly
         overlaps islandization.  ``"batched"`` → one per-round
         :class:`~repro.core.consumer_batched.TaskBatch` slice;
-        ``"scalar"`` → the round's :class:`IslandTask` list.  The
-        concatenation of all round chunks is element-identical to what
-        :meth:`prepare` builds from the finished result.  ``scratch``
+        ``"scalar"`` → the round's :class:`IslandTask` list.  Task
+        packing is island-local, so the round chunks hold exactly the
+        tasks :meth:`prepare` builds from the finished result.  ``scratch``
         is an optional dict kept across a run's calls so the batched
         assembly reuses its node-sized lookup maps (see
         :meth:`TaskBatch.from_islands
@@ -278,41 +276,31 @@ class IslandConsumer:
         feature_density: float = 1.0,
         final_layer: bool = True,
     ) -> LayerExecution:
-        """Run one GraphCONV layer.
+        """Run one GraphCONV layer over a single task chunk.
 
         Functional mode when ``x`` and ``w`` are given (returns the
         output matrix); otherwise performance mode (counts only, using
         ``feature_density`` for the input nnz estimate).  ``tasks`` is
-        whatever :meth:`prepare` returned for this backend; a scalar
-        task list handed to the batched backend is converted on the
-        fly (convenient for tests, but repays the packing cost every
-        call — prefer :meth:`prepare`).
+        whatever :meth:`prepare` returned for this backend, run as the
+        one chunk of :meth:`run_layer_chunked`; a scalar task list
+        handed to the batched backend is converted on the fly
+        (convenient for tests, but repays the packing cost every call —
+        prefer :meth:`prepare`).
         """
-        functional = x is not None
-        if functional and w is None:
-            raise SimulationError("functional mode needs both x and w")
-        state = self._layer_setup(
-            result, norm, layer,
-            layer_index=layer_index, meter=meter, x=x, w=w,
-            feature_density=feature_density, functional=functional,
-        )
         if self.config.backend == "batched":
-            from repro.core.consumer_batched import TaskBatch, run_layer_batched
+            from repro.core.consumer_batched import TaskBatch
 
-            batch = (
-                tasks if isinstance(tasks, TaskBatch)
-                else TaskBatch.from_tasks(tasks)
+            if not isinstance(tasks, TaskBatch):
+                tasks = TaskBatch.from_tasks(tasks)
+        elif not isinstance(tasks, (list, tuple)):
+            raise SimulationError(
+                "the scalar consumer backend needs the prepare_tasks() "
+                f"island-task list, got {type(tasks).__name__}"
             )
-            run_layer_batched(self, state, batch, interhub, meter)
-        else:
-            if not isinstance(tasks, (list, tuple)):
-                raise SimulationError(
-                    "the scalar consumer backend needs the prepare_tasks() "
-                    f"island-task list, got {type(tasks).__name__}"
-                )
-            self._run_scalar(state, tasks, interhub, meter)
-        return self._layer_finalize(
-            state, norm, layer, meter=meter, final_layer=final_layer
+        return self.run_layer_chunked(
+            result, [tasks], interhub, norm, layer,
+            layer_index=layer_index, meter=meter, x=x, w=w,
+            feature_density=feature_density, final_layer=final_layer,
         )
 
     # ------------------------------------------------------------------
@@ -332,15 +320,16 @@ class IslandConsumer:
         final_layer: bool = True,
         chunk_work: list[int] | None = None,
     ) -> LayerExecution:
-        """Run one layer over per-round task chunks (the streamed path).
+        """Run one layer over per-round task chunks (the pipeline path).
 
         ``chunks`` is the per-round sequence :meth:`prepare_chunk`
         produced (one entry per locator round, empty rounds included).
         Island chunks execute in round order with global task offsets,
-        then the inter-hub phase runs once — the exact accounting and
-        accumulation order of :meth:`run_layer` on the monolithic task
-        list, so counts, traffic, ring/cache statistics and functional
-        outputs are byte-identical between the two entry points.
+        then the inter-hub phase runs once — every counter is additive
+        and every per-hub float accumulation keeps its order, so counts,
+        traffic, ring/cache statistics and functional outputs are
+        byte-identical for any split of the islands into chunks
+        (:meth:`run_layer` is the one-chunk case).
 
         ``chunk_work`` (optional) is filled with one aggregation-MAC
         tally per chunk — the measured per-round work vector the
@@ -462,18 +451,6 @@ class IslandConsumer:
         )
 
     # ------------------------------------------------------------------
-    def _run_scalar(
-        self,
-        state: _LayerState,
-        tasks: list[IslandTask],
-        interhub: InterHubPlan,
-        meter: TrafficMeter,
-    ) -> None:
-        """Per-island oracle loop (the batched backend's ground truth)."""
-        self._run_scalar_islands(state, tasks, meter, task_offset=0)
-        self._run_scalar_interhub(state, interhub, meter)
-
-    # ------------------------------------------------------------------
     def _run_scalar_islands(
         self,
         state: _LayerState,
@@ -482,7 +459,7 @@ class IslandConsumer:
         *,
         task_offset: int = 0,
     ) -> None:
-        """Island phase of the oracle loop over one task chunk.
+        """Island phase of the per-island oracle loop over one chunk.
 
         ``task_offset`` is the global index of ``tasks[0]``, so a
         per-round chunk keeps the whole-list PE assignment.

@@ -13,10 +13,10 @@ consumer:
   global CSR (one adjacency gather for every member row at once, one
   sorted-key join for the member→hub columns) instead of per-member
   ``searchsorted`` calls.
-* :func:`run_layer_batched` — evaluates the 1×k window scan for *all*
-  island tasks in bulk: per-(task, group, row) non-zero counts come
-  from one ``bincount`` over the COO entries, window classification is
-  a handful of elementwise ops over the whole batch
+* :func:`run_island_chunk` — evaluates the 1×k window scan for *all*
+  island tasks of a batch in bulk: per-(task, group, row) non-zero
+  counts come from one ``bincount`` over the COO entries, window
+  classification is a handful of elementwise ops over the whole batch
   (:func:`repro.core.preagg.classify_windows`), and the classification
   is cached on the batch so later layers skip it entirely.  Ring
   emissions, DHUB-PRC updates and HUB-XW-cache accesses are batched
@@ -43,12 +43,10 @@ import numpy as np
 
 from repro.core.nputil import cumsum0 as _cumsum0
 from repro.core.preagg import ScanCounts, classify_windows, group_layout_batch
-from repro.core.types import IslandizationResult
 from repro.errors import SimulationError
 
 __all__ = [
     "TaskBatch",
-    "run_layer_batched",
     "run_island_chunk",
     "run_interhub_batched",
 ]
@@ -127,22 +125,6 @@ class TaskBatch:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_result(
-        cls, result: IslandizationResult, *, add_self_loops: bool
-    ) -> "TaskBatch":
-        """Assemble every island's task in one vectorized CSR pass.
-
-        Produces exactly the bitmap content of
-        :func:`repro.core.consumer.prepare_tasks`: member rows from the
-        members' adjacency, hub rows mirrored from the member→hub
-        entries (the L-shape), the member diagonal when the model adds
-        self-loops, and neighbours outside the task's local set dropped.
-        """
-        return cls.from_islands(
-            result.graph, result.islands, add_self_loops=add_self_loops
-        )
-
     @classmethod
     def from_islands(
         cls, graph, islands, *, add_self_loops: bool, scratch: dict | None = None
@@ -421,23 +403,6 @@ class TaskBatch:
 # ----------------------------------------------------------------------
 # Layer execution
 # ----------------------------------------------------------------------
-def run_layer_batched(consumer, state, batch: TaskBatch, interhub, meter):
-    """Island + inter-hub phase of one layer, batched across all tasks.
-
-    ``consumer`` is the owning ``IslandConsumer`` (ring + config),
-    ``state`` the backend-shared ``_LayerState`` the prologue built.
-    Counter/traffic/output-identical to ``IslandConsumer._run_scalar``.
-
-    The staged execution is one island chunk covering everything;
-    the streamed pipeline calls :func:`run_island_chunk` once per
-    locator round and :func:`run_interhub_batched` once at the end —
-    every counter is additive and every float accumulation keeps its
-    per-hub order, so the two decompositions are byte-identical.
-    """
-    run_island_chunk(consumer, state, batch, meter, task_offset=0)
-    run_interhub_batched(state, interhub, meter)
-
-
 def run_island_chunk(
     consumer, state, batch: TaskBatch, meter, *, task_offset: int = 0
 ) -> None:

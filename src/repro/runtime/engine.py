@@ -120,12 +120,14 @@ class Engine:
         Default Island Consumer configuration for locator-backed
         simulators.  Like the locator config it is part of every
         locator-dependent report/summary cache key, so engines with
-        different consumer settings (backend and pipeline mode
-        included — a streamed report never masquerades as a staged
-        one) sharing one disk store never serve each other's rows.
-        The islandization artifact itself carries no consumer digest:
-        staged and streamed runs share it, since the locator's result
-        is mode-independent by contract.
+        different consumer settings sharing one disk store never
+        serve each other's rows.  That includes the pipeline mode:
+        every mode runs the same pass and prices the staged and
+        streamed models, but the mode picks ``total_cycles`` and so
+        the row's ``latency_us`` — a streamed row never masquerades
+        as a staged one.  The islandization artifact itself carries no
+        consumer digest: all modes share it, since the locator's
+        result is mode-independent by contract.
     store:
         Explicit :class:`~repro.runtime.store.ArtifactStore` stack.
         Mutually exclusive with ``cache_dir``.

@@ -119,7 +119,7 @@ class TestParser:
         code = main(["bench", "locator", "--tiers", "1e3", "--repeats", "1",
                      "--preagg-k", "12"])
         assert code == 2
-        assert "consumer and pipeline suites" in capsys.readouterr().err
+        assert "consumer and event suites" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -136,6 +136,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "islandized - reference" in out
+
+    def test_run_functional_fails_on_reference_mismatch(
+        self, capsys, monkeypatch
+    ):
+        import repro.models
+
+        exact = repro.models.reference_forward
+        monkeypatch.setattr(
+            repro.models, "reference_forward",
+            lambda *args, **kwargs: exact(*args, **kwargs) * (1 + 1e-6),
+        )
+        code = main(["run", "--dataset", "cora", "--scale", "0.05",
+                     "--functional"])
+        assert code == 2
+        assert "differs from the reference" in capsys.readouterr().err
 
     def test_islandize(self, capsys):
         code = main(["islandize", "--dataset", "cora", "--scale", "0.1"])
@@ -186,18 +201,20 @@ class TestCommands:
         for token in ("prune_agg", "rounds"):
             assert token in streamed and token in staged
 
-    def test_bench_pipeline_writes_record(self, capsys, tmp_path):
+    def test_bench_event_writes_record(self, capsys, tmp_path):
         out_file = tmp_path / "bench.json"
-        code = main(["bench", "pipeline", "--tiers", "1e3", "--repeats", "1",
+        code = main(["bench", "event", "--tiers", "1e3", "--repeats", "1",
                      "--output", str(out_file)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "pipeline overlap" in out
+        assert "event pipeline" in out
         import json
 
         record = json.loads(out_file.read_text())
-        assert record["benchmark"] == "pipeline-overlap"
+        assert record["benchmark"] == "event-pipeline"
         row = record["tiers"][0]
+        assert row["sandwich"] is True
+        assert row["deterministic"] is True
         assert row["equal"] is True
         assert row["streamed_cycles"] < row["staged_cycles"]
         assert record["largest_speedup"] > 1.0

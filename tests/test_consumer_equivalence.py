@@ -312,7 +312,9 @@ class TestBackendConfig:
         result = islandize(clean)
         norm = normalization_for(clean, "gcn-sym")
         plan = build_interhub_plan(result, add_self_loops=True)
-        batch = TaskBatch.from_result(result, add_self_loops=True)
+        batch = IslandConsumer(ConsumerConfig(backend="batched")).prepare(
+            result, add_self_loops=True
+        )
         consumer = IslandConsumer(ConsumerConfig(backend="scalar"))
         with pytest.raises(SimulationError):
             consumer.run_layer(
@@ -341,14 +343,13 @@ class TestBackendConfig:
         assert runs["scalar"][1] == runs["batched"][1]
 
     def test_task_batch_matches_prepare_tasks(self, community_graph):
-        """from_result packs exactly the bitmaps prepare_tasks builds."""
+        """prepare packs exactly the bitmaps prepare_tasks builds."""
         graph, _ = community_graph
         result = islandize(graph.without_self_loops())
+        consumer = IslandConsumer(ConsumerConfig(backend="batched"))
         for add_self_loops in (False, True):
             tasks = prepare_tasks(result, add_self_loops=add_self_loops)
-            batch = TaskBatch.from_result(
-                result, add_self_loops=add_self_loops
-            )
+            batch = consumer.prepare(result, add_self_loops=add_self_loops)
             ref = TaskBatch.from_tasks(tasks)
             assert batch.num_tasks == len(tasks)
             for name in ("num_hubs", "num_locals", "local_nodes",

@@ -321,7 +321,10 @@ class TestEventSimProperties:
     def test_pipeline_modes_sandwich_end_to_end(self, graph, cmax):
         """``streamed <= event <= staged`` on full inferences over
         arbitrary graphs, with the event trace replay-validated and the
-        event mode conserving the chunked consumer's cycle tally."""
+        event mode conserving the chunked consumer's cycle tally.  One
+        pass prices every model: each mode's report carries the same
+        staged and streamed totals, and the mode only picks which one
+        becomes ``total_cycles``."""
         model = gcn_model(8, 4)
         reports = {}
         for mode in ("staged", "streamed", "event"):
@@ -333,10 +336,16 @@ class TestEventSimProperties:
         sim = reports["event"].event
         validate_trace(sim)
         assert np.isclose(sim.work_total, sim.consumer_cycles, atol=1e-6)
+        event = reports["event"]
+        for report in reports.values():
+            assert report.staged_cycles == event.staged_cycles
+            assert report.streamed_cycles == event.streamed_cycles
+        assert reports["staged"].total_cycles == event.staged_cycles
+        assert reports["streamed"].total_cycles == event.streamed_cycles
         assert (
-            reports["streamed"].total_cycles - 1e-6
-            <= reports["event"].total_cycles
-            <= reports["staged"].total_cycles + 1e-6
+            event.streamed_cycles - 1e-6
+            <= event.total_cycles
+            <= event.staged_cycles + 1e-6
         )
 
 
