@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.nputil import cumsum0 as _cumsum0
 from repro.core.preagg import ScanCounts, classify_windows, group_layout_batch
 from repro.errors import SimulationError
+from repro.nputil import cumsum0 as _cumsum0, sorted_unique
 
 __all__ = [
     "TaskBatch",
@@ -314,14 +314,7 @@ class TaskBatch:
             + entry_row * num_locals[entry_task]
             + entry_col
         )
-        # Sorted-unique by hand: np.unique's hash path is several times
-        # slower than sort+diff on these multi-million-entry arrays.
-        cell.sort()
-        if len(cell):
-            keep = np.empty(len(cell), dtype=bool)
-            keep[0] = True
-            np.not_equal(cell[1:], cell[:-1], out=keep[1:])
-            cell = cell[keep]
+        cell = sorted_unique(cell)
         entry_task = np.searchsorted(cell_base, cell, side="right") - 1
         remainder = cell - cell_base[entry_task]
         entry_row = remainder // num_locals[entry_task]

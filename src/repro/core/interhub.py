@@ -73,19 +73,18 @@ def build_interhub_plan(
     *,
     add_self_loops: bool,
 ) -> InterHubPlan:
-    """Expand the canonical inter-hub edge map into directed tasks."""
-    edges = result.interhub_edges
-    directed: list[tuple[int, int]] = []
-    for u, v in edges.tolist():
-        directed.append((u, v))
-        if u != v:
-            directed.append((v, u))
-    directed_arr = (
-        np.asarray(directed, dtype=np.int64).reshape(-1, 2)
-        if directed
-        else np.zeros((0, 2), dtype=np.int64)
-    )
+    """Expand the canonical inter-hub edge map into directed tasks.
+
+    Each pair ``(u, v)`` is followed by its mirror ``(v, u)``; a
+    diagonal pair is emitted once.  The order is part of the contract:
+    the PRC update stream and the floating-point accumulation of the
+    hub fold both consume it.
+    """
+    edges = np.asarray(result.interhub_edges, dtype=np.int64).reshape(-1, 2)
+    # (E, 2, 2): pair then mirror; boolean indexing keeps C order.
+    both = np.stack([edges, edges[:, ::-1]], axis=1)
+    emit = np.stack([np.ones(len(edges), dtype=bool), edges[:, 0] != edges[:, 1]], axis=1)
     self_hubs = (
         result.hub_ids.copy() if add_self_loops else np.zeros(0, dtype=np.int64)
     )
-    return InterHubPlan(directed_edges=directed_arr, self_loop_hubs=self_hubs)
+    return InterHubPlan(directed_edges=both[emit], self_loop_hubs=self_hubs)

@@ -72,7 +72,6 @@ import numpy as np
 from repro.core.config import LocatorConfig
 from repro.core.hub_detector import detect_new_hubs
 from repro.core.islandizer import _NO_HUBS, IslandLocator
-from repro.core.nputil import cumsum0
 from repro.core.tp_bfs import BFSRoundState, TaskOutcome, run_bfs_task
 from repro.core.tp_bfs_batched import (
     TASK_CMAX,
@@ -91,6 +90,7 @@ from repro.core.types import (
 )
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph, GraphDelta
+from repro.nputil import cumsum0
 from repro.serialize import read_npz, write_npz
 
 __all__ = [

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.nputil import cumsum0
+from repro.nputil import cumsum0
 
 __all__ = [
     "ScanCounts",

@@ -69,10 +69,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from repro.core.nputil import cumsum0
 from repro.core.tp_bfs import TaskOutcome
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph
+from repro.nputil import cumsum0
 
 __all__ = [
     "STATE_FREE",

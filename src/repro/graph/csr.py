@@ -9,9 +9,17 @@ normalisation are *derived* (they factorise per endpoint, see
 
 Design notes
 ------------
-* ``indices`` within each row are kept sorted.  Several consumers
-  (bitmap construction, reordering metrics) rely on this for
-  ``searchsorted``-based membership tests.
+* ``indices`` within each row are sorted and duplicate-free, so the
+  row-major keys ``u * num_nodes + v`` (:meth:`CSRGraph.edge_keys`)
+  are strictly increasing.  Bitmap construction, reordering metrics
+  and the sorted-key merge of :meth:`CSRGraph.apply_delta` rely on
+  this.  ``from_edges``, ``from_scipy`` and ``apply_delta`` produce
+  it; :meth:`CSRGraph.without_self_loops` checks it and raises
+  :class:`~repro.errors.GraphError` otherwise.
+* ``without_self_loops`` drops the diagonal with a mask and an
+  ``indptr`` recount, not a rebuild, and returns the graph itself when
+  there is no diagonal.  Stages that need a clean graph can therefore
+  call it on their input unconditionally.
 * Degrees are the *structural* out-degrees (row lengths).  Because the
   graph is symmetric this equals the in-degree.
 * Self-loops are permitted (GCN uses ``A + I``); generators add them
@@ -27,6 +35,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from repro.errors import GraphError
+from repro.nputil import cumsum0, sorted_unique
 from repro.serialize import read_npz, write_npz
 
 __all__ = ["CSRGraph", "GraphDelta"]
@@ -154,13 +163,15 @@ class CSRGraph:
         ``int64`` array of length ``num_nodes + 1``; row ``u`` occupies
         ``indices[indptr[u]:indptr[u + 1]]``.
     indices:
-        ``int64`` array of neighbour ids, sorted within each row.
+        ``int64`` array of neighbour ids, sorted and duplicate-free
+        within each row.
 
     Notes
     -----
     Use :meth:`from_edges` or ``repro.graph.builder.GraphBuilder`` to
-    construct instances; the raw constructor validates its arguments but
-    does not symmetrise or deduplicate.
+    construct instances; the raw constructor validates shapes and ranges
+    but does not symmetrise, sort or deduplicate (row order is checked
+    by :meth:`without_self_loops`).
     """
 
     indptr: np.ndarray
@@ -304,10 +315,17 @@ class CSRGraph:
     # Structure checks and conversions
     # ------------------------------------------------------------------
     def is_symmetric(self) -> bool:
-        """Check that every entry (u, v) has its mirror (v, u)."""
+        """Check that every entry (u, v) has its mirror (v, u).
+
+        Compares the set of row-major keys ``u * n + v`` with the set
+        of transposed keys ``v * n + u``.
+        """
         rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
-        forward = set(zip(rows.tolist(), self.indices.tolist()))
-        return all((v, u) in forward for u, v in forward)
+        n = np.int64(self.num_nodes)
+        return np.array_equal(
+            sorted_unique(rows * n + self.indices),
+            sorted_unique(self.indices * n + rows),
+        )
 
     def has_self_loops(self) -> bool:
         """True if any diagonal entry is present."""
@@ -333,13 +351,35 @@ class CSRGraph:
         )
 
     def without_self_loops(self) -> "CSRGraph":
-        """Return a copy with the diagonal removed (idempotent)."""
+        """Return the graph with the diagonal removed (idempotent).
+
+        Returns ``self`` when there is no diagonal.  Otherwise the
+        diagonal entries are masked out of ``indices`` and each row's
+        removed count is subtracted from ``indptr``; the result equals
+        ``from_edges`` on the kept entries without re-deduplicating.
+        That shortcut needs sorted, duplicate-free rows, so a graph
+        whose row-major keys are not strictly increasing raises
+        :class:`GraphError`.
+        """
+        indices = self.indices
+        # Row ids never decrease along ``indices``, so the keys rise
+        # strictly iff every pair of neighbours within one row does:
+        # compare all adjacent pairs, then excuse those that straddle a
+        # row boundary (position ``indptr[u] - 1`` vs ``indptr[u]``).
+        rising = indices[1:] > indices[:-1]
+        starts = self.indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < len(indices))] - 1] = True
+        if not rising.all():
+            raise GraphError(
+                f"graph {self.name!r} has an unsorted row or a duplicate entry"
+            )
         rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
-        keep = rows != self.indices
-        return CSRGraph.from_edges(
-            self.num_nodes, rows[keep], self.indices[keep], name=self.name,
-            symmetrize=False,
-        )
+        loops = rows == indices
+        if not loops.any():
+            return self
+        # Entries removed before row u's start = diagonal hits before it.
+        indptr = self.indptr - cumsum0(loops)[self.indptr]
+        return CSRGraph(indptr=indptr, indices=indices[~loops], name=self.name)
 
     def permute(self, perm: np.ndarray) -> "CSRGraph":
         """Relabel nodes: new id of old node ``u`` is ``perm[u]``.
@@ -419,13 +459,13 @@ class CSRGraph:
             delta.delete_src.max() >= n or delta.delete_dst.max() >= n
         ):
             raise GraphError("delta deletion endpoints out of range")
-        ins_keys = np.unique(
+        ins_keys = sorted_unique(
             np.concatenate([
                 delta.insert_src * n + delta.insert_dst,
                 delta.insert_dst * n + delta.insert_src,
             ])
         )
-        del_keys = np.unique(
+        del_keys = sorted_unique(
             np.concatenate([
                 delta.delete_src * n + delta.delete_dst,
                 delta.delete_dst * n + delta.delete_src,
@@ -504,9 +544,9 @@ class CSRGraph:
                 np.concatenate([cols, rows]),
             )
         if len(rows):
-            # Deduplicate via a flat key sort; stable and allocation-light.
-            keys = rows * num_nodes + cols
-            keys = np.unique(keys)
+            # Deduplicate via a flat key sort (row-major, so rows come
+            # out sorted and duplicate-free).
+            keys = sorted_unique(rows * num_nodes + cols)
             rows = keys // num_nodes
             cols = keys % num_nodes
         counts = np.bincount(rows, minlength=num_nodes) if num_nodes else np.zeros(0, np.int64)
@@ -516,9 +556,14 @@ class CSRGraph:
 
     @staticmethod
     def from_scipy(mat, *, name: str = "graph") -> "CSRGraph":
-        """Build from any scipy sparse matrix (pattern only)."""
-        csr = mat.tocsr()
-        csr.sort_indices()
+        """Build from any scipy sparse matrix (pattern only).
+
+        Works on a copy, which ``sum_duplicates`` puts in canonical
+        form (sorted rows, repeated entries merged); the caller's
+        matrix is left as it was.
+        """
+        csr = mat.tocsr(copy=True)
+        csr.sum_duplicates()
         return CSRGraph(
             indptr=np.asarray(csr.indptr, dtype=np.int64),
             indices=np.asarray(csr.indices, dtype=np.int64),

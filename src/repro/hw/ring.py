@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.nputil import sorted_unique
+
 __all__ = ["RingStats", "RingNetwork"]
 
 
@@ -141,7 +143,7 @@ class RingNetwork:
         counts = np.diff(offsets)
         batch_of = np.repeat(np.arange(len(src_pes), dtype=np.int64), counts)
         span = int(hub_ids.max()) + 1
-        uniq = np.unique(batch_of * span + hub_ids)
+        uniq = sorted_unique(batch_of * span + hub_ids)
         self.stats.in_network_reductions += m - len(uniq)
         src = src_pes[uniq // span]
         hops = (uniq % span % self.num_pes - src) % self.num_pes

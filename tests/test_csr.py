@@ -58,6 +58,22 @@ class TestConstruction:
         assert np.array_equal(again.indptr, fig2.indptr)
         assert np.array_equal(again.indices, fig2.indices)
 
+    def test_from_scipy_canonicalises_a_copy(self):
+        from scipy.sparse import csr_matrix
+
+        # Row 0 is unsorted and repeats node 2.
+        indices = np.array([2, 1, 2, 0, 0], dtype=np.int32)
+        mat = csr_matrix(
+            (np.ones(5), indices, np.array([0, 3, 4, 5])), shape=(3, 3)
+        )
+        given = mat.indices.copy()
+        g = CSRGraph.from_scipy(mat)
+        assert g.indptr.tolist() == [0, 2, 3, 4]
+        assert g.indices.tolist() == [1, 2, 0, 0]
+        assert g.is_symmetric()
+        assert g.without_self_loops() is g
+        assert np.array_equal(mat.indices, given)
+
     def test_indices_sorted_within_rows(self, fig2):
         for u in range(fig2.num_nodes):
             row = fig2.neighbors(u)
@@ -115,6 +131,19 @@ class TestSelfLoops:
         g = triangle.with_self_loops().without_self_loops()
         assert not g.has_self_loops()
         assert g.num_edges == triangle.num_edges
+
+    def test_without_self_loops_returns_clean_graph_itself(self, fig2):
+        assert fig2.without_self_loops() is fig2
+
+    def test_without_self_loops_rejects_unsorted_row(self):
+        g = CSRGraph(indptr=np.array([0, 2, 3, 4]), indices=np.array([2, 1, 0, 0]))
+        with pytest.raises(GraphError, match="unsorted row or a duplicate"):
+            g.without_self_loops()
+
+    def test_without_self_loops_rejects_duplicate_entry(self):
+        g = CSRGraph(indptr=np.array([0, 2, 3]), indices=np.array([1, 1, 0]))
+        with pytest.raises(GraphError, match="unsorted row or a duplicate"):
+            g.without_self_loops()
 
     def test_plain_graph_has_no_self_loops(self, fig2):
         assert not fig2.has_self_loops()

@@ -9,17 +9,24 @@ These are the load-bearing guarantees of the reproduction:
 * reorderings always emit permutations;
 * the pipeline makespan is sandwiched between its lower bounds;
 * the discrete-event refinement is sandwiched between the streamed and
-  staged models and conserves the consumer's work exactly.
+  staged models and conserves the consumer's work exactly;
+* the vectorized CSR clean, dedup and inter-hub expansion equal the
+  rebuild- and loop-based references they replaced.
 """
 
+import dataclasses
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConsumerConfig, IGCNAccelerator, LocatorConfig, islandize
 from repro.core.event_sim import simulate_events, validate_trace
+from repro.core.interhub import build_interhub_plan
 from repro.core.preagg import scan_aggregate, scan_costs
 from repro.core.pipeline import pipelined_makespan, streamed_schedule
+from repro.errors import GraphError
 from repro.graph import CSRGraph
 from repro.graph.reorder import get_reordering, reordering_names
 from repro.models import gcn_model
@@ -46,6 +53,45 @@ def graphs(draw, max_nodes=40, max_edges=120):
     cols = [v for u, v in pairs if u != v]
     return CSRGraph.from_edges(
         n, np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    )
+
+
+@st.composite
+def entry_lists(draw, max_nodes=40, max_entries=120):
+    """``(n, rows, cols)`` entry lists with duplicates and diagonals."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=max_entries,
+        )
+    )
+    rows = np.asarray([u for u, _ in pairs], dtype=np.int64)
+    cols = np.asarray([v for _, v in pairs], dtype=np.int64)
+    return n, rows, cols
+
+
+def _rebuild_without_self_loops(graph):
+    """The clean as a rebuild: ``from_edges`` on the off-diagonal entries."""
+    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees)
+    keep = rows != graph.indices
+    return CSRGraph.from_edges(
+        graph.num_nodes, rows[keep], graph.indices[keep], name=graph.name,
+        symmetrize=False,
+    )
+
+
+def _loop_interhub_edges(edges):
+    """Per-pair loop expansion: each pair, then its mirror unless diagonal."""
+    directed = []
+    for u, v in edges.tolist():
+        directed.append((u, v))
+        if u != v:
+            directed.append((v, u))
+    return (
+        np.asarray(directed, dtype=np.int64).reshape(-1, 2)
+        if directed
+        else np.zeros((0, 2), dtype=np.int64)
     )
 
 
@@ -372,3 +418,89 @@ class TestCSRProperties:
         assert with_loops.num_edges == graph.num_edges + graph.num_nodes
         back = with_loops.without_self_loops()
         assert back.num_edges == graph.num_edges
+
+    @given(entries=entry_lists(), symmetrize=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_from_edges_matches_unique_reference(self, entries, symmetrize):
+        n, rows, cols = entries
+        graph = CSRGraph.from_edges(n, rows, cols, symmetrize=symmetrize)
+        if symmetrize:
+            rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+        keys = np.unique(rows * n + cols)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        assert graph.indptr.dtype == graph.indices.dtype == np.int64
+        assert np.array_equal(graph.indptr, indptr)
+        assert np.array_equal(graph.indices, keys % n)
+
+    @given(entries=entry_lists(), symmetrize=st.booleans(), diagonal=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_without_self_loops_matches_rebuild(self, entries, symmetrize, diagonal):
+        n, rows, cols = entries
+        graph = CSRGraph.from_edges(n, rows, cols, symmetrize=symmetrize)
+        if diagonal:
+            graph = graph.with_self_loops()
+        clean = graph.without_self_loops()
+        reference = _rebuild_without_self_loops(graph)
+        for ours, theirs in (
+            (clean.indptr, reference.indptr), (clean.indices, reference.indices)
+        ):
+            assert ours.dtype == theirs.dtype == np.int64
+            assert ours.tobytes() == theirs.tobytes()
+        assert clean.fingerprint() == reference.fingerprint()
+        assert not clean.has_self_loops()
+        assert (clean is graph) == (not graph.has_self_loops())
+        assert clean.without_self_loops() is clean
+
+    @given(
+        graph=graphs(),
+        flaw=st.sampled_from(["unsorted", "duplicate"]),
+        pick=st.integers(0, 10**6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_without_self_loops_rejects_malformed_rows(self, graph, flaw, pick):
+        """Swap two neighbours, or repeat one, at a drawn spot of a
+        drawn row: the raw constructor accepts it, the clean does not."""
+        rows = np.flatnonzero(graph.degrees >= 2)
+        assume(len(rows))
+        row = int(rows[pick % len(rows)])
+        start = int(graph.indptr[row])
+        at = start + pick % (int(graph.indptr[row + 1]) - start - 1)
+        indices = graph.indices.copy()
+        indptr = graph.indptr.copy()
+        if flaw == "unsorted":
+            indices[[at, at + 1]] = indices[[at + 1, at]]
+        else:
+            indices = np.insert(indices, at, indices[at])
+            indptr[row + 1:] += 1
+        malformed = CSRGraph(indptr=indptr, indices=indices)
+        with pytest.raises(GraphError):
+            malformed.without_self_loops()
+
+    @given(entries=entry_lists())
+    @settings(max_examples=50, deadline=None)
+    def test_is_symmetric_matches_set_reference(self, entries):
+        n, rows, cols = entries
+        graph = CSRGraph.from_edges(n, rows, cols, symmetrize=False)
+        forward = set(zip(rows.tolist(), cols.tolist()))
+        assert graph.is_symmetric() == all((v, u) in forward for u, v in forward)
+
+
+class TestInterHubPlanProperties:
+    @given(graph=graphs(), cmax=st.integers(1, 8), diagonal=st.lists(st.integers(0, 39)))
+    @example(graph=CSRGraph.empty(3), cmax=4, diagonal=[])
+    @settings(max_examples=50, deadline=None)
+    def test_directed_edges_match_loop_reference(self, graph, cmax, diagonal):
+        """Same pairs, order, dtype and shape as the per-pair loop, with
+        diagonal pairs (emitted once) spliced into the canonical map."""
+        result = islandize(graph, LocatorConfig(c_max=cmax))
+        pairs = result.interhub_edges.tolist()
+        pairs += [[h, h] for h in result.hub_ids.tolist() if h in diagonal]
+        edges = np.asarray(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+        result = dataclasses.replace(result, interhub_edges=edges)
+        for add_self_loops in (False, True):
+            plan = build_interhub_plan(result, add_self_loops=add_self_loops)
+            reference = _loop_interhub_edges(edges)
+            assert plan.directed_edges.dtype == reference.dtype
+            assert plan.directed_edges.shape == reference.shape
+            assert np.array_equal(plan.directed_edges, reference)
