@@ -14,7 +14,9 @@ Commands
               the Fig. 3 overlap win — from one report per tier
               (BENCH_event.json); the ``pincr`` suite times
               shard-routed incremental updates against full fleet
-              re-records (BENCH_pincr.json)
+              re-records (BENCH_pincr.json).  Every record is written,
+              then checked by its suite's ``gate()``
+              (``repro.eval.suites``)
 ``spy``       ASCII spy plot of a dataset before/after islandization
 ``experiments`` regenerate every paper table/figure (slow)
 ``cache``     inspect, clear, or size-evict the persistent artifact
@@ -65,12 +67,6 @@ import json
 from repro.core import ConsumerConfig, IGCNAccelerator, LocatorConfig
 from repro.errors import ReproError, SimulationError
 from repro.eval import render_rows, render_table, spy
-from repro.eval.bench_consumer import run_consumer_bench
-from repro.eval.bench_event import run_event_bench
-from repro.eval.bench_incremental import DELTA_TIERS, run_incremental_bench
-from repro.eval.bench_locator import BENCH_TIERS, run_locator_bench
-from repro.eval.bench_partition import PARTITION_TIERS, run_partition_bench
-from repro.eval.bench_pincr import PINCR_DELTA_TIERS, run_pincr_bench
 from repro.eval.experiments import (
     experiment_fig9,
     experiment_fig10,
@@ -82,6 +78,8 @@ from repro.eval.experiments import (
     experiment_table2,
     shared_engine,
 )
+from repro.eval.harness import full_ladder
+from repro.eval.suites import SUITES
 from repro.eval.tables import ROW_FORMATS
 from repro.graph import dataset_names, load_dataset
 from repro.models import build_model
@@ -104,6 +102,16 @@ __all__ = ["main", "build_parser"]
 #: "flag only applies to igcn" guard in _cmd_run.
 _DEFAULT_PREAGG_K = 6
 _DEFAULT_CMAX = 64
+#: Defaults of the ``repro bench`` flags that only some suites take
+#: (``Suite.flags``); a suite that does not take one rejects it when it
+#: is set off its default.
+_BENCH_FLAG_DEFAULTS = {
+    "preagg_k": _DEFAULT_PREAGG_K, "partitions": 4, "workers": None,
+    "partition_strategy": "separator", "max_edges": None,
+    "delta_seed": 11, "graph_dir": None,
+}
+#: ``repro bench`` destinations whose runner keyword differs.
+_BENCH_KWARGS = {"cmax": "c_max", "partition_strategy": "strategy"}
 #: ``run --functional`` fails when the islandized output differs from
 #: the scipy reference by more than this, relative to the largest
 #: reference entry (the two agree to a few ulps, ~1e-15).
@@ -257,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="performance benchmarks (backends and pipeline modes)"
     )
     bench.add_argument("suite",
-                       choices=["locator", "consumer", "event",
-                                "partition", "incremental", "pincr"],
+                       choices=list(SUITES),
                        help="benchmark suite to run: locator/consumer time "
                             "scalar vs batched backends, event runs the "
                             "discrete-event pipeline against its "
@@ -272,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "across a ladder of delta sizes, pincr times "
                             "shard-routed incremental updates vs full "
                             "fleet re-records on one warm shard fleet")
-    tier_choices = list(BENCH_TIERS) + [
-        t for t in PARTITION_TIERS if t not in BENCH_TIERS
-    ] + [t for t in DELTA_TIERS if t not in BENCH_TIERS]
+    tier_choices = list(dict.fromkeys(
+        tier for suite in SUITES.values() for tier in suite.ladder
+    ))
     bench.add_argument("--tiers", nargs="+", choices=tier_choices,
                        default=None,
                        help="graph-scale tiers by undirected edge count "
@@ -287,44 +294,41 @@ def build_parser() -> argparse.ArgumentParser:
                        help="best-of repeats for the batched backend")
     bench.add_argument("--seed", type=int, default=7)
     bench.add_argument("--cmax", type=int, default=64)
-    bench.add_argument("--preagg-k", type=int, default=_DEFAULT_PREAGG_K,
+    bench.add_argument("--preagg-k", type=int,
                        help="consumer/event suites: pre-aggregation window "
                             "width")
-    bench.add_argument("--partitions", type=int, default=4,
+    bench.add_argument("--partitions", type=int,
                        help="partition/pincr suites: shard count for the "
                             "partitioned contender (pincr real runs use "
                             "--partitions 6 to match BENCH_partition)")
-    bench.add_argument("--workers", type=int, default=None,
+    bench.add_argument("--workers", type=int,
                        help="partition/pincr suites: worker processes "
                             "(default: --partitions)")
     bench.add_argument("--partition-strategy",
-                       choices=["separator", "range"], default="separator",
+                       choices=["separator", "range"],
                        help="partition/pincr suites: graph-splitting "
                             "strategy")
-    bench.add_argument("--max-edges", type=int, default=None,
+    bench.add_argument("--max-edges", type=int,
                        help="partition/incremental/pincr suites: cap the "
                             "target edge count so the big tiers smoke-run "
                             "small (CI uses this; the cap is recorded in "
                             "the JSON — the delta suites cap their big "
                             "deltas to match)")
-    bench.add_argument("--delta-seed", type=int, default=11,
+    bench.add_argument("--delta-seed", type=int,
                        help="incremental/pincr suites: RNG seed of the "
                             "churn deltas (each tier draws from a fresh "
                             "generator at this seed)")
-    bench.add_argument("--graph-dir", metavar="DIR", default=None,
+    bench.add_argument("--graph-dir", metavar="DIR",
                        help="partition/pincr suites: cache generated "
                             "benchmark graphs under DIR (default: a "
                             "shared temp directory)")
-    bench.add_argument("--no-verify", action="store_true",
-                       help="skip the per-tier verification (backend "
-                            "equivalence, or for the partition suite the "
-                            "partitions=1 equality oracle and result "
-                            "validation)")
+    bench.set_defaults(**_BENCH_FLAG_DEFAULTS)
     bench.add_argument("--output", metavar="FILE", default=None,
                        help="JSON record destination (default: "
-                            "BENCH_<suite>.json; without an explicit "
-                            "--output, a run with fewer tiers refuses to "
-                            "overwrite a fuller record)")
+                            "BENCH_<suite>.json, which only a run of the "
+                            "suite's full, uncapped ladder may replace). "
+                            "The record is written, then gated: a failed "
+                            "gate exits 1")
 
     spy_ = sub.add_parser("spy", help="ASCII spy plot, before/after")
     add_dataset_args(spy_)
@@ -890,263 +894,42 @@ def _cmd_queue(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise SimulationError(
-            f"--repeats must be >= 1 (got {args.repeats})"
-        )
-    if args.suite not in ("partition", "pincr"):
-        # Silently ignoring partition-only knobs would mislead.
-        for flag, default in (("partitions", 4), ("workers", None),
-                              ("partition_strategy", "separator"),
-                              ("graph_dir", None)):
-            if getattr(args, flag) != default:
-                raise SimulationError(
-                    f"--{flag.replace('_', '-')} only applies to the "
-                    f"partition and pincr suites"
-                )
-        if args.suite != "incremental" and args.max_edges is not None:
-            raise SimulationError(
-                "--max-edges only applies to the partition, incremental "
-                "and pincr suites"
+    suite = SUITES[args.suite]
+    for flag, default in _BENCH_FLAG_DEFAULTS.items():
+        if flag not in suite.flags and getattr(args, flag) != default:
+            # Silently ignoring another suite's knob would mislead.
+            takers = [name for name, other in SUITES.items()
+                      if flag in other.flags]
+            raise ReproError(
+                f"--{flag.replace('_', '-')} only applies to the "
+                f"{', '.join(takers[:-1])} and {takers[-1]} suites"
             )
-    if args.suite not in ("incremental", "pincr") and args.delta_seed != 11:
-        raise SimulationError(
-            "--delta-seed only applies to the incremental and pincr suites"
+    tiers = args.tiers or list(suite.ladder)
+    output = Path(args.output or f"BENCH_{args.suite}.json")
+    planned = {"tiers": [{"tier": tier} for tier in tiers],
+               "config": {"max_edges": args.max_edges}}
+    if (args.output is None and output.exists()
+            and not full_ladder(planned, suite.ladder)):
+        # A smoke run must not replace a committed record by accident.
+        raise ReproError(
+            f"{output} exists and only the full, uncapped {args.suite} "
+            f"ladder ({' '.join(suite.ladder)}) may replace it; pass "
+            f"--output to write this run elsewhere"
         )
-    if args.suite not in ("consumer", "event") and (
-        args.preagg_k != _DEFAULT_PREAGG_K
-    ):
-        raise SimulationError(
-            "--preagg-k configures the consumer scan and only applies "
-            "to the consumer and event suites"
-        )
-    tiers = args.tiers or (
-        list(PARTITION_TIERS) if args.suite == "partition"
-        else list(DELTA_TIERS) if args.suite == "incremental"
-        else list(PINCR_DELTA_TIERS) if args.suite == "pincr"
-        else list(BENCH_TIERS)
+    params = ("repeats", "seed", "cmax", *suite.flags)
+    record = suite.run(
+        tiers=tiers,
+        **{_BENCH_KWARGS.get(p, p): getattr(args, p) for p in params},
     )
-    if args.suite == "partition":
-        record = run_partition_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            c_max=args.cmax,
-            partitions=args.partitions,
-            workers=args.workers,
-            strategy=args.partition_strategy,
-            max_edges=args.max_edges,
-            graph_dir=args.graph_dir,
-            verify=not args.no_verify,
-        )
-    elif args.suite == "pincr":
-        record = run_pincr_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            delta_seed=args.delta_seed,
-            c_max=args.cmax,
-            partitions=args.partitions,
-            workers=args.workers,
-            strategy=args.partition_strategy,
-            max_edges=args.max_edges,
-            graph_dir=args.graph_dir,
-            verify=not args.no_verify,
-        )
-    elif args.suite == "incremental":
-        record = run_incremental_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            delta_seed=args.delta_seed,
-            c_max=args.cmax,
-            max_edges=args.max_edges,
-            verify=not args.no_verify,
-        )
-    elif args.suite == "locator":
-        record = run_locator_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            c_max=args.cmax,
-            verify=not args.no_verify,
-        )
-    elif args.suite == "consumer":
-        record = run_consumer_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            c_max=args.cmax,
-            preagg_k=args.preagg_k,
-            verify=not args.no_verify,
-        )
-    else:
-        record = run_event_bench(
-            tiers=tiers,
-            repeats=args.repeats,
-            seed=args.seed,
-            c_max=args.cmax,
-            preagg_k=args.preagg_k,
-            verify=not args.no_verify,
-        )
-    if args.suite == "partition":
-        rows = [
-            {
-                "tier": row["tier"],
-                "profile": row["profile"],
-                "edges": row["edges"],
-                "mono_s": row["mono_s"],
-                "part_s": row["part_s"],
-                "speedup": row["speedup"],
-                "mono_rss_mb": row["mono_rss_mb"],
-                "part_rss_mb": row["part_rss_mb"],
-                "cer_delta": row["quality_delta"]["classified_edge_ratio"],
-                "equal_p1": (
-                    "-" if row["equal_p1"] is None else str(row["equal_p1"])
-                ),
-            }
-            for row in record["tiers"]
-        ]
-        title = (
-            f"partitioned islandization, {record['config']['partitions']} "
-            f"shards x {record['config']['workers']} workers "
-            f"(best-of wall clock, fresh processes)"
-        )
-    elif args.suite == "pincr":
-        rows = [
-            {
-                "delta": row["tier"],
-                "edits": row["delta_edges"],
-                "update_s": row["update_s"],
-                "rerecord_s": row["rerecord_s"],
-                "speedup": row["speedup"],
-                "dirty_shards": len(row["dirty_shards"]),
-                "fallback": str(row["fallback"]),
-                "equal": "-" if row["equal"] is None else str(row["equal"]),
-            }
-            for row in record["tiers"]
-        ]
-        title = (
-            f"shard-routed updates vs full fleet re-record, "
-            f"{record['config']['partitions']} shards x "
-            f"{record['config']['workers']} workers "
-            f"(warm fleet, best-of wall clock)"
-        )
-    elif args.suite == "incremental":
-        rows = [
-            {
-                "delta": row["tier"],
-                "edits": row["delta_edges"],
-                "incr_s": row["incr_s"],
-                "record_s": row["record_s"],
-                "islandize_s": row["islandize_s"],
-                "vs_record": row["speedup_vs_record"],
-                "vs_scratch": row["speedup_vs_islandize"],
-                "dirty": row["dirty_nodes"],
-                "fallback": str(row["fallback"]),
-                "equal": "-" if row["equal"] is None else str(row["equal"]),
-            }
-            for row in record["tiers"]
-        ]
-        title = (
-            f"incremental maintenance vs rebuild on a "
-            f"{record['graph']['edges']}-entry graph "
-            f"(best-of wall clock)"
-        )
-    elif args.suite == "event":
-        rows = [
-            {
-                "tier": row["tier"],
-                "streamed_cyc": row["streamed_cycles"],
-                "event_cyc": row["event_cycles"],
-                "staged_cyc": row["staged_cycles"],
-                "overlap_win": row["overlap_win"],
-                "p50_us": row["p50_us"],
-                "p99_us": row["p99_us"],
-                "event_s": row["event_s"],
-                "ok": (
-                    "-"
-                    if row["sandwich"] is None
-                    else str(
-                        row["sandwich"]
-                        and row["deterministic"]
-                        and row["equal"]
-                    )
-                ),
-            }
-            for row in record["tiers"]
-        ]
-        title = (
-            "event pipeline: discrete-event makespan inside its "
-            "streamed/staged sandwich"
-        )
-    else:
-        rows = [
-            {
-                "tier": row["tier"],
-                "nodes": row["nodes"],
-                "edges": row["edges"],
-                "scalar_s": row["scalar_s"],
-                "batched_s": row["batched_s"],
-                "speedup": row["speedup"],
-                "equal": "-" if row["equal"] is None else str(row["equal"]),
-            }
-            for row in record["tiers"]
-        ]
-        title = f"{args.suite} backend scaling (best-of wall clock)"
-    print(render_table(rows, title=title))
-    output = args.output or f"BENCH_{args.suite}.json"
-    if args.output is None and Path(output).exists():
-        # Partial-tier smoke runs must not clobber a committed
-        # full-ladder record by accident; an explicit --output opts in.
-        try:
-            existing = json.loads(Path(output).read_text())
-        except (OSError, ValueError):
-            existing = {}
-        if len(existing.get("tiers", ())) > len(record["tiers"]):
-            print(f"error: {output} holds a {len(existing['tiers'])}-tier "
-                  f"record; pass --output to overwrite it with "
-                  f"{len(record['tiers'])} tiers", file=sys.stderr)
-            return 2
-    # Write the record first: on a divergence it is the evidence.
-    Path(output).write_text(json.dumps(record, indent=2) + "\n")
-    equal_key = "equal_p1" if args.suite == "partition" else "equal"
-    failed = any(row[equal_key] is False for row in record["tiers"])
-    if args.suite == "event":
-        # The event contract is wider than cross-mode equality: the
-        # sandwich bound and trace determinism gate the record too.
-        failed = failed or any(
-            row["sandwich"] is False or row["deterministic"] is False
-            for row in record["tiers"]
-        )
-    if failed:
-        what = (
-            "the partitions=1 oracle and the monolithic locator"
-            if args.suite == "partition"
-            else "the incremental update and the from-scratch locator"
-            if args.suite == "incremental"
-            else "the shard-routed update and the fleet re-record"
-            if args.suite == "pincr"
-            else "the event contract (sandwich/determinism/equality)"
-            if args.suite == "event"
-            else "backends"
-        )
-        print(f"error: {what} diverged — see rows above and "
-              f"{output}", file=sys.stderr)
+    print(suite.table(record))
+    # Write the record before gating it: on a failure it is the evidence.
+    output.write_text(json.dumps(record, indent=2) + "\n")
+    failures = suite.gate(record)
+    for failure in failures:
+        print(f"error: {output}: {failure}", file=sys.stderr)
+    if failures:
         return 1
-    if args.suite in ("incremental", "pincr"):
-        baseline = ("full fleet re-record" if args.suite == "pincr"
-                    else "recording rebuild")
-        if record["headline_tier"] is None:
-            print(f"\nwrote {output}: no delta tier beats the {baseline}")
-        else:
-            cross = record["crossover_delta"] or "beyond the ladder"
-            print(f"\nwrote {output}: {record['headline_tier']}-edit delta "
-                  f"speedup {record['headline_speedup']}x vs {baseline} "
-                  f"(crossover at {cross})")
-    else:
-        print(f"\nwrote {output}: largest tier {record['largest_tier']} "
-              f"speedup {record['largest_speedup']}x")
+    print(f"\nwrote {output}: {suite.headline(record)}")
     return 0
 
 

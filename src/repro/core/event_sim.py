@@ -347,6 +347,10 @@ def simulate_events(
     dispatch()
     while in_service or next_pending < len(pending) or ready:
         # Next completion among in-flight units (tie: lowest id).
+        # Etas closer than 1e-12 of the time (at most _EPS) differ by
+        # rounding only, so they tie.  A wider window would let a unit
+        # that finishes first wait for a lower id's later completion,
+        # its PEs busy past its work.
         next_done: _Unit | None = None
         done_at = float("inf")
         for uid in sorted(in_service):
@@ -356,7 +360,7 @@ def simulate_events(
             # monotone in emission order, which the final stable sort
             # relies on to keep equal-time cascades causal.
             eta = max(now, now + unit.remaining * pes / len(unit.servers))
-            if eta < done_at - _EPS:
+            if eta < done_at - min(_EPS, 1e-12 * done_at):
                 next_done, done_at = unit, eta
         next_release = (
             pending[next_pending].release

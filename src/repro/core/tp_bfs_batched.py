@@ -13,7 +13,8 @@ contract is **exact result-equivalence** with the scalar
 per-edge loop — identical islands (members in BFS discovery order,
 hubs in first-contact order), identical inter-hub edges, identical
 ``RoundStats`` and ``LocatorWork`` counters — at array speed instead of
-Python-interpreter speed (see ``benchmarks/bench_locator_scale.py``).
+Python-interpreter speed (see ``python -m repro bench locator`` and
+``BENCH_locator.json``).
 
 The key observation making batching *exact* is that, within one round,
 the task queue's sequential dynamics decompose per connected component

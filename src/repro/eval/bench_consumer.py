@@ -17,9 +17,9 @@ byte-identical functional outputs — so the perf trajectory in
 Entry points:
 
 * ``python -m repro bench consumer`` — run tiers, print a table, write
-  the JSON record;
-* :func:`run_consumer_bench` — library API (used by the benchmark
-  suite and the CI ``bench-smoke`` job).
+  the JSON record, then apply the locator suite's scaling gate
+  (:func:`repro.eval.bench_locator.gate`);
+* :func:`run_consumer_bench` — library API.
 
 The JSON schema (one record per file)::
 
@@ -35,7 +35,6 @@ The JSON schema (one record per file)::
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +43,8 @@ from repro.core.config import ConsumerConfig, LocatorConfig
 from repro.core.consumer import IslandConsumer, execution_mismatch
 from repro.core.interhub import build_interhub_plan
 from repro.core.islandizer import IslandLocator
-from repro.eval.bench_locator import bench_graph
+from repro.eval.bench_locator import BENCH_TIERS, bench_graph
+from repro.eval.harness import best_of
 from repro.hw.config import IGCN_DEFAULT
 from repro.hw.memory import TrafficMeter
 from repro.models.configs import gcn_model
@@ -60,16 +60,15 @@ _FUNCTIONAL_EDGE_LIMIT = 30_000
 
 def _run_consumer(result, norm, plan, model, *, backend, preagg_k, num_pes,
                   x=None, weights=None):
-    """One timed end-to-end pass: task assembly + every layer.
+    """One end-to-end pass: task assembly + every layer.
 
-    Returns ``(seconds, per-layer (execution, meter) list, ring
-    stats)``; functional when ``x``/``weights`` are supplied.
+    Returns ``(per-layer (execution, meter) list, ring stats)``;
+    functional when ``x``/``weights`` are supplied.
     """
     consumer = IslandConsumer(
         ConsumerConfig(preagg_k=preagg_k, num_pes=num_pes, backend=backend),
         IGCN_DEFAULT,
     )
-    start = time.perf_counter()
     tasks = consumer.prepare(result, add_self_loops=norm.add_self_loops)
     layers = []
     current = x
@@ -86,18 +85,22 @@ def _run_consumer(result, norm, plan, model, *, backend, preagg_k, num_pes,
         layers.append((execution, meter))
         if x is not None:
             current = execution.output
-    return time.perf_counter() - start, layers, consumer.ring.stats
+    return layers, consumer.ring.stats
 
 
-def _layers_equal(scalar_layers, batched_layers, scalar_ring, batched_ring,
-                  *, functional: bool) -> bool:
+def _layers_equal(scalar, batched, *, functional: bool) -> bool:
     """The full equivalence contract between two runs.
+
+    ``scalar`` and ``batched`` are :func:`_run_consumer` results.
 
     Per-layer fields delegate to the shared
     :func:`~repro.core.consumer.execution_mismatch` definition (the
     same one the equivalence test battery asserts), so the benchmark's
     certificate can never check fewer fields than the tests do.
     """
+    (scalar_layers, scalar_ring), (batched_layers, batched_ring) = (
+        scalar, batched
+    )
     if scalar_ring != batched_ring:
         return False
     return all(
@@ -111,22 +114,21 @@ def _layers_equal(scalar_layers, batched_layers, scalar_ring, batched_ring,
 
 
 def run_consumer_bench(
-    tiers: Sequence[str] = ("1e3", "1e4", "1e5", "1e6", "2e6"),
+    tiers: Sequence[str] = tuple(BENCH_TIERS),
     *,
     repeats: int = 3,
     seed: int = 7,
     c_max: int = 64,
     preagg_k: int = 6,
     num_pes: int = 8,
-    verify: bool = True,
 ) -> dict:
     """Time both consumer backends across ``tiers``; returns the record.
 
     ``repeats`` applies to the batched backend (best-of); the scalar
     oracle runs ``repeats`` times up to the 1e5 tier and once above it.
-    With ``verify`` (default) each tier asserts the exact-equivalence
-    contract in counts mode — plus byte-identical functional outputs on
-    the small tiers — and records the verdict in the row.
+    Each tier asserts the exact-equivalence contract in counts mode —
+    plus byte-identical functional outputs on the small tiers — and
+    records the verdict in the row.
     """
     model = gcn_model(32, 8)
     rows: list[dict] = []
@@ -135,53 +137,33 @@ def run_consumer_bench(
         result = IslandLocator(LocatorConfig(c_max=c_max)).run(graph)
         norm = normalization_for(graph, "gcn-sym")
         plan = build_interhub_plan(result, add_self_loops=norm.add_self_loops)
-        common = dict(preagg_k=preagg_k, num_pes=num_pes)
+
+        def run(backend, **features):
+            return _run_consumer(
+                result, norm, plan, model, backend=backend,
+                preagg_k=preagg_k, num_pes=num_pes, **features,
+            )
 
         # One untimed batched pass warms the allocator, as the locator
         # bench does.
-        _run_consumer(result, norm, plan, model, backend="batched", **common)
-        batched_s = min(
-            _run_consumer(result, norm, plan, model,
-                          backend="batched", **common)[0]
-            for _ in range(repeats)
-        )
+        run("batched")
+        batched_s, batched = best_of(lambda: run("batched"), repeats)
         scalar_reps = repeats if graph.num_edges < 300_000 else 1
-        scalar_s = float("inf")
-        for _ in range(scalar_reps):
-            elapsed, scalar_layers, scalar_ring = _run_consumer(
-                result, norm, plan, model, backend="scalar", **common
+        scalar_s, scalar = best_of(lambda: run("scalar"), scalar_reps)
+        equal = _layers_equal(scalar, batched, functional=False)
+        functional_verified = graph.num_edges // 2 <= _FUNCTIONAL_EDGE_LIMIT
+        if functional_verified:
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(graph.num_nodes, model.layers[0].in_dim))
+            weights = [
+                rng.normal(size=(layer.in_dim, layer.out_dim))
+                for layer in model.layers
+            ]
+            equal = equal and _layers_equal(
+                run("scalar", x=x, weights=weights),
+                run("batched", x=x, weights=weights),
+                functional=True,
             )
-            scalar_s = min(scalar_s, elapsed)
-
-        equal = None
-        functional_verified = False
-        if verify:
-            _, batched_layers, batched_ring = _run_consumer(
-                result, norm, plan, model, backend="batched", **common
-            )
-            equal = _layers_equal(
-                scalar_layers, batched_layers, scalar_ring, batched_ring,
-                functional=False,
-            )
-            if graph.num_edges // 2 <= _FUNCTIONAL_EDGE_LIMIT:
-                rng = np.random.default_rng(seed)
-                x = rng.normal(size=(graph.num_nodes, model.layers[0].in_dim))
-                weights = [
-                    rng.normal(size=(layer.in_dim, layer.out_dim))
-                    for layer in model.layers
-                ]
-                _, s_func, s_ring = _run_consumer(
-                    result, norm, plan, model, backend="scalar",
-                    x=x, weights=weights, **common,
-                )
-                _, b_func, b_ring = _run_consumer(
-                    result, norm, plan, model, backend="batched",
-                    x=x, weights=weights, **common,
-                )
-                equal = equal and _layers_equal(
-                    s_func, b_func, s_ring, b_ring, functional=True
-                )
-                functional_verified = True
 
         rows.append(
             {
@@ -209,7 +191,7 @@ def run_consumer_bench(
             "layers": [
                 [layer.in_dim, layer.out_dim] for layer in model.layers
             ],
-            "verified": verify,
+            "verified": True,
         },
         "tiers": rows,
         "largest_tier": largest["tier"] if largest else None,

@@ -21,14 +21,13 @@ byte-identical traces across two runs, a clean
 :func:`~repro.core.event_sim.validate_trace` replay, and the cross-mode
 equivalence of the streamed and event reports — and records the
 verdicts in the row, so ``BENCH_event.json`` can never drift from what
-the test suite pins.
+the test suite pins.  :func:`gate` re-checks them from the record.
 
 Entry points:
 
 * ``python -m repro bench event`` — run tiers, print a table, write the
-  JSON record;
-* :func:`run_event_bench` — library API (used by the CI ``bench-smoke``
-  job).
+  JSON record, then apply :func:`gate`;
+* :func:`run_event_bench` — library API.
 
 The JSON schema (one record per file)::
 
@@ -58,31 +57,19 @@ largest tier's overlap win.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 from repro.core.accelerator import IGCNAccelerator, IGCNReport
 from repro.core.config import ConsumerConfig, LocatorConfig
 from repro.core.event_sim import validate_trace
-from repro.errors import ConfigError
-from repro.eval.bench_locator import bench_graph
+from repro.eval.bench_locator import BENCH_TIERS, bench_graph
+from repro.eval.harness import best_of, false_flags, full_ladder, render_record
 from repro.models.configs import gcn_model
 
-__all__ = ["run_event_bench"]
+__all__ = ["gate", "run_event_bench", "table"]
 
 #: Float slack when checking the sandwich (matches event_sim._EPS).
 _EPS = 1e-6
-
-
-def _run_mode(graph, model, *, pipeline, c_max, preagg_k) -> tuple[float, IGCNReport]:
-    """One timed end-to-end inference (islandize + all layers)."""
-    accelerator = IGCNAccelerator(
-        locator=LocatorConfig(c_max=c_max),
-        consumer=ConsumerConfig(preagg_k=preagg_k, pipeline=pipeline),
-    )
-    start = time.perf_counter()
-    report = accelerator.run(graph, model, feature_density=0.5)
-    return time.perf_counter() - start, report
 
 
 def _modes_equal(a: IGCNReport, b: IGCNReport) -> bool:
@@ -124,52 +111,41 @@ def _verify_tier(
 
 
 def run_event_bench(
-    tiers: Sequence[str] = ("1e3", "1e4", "1e5", "1e6", "2e6"),
+    tiers: Sequence[str] = tuple(BENCH_TIERS),
     *,
     repeats: int = 3,
     seed: int = 7,
     c_max: int = 64,
     preagg_k: int = 6,
-    verify: bool = True,
 ) -> dict:
     """Run the streamed and event modes across ``tiers``; returns the record.
 
     Both modes run ``repeats`` times (best-of wall clock) after one
     untimed warm-up, and the event mode once more for the determinism
     check; the modelled cycle totals and traces are deterministic, so
-    they come from the last run.  With ``verify`` (default) each tier
-    asserts the sandwich bound, trace validity, run-to-run trace
-    determinism and the cross-mode equivalence, recording the verdicts
-    in the row.
+    they come from the last run.  Each tier asserts the sandwich bound,
+    trace validity, run-to-run trace determinism and the cross-mode
+    equivalence, recording the verdicts in the row.
     """
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1 (got {repeats})")
     model = gcn_model(32, 8)
     rows: list[dict] = []
     for tier in tiers:
         graph = bench_graph(tier, seed=seed)
-        common = dict(c_max=c_max, preagg_k=preagg_k)
-        _run_mode(graph, model, pipeline="streamed", **common)  # warm
-        streamed_s = float("inf")
-        for _ in range(repeats):
-            elapsed, streamed = _run_mode(
-                graph, model, pipeline="streamed", **common
-            )
-            streamed_s = min(streamed_s, elapsed)
-        _run_mode(graph, model, pipeline="event", **common)  # warm
-        event_s = float("inf")
-        for _ in range(repeats):
-            elapsed, event = _run_mode(
-                graph, model, pipeline="event", **common
-            )
-            event_s = min(event_s, elapsed)
-        _, event_again = _run_mode(graph, model, pipeline="event", **common)
 
-        sandwich = deterministic = equal = None
-        if verify:
-            sandwich, deterministic, equal = _verify_tier(
-                streamed, event, event_again
-            )
+        def run(pipeline) -> IGCNReport:
+            """One end-to-end inference (islandize + all layers)."""
+            return IGCNAccelerator(
+                locator=LocatorConfig(c_max=c_max),
+                consumer=ConsumerConfig(preagg_k=preagg_k, pipeline=pipeline),
+            ).run(graph, model, feature_density=0.5)
+
+        run("streamed")  # warm
+        streamed_s, streamed = best_of(lambda: run("streamed"), repeats)
+        run("event")  # warm
+        event_s, event = best_of(lambda: run("event"), repeats)
+        sandwich, deterministic, equal = _verify_tier(
+            streamed, event, run("event")
+        )
         sim = event.event
         rows.append(
             {
@@ -228,9 +204,63 @@ def run_event_bench(
             "layers": [
                 [layer.in_dim, layer.out_dim] for layer in model.layers
             ],
-            "verified": verify,
+            "verified": True,
         },
         "tiers": rows,
         "largest_tier": largest["tier"] if largest else None,
         "largest_speedup": largest["overlap_win"] if largest else None,
     }
+
+
+def table(record: dict) -> str:
+    """An event record as ``repro bench`` prints it."""
+    return render_record(
+        record,
+        "event pipeline: discrete-event makespan inside its "
+        "streamed/staged sandwich",
+        ("tier", ("streamed_cyc", "streamed_cycles"),
+         ("event_cyc", "event_cycles"), ("staged_cyc", "staged_cycles"),
+         "overlap_win", "p50_us", "p99_us", "event_s",
+         ("ok", lambda row: (row["sandwich"] and row["deterministic"]
+                             and row["equal"]))),
+    )
+
+
+def gate(record: dict) -> list[str]:
+    """The event contract, from the record.
+
+    Every tier holds the three verdicts and, in its rounded cycle
+    columns, the sandwich ``streamed <= event <= staged`` (0.1-cycle
+    slack per step for the rounding); the largest tier shows the
+    Fig. 3 overlap win, streamed strictly below staged.  A full ladder
+    also carries the headline: an event-mode overlap win above 1, a
+    p99 latency, and a 2e6-tier streamed inference of at most 2.5 s.
+    """
+    failures = false_flags(record, "sandwich", "deterministic", "equal")
+    for row in record["tiers"]:
+        if not (row["streamed_cycles"] <= row["event_cycles"] + 0.1
+                <= row["staged_cycles"] + 0.2):
+            failures.append(
+                f"{row['tier']}: cycles escape streamed_cycles "
+                f"{row['streamed_cycles']} <= event_cycles "
+                f"{row['event_cycles']} + 0.1 <= staged_cycles "
+                f"{row['staged_cycles']} + 0.2"
+            )
+    last = record["tiers"][-1]
+    if not last["streamed_cycles"] < last["staged_cycles"]:
+        failures.append(
+            f"{last['tier']}: streamed_cycles {last['streamed_cycles']} "
+            f"not below staged_cycles {last['staged_cycles']}"
+        )
+    if full_ladder(record, BENCH_TIERS):
+        if not (last["overlap_win"] or 0) > 1:
+            failures.append(
+                f"{last['tier']}: overlap_win {last['overlap_win']} not above 1"
+            )
+        if last["p99_us"] is None:
+            failures.append(f"{last['tier']}: p99_us is missing")
+        if last["streamed_s"] > 2.5:
+            failures.append(
+                f"{last['tier']}: streamed_s {last['streamed_s']} above 2.5"
+            )
+    return failures

@@ -82,8 +82,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import time
-
 import numpy as np
 
 from repro.core.config import LocatorConfig
@@ -93,14 +91,18 @@ from repro.core.islandizer_incremental import (
     update_islandization,
 )
 from repro.errors import ConfigError
+from repro.eval.harness import best_of, false_flags, full_ladder, render_record
 from repro.graph.csr import CSRGraph, GraphDelta
 from repro.graph.generators import CommunityProfile, hub_island_graph
 
 __all__ = [
     "DELTA_TIERS",
     "churn_delta",
+    "gate",
+    "headline",
     "incremental_bench_graph",
     "run_incremental_bench",
+    "table",
 ]
 
 #: Delta-size ladder: tier name -> edit count (insertions + deletions).
@@ -350,18 +352,8 @@ def _ins_candidates_scalar(u_batch, r1, r2, *, indptr, indices, nonhub,
     return out_u, out_w, out_k
 
 
-def _best(fn, repeats: int):
-    """(result, best wall time) of ``repeats`` calls."""
-    out, best = None, float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return out, best
-
-
 def run_incremental_bench(
-    tiers: Sequence[str] = ("1e1", "1e3", "1e5"),
+    tiers: Sequence[str] = tuple(DELTA_TIERS),
     *,
     repeats: int = 3,
     seed: int = 7,
@@ -369,16 +361,14 @@ def run_incremental_bench(
     c_max: int = 64,
     max_edges: int | None = None,
     max_dirty_fraction: float = 0.5,
-    verify: bool = True,
 ) -> dict:
     """Benchmark incremental maintenance across the delta-size ladder.
 
-    With ``verify`` (default) every ladder point asserts
-    ``IslandizationResult.equals`` between the incremental result and
-    a from-scratch run on the mutated graph, and validates the
-    result's invariants.  Each tier draws its delta from a fresh
-    ``default_rng(delta_seed)``, so one tier's numbers reproduce
-    without running the others.
+    Every ladder point asserts ``IslandizationResult.equals`` between
+    the incremental result and a from-scratch run on the mutated
+    graph, and validates the result's invariants.  Each tier draws its
+    delta from a fresh ``default_rng(delta_seed)``, so one tier's
+    numbers reproduce without running the others.
     """
     for tier in tiers:
         if tier not in DELTA_TIERS:
@@ -398,29 +388,24 @@ def run_incremental_bench(
         k = min(DELTA_TIERS[tier], k_cap)
         rng = np.random.default_rng(delta_seed)
         delta = churn_delta(graph, rng, k, _TH0)
-        t0 = time.perf_counter()
-        mutated, ins_eff, del_eff = graph.apply_delta(
-            delta, with_changes=True
+        apply_s, applied = best_of(
+            lambda: graph.apply_delta(delta, with_changes=True), 1
         )
-        apply_s = time.perf_counter() - t0
-        applied = (mutated, ins_eff, del_eff)
-        scratch, islandize_s = _best(
+        mutated = applied[0]
+        islandize_s, scratch = best_of(
             lambda: islandize(mutated, config), repeats
         )
-        _, record_s = _best(
+        record_s, _ = best_of(
             lambda: record_islandization(mutated, config), repeats
         )
-        upd, incr_s = _best(
+        incr_s, upd = best_of(
             lambda: update_islandization(
                 graph, cached, state, delta, config,
                 max_dirty_fraction=max_dirty_fraction, applied=applied,
             ),
             repeats,
         )
-        equal = None
-        if verify:
-            equal = bool(upd.result.equals(scratch))
-            upd.result.validate()
+        upd.result.validate()
         rows.append({
             "tier": tier,
             "delta_edges": delta.num_edges,
@@ -432,7 +417,7 @@ def run_incremental_bench(
             "islandize_s": round(islandize_s, 4),
             "speedup_vs_record": round(record_s / incr_s, 2),
             "speedup_vs_islandize": round(islandize_s / incr_s, 2),
-            "equal": equal,
+            "equal": bool(upd.result.equals(scratch)),
             "fallback": upd.fallback,
             "fallback_reason": upd.fallback_reason,
             "dirty_nodes": upd.dirty_nodes,
@@ -461,7 +446,7 @@ def run_incremental_bench(
             "max_edges": max_edges,
             "max_dirty_fraction": max_dirty_fraction,
             "profile": _PROFILE_DESC,
-            "verified": verify,
+            "verified": True,
         },
         "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges},
         "tiers": rows,
@@ -471,3 +456,42 @@ def run_incremental_bench(
         ),
         "crossover_delta": crossover,
     }
+
+
+def table(record: dict) -> str:
+    """An incremental record as ``repro bench`` prints it."""
+    return render_record(
+        record,
+        f"incremental maintenance vs rebuild on a "
+        f"{record['graph']['edges']}-entry graph (best-of wall clock)",
+        (("delta", "tier"), ("edits", "delta_edges"), "incr_s", "record_s",
+         "islandize_s", ("vs_record", "speedup_vs_record"),
+         ("vs_scratch", "speedup_vs_islandize"), ("dirty", "dirty_nodes"),
+         "fallback", "equal"),
+    )
+
+
+def gate(record: dict) -> list[str]:
+    """The incremental contract, from the record.
+
+    Maintenance equals the from-scratch locator on every tier.  A full
+    ladder also carries the headline, a >= 5x win over the recording
+    rebuild; a capped smoke delta is sub-millisecond noise, so only the
+    full ladder gates wall clock.
+    """
+    failures = false_flags(record, "equal")
+    speedup = record["headline_speedup"]
+    if full_ladder(record, DELTA_TIERS) and not (speedup or 0) >= 5:
+        failures.append(f"headline_speedup {speedup} below the 5x floor")
+    return failures
+
+
+def headline(record: dict, baseline: str = "recording rebuild") -> str:
+    """The headline of a delta-ladder record: its largest winning delta."""
+    if record["headline_tier"] is None:
+        return f"no delta tier beats the {baseline}"
+    cross = record["crossover_delta"] or "beyond the ladder"
+    return (
+        f"{record['headline_tier']}-edit delta speedup "
+        f"{record['headline_speedup']}x vs {baseline} (crossover at {cross})"
+    )

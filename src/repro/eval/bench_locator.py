@@ -12,9 +12,11 @@ correctness.
 Entry points:
 
 * ``python -m repro bench locator`` — run tiers, print a table, write
-  the JSON record;
-* :func:`run_locator_bench` — library API (used by the benchmark suite
-  and the CI ``bench-smoke`` job).
+  the JSON record, then apply :func:`gate`;
+* :func:`run_locator_bench` — library API.
+
+:func:`gate` is the scaling contract of this record and of the
+consumer suite's, which shares it.
 
 The JSON schema (one record per file)::
 
@@ -32,16 +34,16 @@ that the scalar oracle takes tens of seconds there.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 from repro.core.config import LocatorConfig
 from repro.core.islandizer import IslandLocator
 from repro.errors import ConfigError
+from repro.eval.harness import best_of, false_flags, render_record
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import CommunityProfile, hub_island_graph
 
-__all__ = ["BENCH_TIERS", "bench_graph", "run_locator_bench"]
+__all__ = ["BENCH_TIERS", "bench_graph", "gate", "run_locator_bench", "table"]
 
 #: Tier name -> target undirected edge count.  The hub-island generator
 #: lands within a few percent of the target at ~10.6 edges per node.
@@ -80,47 +82,31 @@ def bench_graph(tier: str, *, seed: int = 7) -> CSRGraph:
     return graph.without_self_loops()
 
 
-def _time_backend(
-    graph: CSRGraph, config: LocatorConfig, repeats: int
-) -> tuple[float, object]:
-    """Best-of-``repeats`` wall time; returns (seconds, last result)."""
-    locator = IslandLocator(config)
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = locator.run(graph)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 def run_locator_bench(
-    tiers: Sequence[str] = ("1e3", "1e4", "1e5", "1e6", "2e6"),
+    tiers: Sequence[str] = tuple(BENCH_TIERS),
     *,
     repeats: int = 3,
     seed: int = 7,
     c_max: int = 64,
-    verify: bool = True,
 ) -> dict:
     """Time both backends across ``tiers`` and return the JSON record.
 
     ``repeats`` applies to the batched backend (best-of); the scalar
     oracle runs ``repeats`` times up to the 1e5 tier and once above it.
-    With ``verify`` (default) each tier asserts exact backend
-    equivalence and records it in the row.
+    Each tier asserts exact backend equivalence and records it in the
+    row.
     """
     rows: list[dict] = []
     for tier in tiers:
         graph = bench_graph(tier, seed=seed)
-        scalar_cfg = LocatorConfig(c_max=c_max, backend="scalar")
-        batched_cfg = LocatorConfig(c_max=c_max, backend="batched")
+        scalar = IslandLocator(LocatorConfig(c_max=c_max, backend="scalar"))
+        batched = IslandLocator(LocatorConfig(c_max=c_max, backend="batched"))
         # One untimed batched run warms the allocator (first-touch page
         # faults otherwise dominate the small tiers).
-        IslandLocator(batched_cfg).run(graph)
-        batched_s, batched_res = _time_backend(graph, batched_cfg, repeats)
+        batched.run(graph)
+        batched_s, batched_res = best_of(lambda: batched.run(graph), repeats)
         scalar_reps = repeats if graph.num_edges < 300_000 else 1
-        scalar_s, scalar_res = _time_backend(graph, scalar_cfg, scalar_reps)
-        equal = bool(scalar_res.equals(batched_res)) if verify else None
+        scalar_s, scalar_res = best_of(lambda: scalar.run(graph), scalar_reps)
         rows.append(
             {
                 "tier": tier,
@@ -129,7 +115,7 @@ def run_locator_bench(
                 "scalar_s": round(scalar_s, 4),
                 "batched_s": round(batched_s, 4),
                 "speedup": round(scalar_s / batched_s, 2) if batched_s else None,
-                "equal": equal,
+                "equal": bool(scalar_res.equals(batched_res)),
                 "islands": batched_res.num_islands,
                 "rounds": batched_res.num_rounds,
             }
@@ -142,9 +128,46 @@ def run_locator_bench(
             "repeats": repeats,
             "c_max": c_max,
             "profile": "hub-island mean=16 max=48 bg=0.0075",
-            "verified": verify,
+            "verified": True,
         },
         "tiers": rows,
         "largest_tier": largest["tier"] if largest else None,
         "largest_speedup": largest["speedup"] if largest else None,
     }
+
+
+def table(record: dict) -> str:
+    """A locator or consumer record as ``repro bench`` prints it."""
+    suite = record["benchmark"].removesuffix("-scale")
+    return render_record(
+        record,
+        f"{suite} backend scaling (best-of wall clock)",
+        ("tier", "nodes", "edges", "scalar_s", "batched_s", "speedup",
+         "equal"),
+    )
+
+
+def gate(record: dict) -> list[str]:
+    """The scaling contract of a locator or consumer record.
+
+    The backends agree on every tier.  When the largest tier is at
+    least ``1e5``, the batched backend is not slower than the scalar
+    oracle there; below that one millisecond-scale repeat is noise.
+    With two or more tiers the speedup grows from the smallest tier to
+    the largest: the batched kernel amortises fixed vectorization
+    costs.
+    """
+    failures = false_flags(record, "equal")
+    first, last = record["tiers"][0], record["tiers"][-1]
+    if (BENCH_TIERS[last["tier"]] >= BENCH_TIERS["1e5"]
+            and last["batched_s"] > last["scalar_s"]):
+        failures.append(
+            f"{last['tier']}: batched_s {last['batched_s']} > "
+            f"scalar_s {last['scalar_s']}"
+        )
+    if len(record["tiers"]) >= 2 and not last["speedup"] > first["speedup"]:
+        failures.append(
+            f"{last['tier']}: speedup {last['speedup']}x does not exceed "
+            f"the {first['tier']} speedup {first['speedup']}x"
+        )
+    return failures

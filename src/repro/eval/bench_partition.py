@@ -72,13 +72,16 @@ from typing import Sequence
 
 from repro.core.config import LocatorConfig
 from repro.errors import ConfigError, SimulationError
+from repro.eval.harness import false_flags, full_ladder, render_record
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import CommunityProfile, hub_island_graph
 
 __all__ = [
     "PARTITION_TIERS",
+    "gate",
     "partition_bench_graph",
     "run_partition_bench",
+    "table",
 ]
 
 #: Tier name -> (target undirected edge count, profile key).  The
@@ -200,8 +203,7 @@ def _child(spec: dict) -> dict:
             graph, config, max_workers=spec["workers"]
         )
     elapsed = time.perf_counter() - t0
-    if spec["verify"]:
-        result.validate()
+    result.validate()
     rss_self = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     rss_children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return {
@@ -245,7 +247,7 @@ def _run_child(spec: dict) -> dict:
 # ----------------------------------------------------------------------
 
 def run_partition_bench(
-    tiers: Sequence[str] = ("2e5", "2e6", "2e7"),
+    tiers: Sequence[str] = tuple(PARTITION_TIERS),
     *,
     repeats: int = 3,
     seed: int = 7,
@@ -255,16 +257,17 @@ def run_partition_bench(
     strategy: str = "separator",
     max_edges: int | None = None,
     graph_dir: str | os.PathLike | None = None,
-    verify: bool = True,
 ) -> dict:
     """Benchmark monolithic vs partitioned islandization across tiers.
 
     Each (tier, contender) pair runs in a fresh subprocess (see module
-    docstring).  With ``verify`` (default) each tier also runs the
-    ``partitions=1`` oracle child and asserts exact equality with the
-    monolithic result, and the partitioned result of every measured
-    child passes ``IslandizationResult.validate()``.
+    docstring).  Each tier also runs the ``partitions=1`` oracle child
+    and asserts exact equality with the monolithic result, and the
+    result of every measured child passes
+    ``IslandizationResult.validate()``.
     """
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1 (got {repeats})")
     if partitions < 2:
         raise ConfigError(
             f"partition bench needs --partitions >= 2 (got {partitions}); "
@@ -285,7 +288,6 @@ def run_partition_bench(
             "partitions": partitions,
             "strategy": strategy,
             "workers": workers,
-            "verify": verify,
         }
         mono_runs = [
             _run_child({**base, "mode": "mono", "partitions": 1})
@@ -294,9 +296,7 @@ def run_partition_bench(
         part_runs = [
             _run_child({**base, "mode": "part"}) for _ in range(repeats)
         ]
-        equal_p1 = (
-            _run_child({**base, "mode": "equal"})["equal"] if verify else None
-        )
+        equal_p1 = _run_child({**base, "mode": "equal"})["equal"]
         mono, part = mono_runs[0], part_runs[0]
         mono_times = [run["time"] for run in mono_runs]
         part_times = [run["time"] for run in part_runs]
@@ -359,9 +359,49 @@ def run_partition_bench(
                 )
                 for key, (prof, _) in _PROFILES.items()
             },
-            "verified": verify,
+            "verified": True,
         },
         "tiers": rows,
         "largest_tier": largest["tier"] if largest else None,
         "largest_speedup": largest["speedup"] if largest else None,
     }
+
+
+def table(record: dict) -> str:
+    """A partition record as ``repro bench`` prints it."""
+    config = record["config"]
+    return render_record(
+        record,
+        f"partitioned islandization, {config['partitions']} shards x "
+        f"{config['workers']} workers (best-of wall clock, fresh processes)",
+        ("tier", "profile", "edges", "mono_s", "part_s", "speedup",
+         "mono_rss_mb", "part_rss_mb",
+         ("cer_delta",
+          lambda row: row["quality_delta"]["classified_edge_ratio"]),
+         "equal_p1"),
+    )
+
+
+def gate(record: dict) -> list[str]:
+    """The partition contract, from the record.
+
+    The partitions=1 oracle holds, and the partitioned classified-edge
+    ratio stays within 0.30 of the monolithic one, on every tier.  A
+    full ladder also carries the headline, partitioned not slower than
+    monolithic at the largest tier; at capped sizes worker-pool spawn
+    dominates, so only the full ladder gates wall clock.
+    """
+    failures = false_flags(record, "equal_p1")
+    for row in record["tiers"]:
+        delta = row["quality_delta"]["classified_edge_ratio"]
+        if delta < -0.30:
+            failures.append(
+                f"{row['tier']}: quality_delta.classified_edge_ratio "
+                f"{delta} below -0.30"
+            )
+    last = record["tiers"][-1]
+    if full_ladder(record, PARTITION_TIERS) and last["part_s"] > last["mono_s"]:
+        failures.append(
+            f"{last['tier']}: part_s {last['part_s']} > mono_s {last['mono_s']}"
+        )
+    return failures

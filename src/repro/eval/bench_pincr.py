@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from typing import Sequence
 
 import numpy as np
@@ -78,13 +77,18 @@ from repro.core.config import LocatorConfig
 from repro.core.islandizer_incremental import record_islandization
 from repro.core.islandizer_pincremental import ShardFleet
 from repro.errors import ConfigError
-from repro.eval.bench_incremental import DELTA_TIERS, _best, churn_delta
+from repro.eval.bench_incremental import DELTA_TIERS, churn_delta
+from repro.eval.bench_incremental import headline as delta_headline
 from repro.eval.bench_partition import PARTITION_TIERS, partition_bench_graph
+from repro.eval.harness import best_of, false_flags, full_ladder, render_record
 from repro.graph.csr import CSRGraph, GraphDelta
 
 __all__ = [
     "PINCR_DELTA_TIERS",
+    "gate",
+    "headline",
     "run_pincr_bench",
+    "table",
 ]
 
 #: Rung name -> (edit count, shards the churn is confined to; ``None``
@@ -158,7 +162,7 @@ def _p1_identity(graph: CSRGraph, c_max: int) -> bool:
 
 
 def run_pincr_bench(
-    tiers: Sequence[str] = ("1e1", "1e3", "1e5"),
+    tiers: Sequence[str] = tuple(PINCR_DELTA_TIERS),
     *,
     repeats: int = 3,
     seed: int = 7,
@@ -171,15 +175,14 @@ def run_pincr_bench(
     max_edges: int | None = None,
     graph_dir: str | os.PathLike | None = None,
     max_dirty_fraction: float = 0.5,
-    verify: bool = True,
 ) -> dict:
     """Benchmark shard-routed updates against full fleet re-records.
 
     One warm :class:`ShardFleet` records the partitioned state once,
     then every rung times ``fleet.update`` (shard-routed) against
     ``fleet.rerecord`` (pinned-partition from-scratch) on the same
-    materialised delta.  With ``verify`` (default) every rung asserts
-    result equality between the two and validates the update's result.
+    materialised delta.  Every rung asserts result equality between
+    the two and validates the update's result.
 
     Each rung draws its delta from a fresh ``default_rng(delta_seed)``,
     so one rung's numbers reproduce without running the others.
@@ -208,13 +211,8 @@ def run_pincr_bench(
     th0 = int(config.initial_threshold(graph.degrees))
     rows: list[dict] = []
     with ShardFleet(config, max_workers=workers) as fleet:
-        t0 = time.perf_counter()
-        cached, state = fleet.record(graph)
-        record_s = time.perf_counter() - t0
-        p1_identical = (
-            _p1_identity(state.shard_results[0].graph, c_max)
-            if verify else None
-        )
+        record_s, (cached, state) = best_of(lambda: fleet.record(graph), 1)
+        p1_identical = _p1_identity(state.shard_results[0].graph, c_max)
         # A smoke-capped graph caps the big deltas too.
         k_cap = max(2, graph.num_edges // 8)
         for tier in tiers:
@@ -227,26 +225,21 @@ def run_pincr_bench(
             else:
                 shard_ids = _largest_shards(state, confine)
                 delta = _confined_delta(state, rng, k, th0, shard_ids)
-            t0 = time.perf_counter()
-            mutated, ins_eff, del_eff = graph.apply_delta(
-                delta, with_changes=True
+            apply_s, applied = best_of(
+                lambda: graph.apply_delta(delta, with_changes=True), 1
             )
-            apply_s = time.perf_counter() - t0
-            applied = (mutated, ins_eff, del_eff)
-            (scratch, _), rerecord_s = _best(
+            mutated = applied[0]
+            rerecord_s, (scratch, _) = best_of(
                 lambda: fleet.rerecord(mutated, state), repeats
             )
-            upd, update_s = _best(
+            update_s, upd = best_of(
                 lambda: fleet.update(
                     graph, cached, state, delta,
                     max_dirty_fraction=max_dirty_fraction, applied=applied,
                 ),
                 repeats,
             )
-            equal = None
-            if verify:
-                equal = bool(upd.result.equals(scratch))
-                upd.result.validate()
+            upd.result.validate()
             rows.append({
                 "tier": tier,
                 "delta_edges": delta.num_edges,
@@ -264,7 +257,7 @@ def run_pincr_bench(
                 "fallback_reason": upd.fallback_reason,
                 "dirty_nodes": upd.dirty_nodes,
                 "region_nodes": upd.region_nodes,
-                "equal": equal,
+                "equal": bool(upd.result.equals(scratch)),
             })
     headline = None
     crossover = None
@@ -288,7 +281,7 @@ def run_pincr_bench(
             "max_edges": max_edges,
             "max_dirty_fraction": max_dirty_fraction,
             "p1_identical": p1_identical,
-            "verified": verify,
+            "verified": True,
         },
         "graph": {
             "tier": graph_tier,
@@ -302,3 +295,55 @@ def run_pincr_bench(
         "headline_speedup": headline["speedup"] if headline else None,
         "crossover_delta": crossover["tier"] if crossover else None,
     }
+
+
+def table(record: dict) -> str:
+    """A pincr record as ``repro bench`` prints it."""
+    config = record["config"]
+    return render_record(
+        record,
+        f"shard-routed updates vs full fleet re-record, "
+        f"{config['partitions']} shards x {config['workers']} workers "
+        f"(warm fleet, best-of wall clock)",
+        (("delta", "tier"), ("edits", "delta_edges"), "update_s",
+         "rerecord_s", "speedup",
+         ("dirty_shards", lambda row: len(row["dirty_shards"])),
+         "fallback", "equal"),
+    )
+
+
+def gate(record: dict) -> list[str]:
+    """The pincr contract, from the record.
+
+    ``partitions=1`` is bit-identical to the monolithic path, and on
+    every rung the shard-routed update equals the fleet re-record and
+    is not slower: the re-record pays every shard even at smoke
+    scale.  A full ladder also carries the headline: the largest
+    winning rung is ``1e3``, at >= 3x.
+    """
+    failures = []
+    if record["config"]["p1_identical"] is not True:
+        failures.append(
+            f"config.p1_identical is {record['config']['p1_identical']}"
+        )
+    failures += false_flags(record, "equal")
+    for row in record["tiers"]:
+        if row["update_s"] > row["rerecord_s"]:
+            failures.append(
+                f"{row['tier']}: update_s {row['update_s']} > "
+                f"rerecord_s {row['rerecord_s']}"
+            )
+    if full_ladder(record, PINCR_DELTA_TIERS):
+        if record["headline_tier"] != "1e3":
+            failures.append(
+                f"headline_tier {record['headline_tier']} is not 1e3"
+            )
+        speedup = record["headline_speedup"]
+        if not (speedup or 0) >= 3:
+            failures.append(f"headline_speedup {speedup} below the 3x floor")
+    return failures
+
+
+def headline(record: dict) -> str:
+    """The headline of a pincr record: its largest winning rung."""
+    return delta_headline(record, "full fleet re-record")

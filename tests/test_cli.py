@@ -264,22 +264,26 @@ class TestCommands:
     def test_bench_default_output_refuses_to_shrink_record(
         self, capsys, tmp_path, monkeypatch
     ):
-        # A partial smoke run without --output must not clobber a
-        # committed fuller record.
+        # A partial or capped smoke run without --output must not
+        # clobber a committed record, and must stop before it runs.
         monkeypatch.chdir(tmp_path)
         import json
 
-        (tmp_path / "BENCH_locator.json").write_text(
-            json.dumps({"benchmark": "locator-scale",
-                        "tiers": [{"tier": t} for t in ("1e3", "1e4", "1e5")]})
-        )
-        code = main(["bench", "locator", "--tiers", "1e3", "--repeats", "1"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "pass --output" in err
-        assert json.loads(
-            (tmp_path / "BENCH_locator.json").read_text()
-        )["tiers"][-1] == {"tier": "1e5"}
+        for suite, tiers, argv in (
+            ("locator", ("1e3", "1e4", "1e5"), ["--tiers", "1e3"]),
+            ("incremental", ("1e1", "1e3", "1e5"), ["--max-edges", "60000"]),
+        ):
+            path = tmp_path / f"BENCH_{suite}.json"
+            path.write_text(json.dumps(
+                {"benchmark": suite, "tiers": [{"tier": t} for t in tiers]}
+            ))
+            before = path.read_bytes()
+            code = main(["bench", suite, "--repeats", "1", *argv])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert "pass --output" in captured.err
+            assert captured.out == ""
+            assert path.read_bytes() == before
 
     def test_compare(self, capsys):
         code = main(["compare", "--dataset", "cora", "--scale", "0.1"])

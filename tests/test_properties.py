@@ -318,6 +318,24 @@ class TestEventSimProperties:
 
     @given(schedule=event_schedules())
     @settings(max_examples=80, deadline=None)
+    # Completions closer than 1e-6 cycles but far apart relative to
+    # their time: the earlier one must still finish first, or its PEs
+    # stay busy past its work and a chain of such waits outlasts the
+    # single-lane bound.
+    @example(schedule=(
+        [0.0] * 5, [[], [], [(0, 1.5, ()), (1, 2.75, ())], [], []],
+        [0.0, 0.0, 1e-05, 0.0, 0.0], 3,
+    ))
+    @example(schedule=(
+        [0.0, 1.0, 0.0],
+        [[], [(0, 0.0, ()), (1, 0.0, ()), (2, 0.0, ())],
+         [(3, 0.0, ()), (4, 0.0, ()), (5, 0.0, ()), (6, 0.0, ())]],
+        [1.0, 1.192092896e-07, 0.0], 7,
+    ))
+    @example(schedule=(
+        [0.0] * 4, [[], [(0, 8.0, ()), (1, 8.5, ()), (2, 7.5, ())], [], []],
+        [0.0, 1e-05, 0.0, 1.0], 4,
+    ))
     def test_schedule_sandwich_and_conservation(self, schedule):
         """``pipelined_makespan <= event <= L_total + C`` on arbitrary
         schedules — the structural form of ``streamed <= event <=
