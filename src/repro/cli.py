@@ -687,7 +687,8 @@ def _cmd_sweep(args) -> int:
         f"cache: islandizations computed {stats['islandization'].misses}, "
         f"reused {stats['islandization'].hits}; datasets loaded "
         f"{stats['dataset'].misses}; summary rows reused "
-        f"{stats['summary'].hits} of {stats['summary'].total}"
+        f"{stats['summary'].hits} of {stats['summary'].total}; task chunks "
+        f"assembled {stats['tasks'].misses}, reused {stats['tasks'].hits}"
     )
     stream = sys.stderr if (args.format != "table" and not args.output) else sys.stdout
     print(f"\n{stats_line}" if stream is sys.stdout else stats_line, file=stream)

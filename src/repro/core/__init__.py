@@ -2,7 +2,7 @@
 Consumer (§3.3), and the streamed locator→consumer pipeline (§3.1.1,
 Fig. 3) that overlaps the two."""
 
-from repro.core.accelerator import IGCNAccelerator, IGCNReport
+from repro.core.accelerator import IGCNAccelerator, IGCNReport, TaskMemo
 from repro.core.bitmap import IslandTask, build_island_task
 from repro.core.config import ConsumerConfig, LocatorConfig
 from repro.core.consumer import IslandConsumer, LayerCounts, prepare_tasks
@@ -27,6 +27,7 @@ from repro.core.types import (
 __all__ = [
     "IGCNAccelerator",
     "IGCNReport",
+    "TaskMemo",
     "IslandTask",
     "build_island_task",
     "ConsumerConfig",

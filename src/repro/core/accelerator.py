@@ -8,7 +8,8 @@ producer/consumer pipeline (§3.1.1):
    :class:`~repro.core.types.RoundOutput` chunks, and a cached or
    partitioned islandization replays its recorded round stream;
 2. assemble each round's island tasks as its chunk arrives, and build
-   the inter-hub plan once — structure is shared by all layers;
+   the inter-hub plan once — structure is shared by all layers (and, via
+   a :class:`TaskMemo`, by later runs over the same islandization);
 3. run the Island Consumer per layer over the round chunks (functional
    or counting), tallying the measured consumer work of every round;
 4. fold operation counts, DRAM traffic, locator work, and the
@@ -44,7 +45,8 @@ latency/EE (Table 2, Fig 14B), round statistics (Fig 9).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
+from types import SimpleNamespace
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -64,7 +66,7 @@ from repro.models.configs import ModelConfig
 from repro.models.reference import init_weights, normalization_for
 from repro.report import BaseReport
 
-__all__ = ["IGCNAccelerator", "IGCNReport"]
+__all__ = ["IGCNAccelerator", "IGCNReport", "TaskMemo"]
 
 
 @dataclass
@@ -164,6 +166,59 @@ class IGCNReport(BaseReport):
         return extras
 
 
+class TaskMemo:
+    """Island task chunks of one islandization, reused by later runs.
+
+    Island tasks depend only on the graph's structure — the clean graph,
+    the islands and whether the aggregation adds self-loops — so the
+    paper islandizes once and every layer reuses the tasks (§3.1.1).
+    A caller running several models over one cached
+    :class:`IslandizationResult` passes the same memo to each
+    :meth:`IGCNAccelerator.run`.  A run whose islandization *object*,
+    consumer backend and ``add_self_loops`` match the entry reuses its
+    per-round chunks, and with them each
+    :class:`~repro.core.consumer_batched.TaskBatch`'s cached window
+    classification, instead of assembling them again.
+
+    The memo holds one entry: a run that misses drops it before it
+    assembles, so at most one islandization's chunks outlive a run.
+    ``stats`` counts runs that reused the entry (``hits``) and runs
+    that assembled (``misses``); it may be any object with integer
+    ``hits`` and ``misses`` attributes, such as the Engine's ``tasks``
+    :class:`~repro.runtime.store.CacheStats`.
+    """
+
+    def __init__(self, stats: Any = None) -> None:
+        self.stats = stats if stats is not None else SimpleNamespace(hits=0, misses=0)
+        self._entry: tuple | None = None
+
+    def lookup(
+        self, result: IslandizationResult, backend: str, add_self_loops: bool
+    ) -> list | None:
+        """The entry's chunks on a hit; on a miss, drop the entry."""
+        entry = self._entry
+        if (
+            entry is not None and entry[0] is result
+            and entry[1:3] == (backend, add_self_loops)
+        ):
+            self.stats.hits += 1
+            return entry[3]
+        self._entry = None
+        self.stats.misses += 1
+        return None
+
+    def store(
+        self, result: IslandizationResult, backend: str, add_self_loops: bool,
+        chunks: list,
+    ) -> None:
+        """Make ``chunks`` the entry for this key."""
+        self._entry = (result, backend, add_self_loops, chunks)
+
+    def clear(self) -> None:
+        """Drop the entry (the counters are the owner's to reset)."""
+        self._entry = None
+
+
 class IGCNAccelerator:
     """Functional + performance simulator of the I-GCN design."""
 
@@ -201,6 +256,7 @@ class IGCNAccelerator:
         functional: bool = False,
         seed: int = 0,
         islandization: IslandizationResult | None = None,
+        task_memo: TaskMemo | None = None,
     ) -> IGCNReport:
         """Simulate one inference of ``model`` over ``graph``.
 
@@ -208,6 +264,11 @@ class IGCNAccelerator:
         requires ``features`` (dense or scipy-sparse); weights default
         to the deterministic Glorot initialisation shared with the
         reference implementation.
+
+        ``task_memo`` lets runs over the same cached ``islandization``
+        share their island task chunks (see :class:`TaskMemo`); reports
+        are identical with or without it.  A live locator run
+        (``islandization=None``) never touches the memo.
         """
         if functional and features is None:
             raise SimulationError("functional mode requires features")
@@ -225,32 +286,38 @@ class IGCNAccelerator:
         if functional and weights is None:
             weights = init_weights(model, seed=seed)
 
-        # Fig. 3's producer/consumer hand-off: one task chunk per
-        # locator round, assembled as each RoundOutput arrives.
-        chunks: list = []
-        scratch: dict = {}  # per-inference reusable assembly maps
+        memo = task_memo if result is not None else None
+        task_key = (self.consumer_config.backend, norm.add_self_loops)
+        chunks = memo.lookup(result, *task_key) if memo is not None else None
+        if chunks is None:
+            # Fig. 3's producer/consumer hand-off: one task chunk per
+            # locator round, assembled as each RoundOutput arrives.
+            chunks = []
+            scratch: dict = {}  # per-inference reusable assembly maps
 
-        def assemble(chunk) -> None:
-            chunks.append(
-                consumer.prepare_chunk(
-                    clean, chunk.islands,
-                    add_self_loops=norm.add_self_loops,
-                    scratch=scratch,
+            def assemble(chunk) -> None:
+                chunks.append(
+                    consumer.prepare_chunk(
+                        clean, chunk.islands,
+                        add_self_loops=norm.add_self_loops,
+                        scratch=scratch,
+                    )
                 )
-            )
 
-        if result is None and self.locator_config.partitions == 1:
-            result = IslandLocator(self.locator_config).run(
-                clean, on_round=assemble
-            )
-        else:
-            if result is None:
-                # Partitioned locator: no live round stream — the
-                # merged result replays its recorded rounds, as a
-                # cached islandization does.
-                result = islandize(clean, self.locator_config)
-            for chunk in result.iter_rounds():
-                assemble(chunk)
+            if result is None and self.locator_config.partitions == 1:
+                result = IslandLocator(self.locator_config).run(
+                    clean, on_round=assemble
+                )
+            else:
+                if result is None:
+                    # Partitioned locator: no live round stream — the
+                    # merged result replays its recorded rounds, as a
+                    # cached islandization does.
+                    result = islandize(clean, self.locator_config)
+                for chunk in result.iter_rounds():
+                    assemble(chunk)
+            if memo is not None:
+                memo.store(result, *task_key, chunks)
 
         interhub = build_interhub_plan(result, add_self_loops=norm.add_self_loops)
         meter = TrafficMeter()

@@ -249,20 +249,35 @@ class Dataset:
         Features are Bernoulli(density) sparse rows (matching the bag-of-
         words character of the citation datasets); labels follow island
         membership with a little noise, so they correlate with structure
-        the way real labels do.
+        the way real labels do.  At density 1 every entry is a one, so
+        the matrix is built directly: it is byte-identical to the
+        ``scipy.sparse.random`` draw, which it replaces there
+        (``tests/test_datasets.py`` pins this).
         """
-        from scipy.sparse import random as sparse_random
+        from scipy import sparse
 
         rng = np.random.default_rng(seed)
-        self.features = sparse_random(
-            self.num_nodes,
-            self.num_features,
-            density=min(1.0, self.feature_density),
-            format="csr",
-            dtype=np.float64,
-            random_state=np.random.RandomState(seed),
-            data_rvs=lambda size: np.ones(size),
-        )
+        if self.feature_density >= 1.0:
+            n, f = self.num_nodes, self.num_features
+            index_dtype = np.int32 if n * f <= np.iinfo(np.int32).max else np.int64
+            self.features = sparse.csr_matrix(
+                (
+                    np.ones(n * f),
+                    np.tile(np.arange(f, dtype=index_dtype), n),
+                    np.arange(n + 1, dtype=index_dtype) * f,
+                ),
+                shape=(n, f),
+            )
+        else:
+            self.features = sparse.random(
+                self.num_nodes,
+                self.num_features,
+                density=self.feature_density,
+                format="csr",
+                dtype=np.float64,
+                random_state=np.random.RandomState(seed),
+                data_rvs=lambda size: np.ones(size),
+            )
         labels = np.where(
             self.community >= 0,
             self.community % self.num_classes,

@@ -38,6 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Iterable, Sequence
 
+from repro.core.accelerator import TaskMemo
 from repro.core.config import ConsumerConfig, LocatorConfig
 from repro.core.islandizer import islandize
 from repro.core.islandizer_incremental import (
@@ -73,8 +74,9 @@ from repro.serialize import config_digest
 
 __all__ = ["CacheStats", "Engine", "graph_fingerprint", "sweep"]
 
-#: Artifact kinds maintained by the Engine, in dependency order.
-_CACHE_NAMES = ARTIFACT_KINDS
+#: Artifact kinds maintained by the Engine, in dependency order, then
+#: the memory-only task memo (``tasks``), which is not a store kind.
+_CACHE_NAMES = (*ARTIFACT_KINDS, "tasks")
 
 
 def graph_fingerprint(graph: CSRGraph) -> str:
@@ -153,6 +155,9 @@ class Engine:
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.store = store if store is not None else build_store(self.cache_dir)
         self._stats: dict[str, CacheStats] = {n: CacheStats() for n in _CACHE_NAMES}
+        #: Island task chunks of the last islandization an igcn run
+        #: assembled, shared by the next runs over that islandization.
+        self.task_memo = TaskMemo(self._stats["tasks"])
         self._fleets: dict[str, ShardFleet] = {}
         self._degradations: list[dict[str, Any]] = []
 
@@ -206,8 +211,10 @@ class Engine:
         """Engine-level hit/miss counters per artifact kind (live view).
 
         Hits count lookups satisfied by any tier (memory or disk);
-        misses count artifacts actually computed.  Per-tier counters
-        are available from :meth:`tier_stats`.
+        misses count artifacts actually computed.  The ``tasks`` entry
+        counts igcn runs that reused :attr:`task_memo`'s island task
+        chunks (hits) or assembled their own (misses).  Per-tier
+        counters are available from :meth:`tier_stats`.
         """
         return dict(self._stats)
 
@@ -222,7 +229,8 @@ class Engine:
         behaviour: reset this process's memoization).  The disk tier
         may be shared with concurrent workers, other invocations or
         other hosts, so destroying it requires ``disk=True`` (the CLI
-        equivalent is ``repro cache clear``).
+        equivalent is ``repro cache clear``).  The task memo is always
+        dropped.
 
         The :class:`CacheStats` objects are reset in place so views
         previously returned by :meth:`cache_stats` stay live.
@@ -231,6 +239,7 @@ class Engine:
         for tier in tiers:
             if disk or not tier.persistent:
                 tier.clear()
+        self.task_memo.clear()
         for name in _CACHE_NAMES:
             self._stats[name].hits = 0
             self._stats[name].misses = 0

@@ -76,7 +76,10 @@ class IGCNSimulator:
     When an ``engine`` is supplied, the islandization is fetched from
     (and stored in) the engine's artifact cache, so repeated
     simulations of the same graph — different models, variants, or
-    sweep cells — islandize exactly once.
+    sweep cells — islandize exactly once, and the run shares the
+    engine's :class:`~repro.core.accelerator.TaskMemo`, so consecutive
+    models over that islandization assemble its island tasks once per
+    self-loop mode.
     """
 
     name = "igcn"
@@ -138,6 +141,7 @@ class IGCNSimulator:
             model,
             feature_density=feature_density,
             islandization=islandization,
+            task_memo=engine.task_memo if engine is not None else None,
             **opts,
         )
 

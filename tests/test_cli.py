@@ -285,6 +285,17 @@ class TestCommands:
             assert captured.out == ""
             assert path.read_bytes() == before
 
+    def test_sweep_reports_task_chunk_reuse(self, capsys, monkeypatch):
+        # gcn and graphsage aggregate over A+I and share one assembly;
+        # gin aggregates over A and assembles its own.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        code = main(["sweep", "--datasets", "cora", "--scale", "0.1",
+                     "--models", "gcn", "graphsage", "gin",
+                     "--platforms", "igcn"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "summary rows reused 0 of 3; task chunks assembled 2, reused 1" in out
+
     def test_compare(self, capsys):
         code = main(["compare", "--dataset", "cora", "--scale", "0.1"])
         out = capsys.readouterr().out

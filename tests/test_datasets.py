@@ -67,6 +67,41 @@ class TestLoading:
         assert tiny_cora.labels.min() >= 0
         assert tiny_cora.labels.max() < 7
 
+    @pytest.mark.parametrize("num_features", (1, 7, 602))
+    @pytest.mark.parametrize("seed", (0, 3))
+    def test_dense_features_match_scipy_random(self, num_features, seed):
+        """At density 1 the direct all-ones CSR is the RNG draw, byte for byte."""
+        from dataclasses import replace
+
+        from scipy import sparse
+
+        ds = load_dataset("reddit", scale=0.002, seed=seed)
+        ds = replace(ds, spec=replace(ds.spec, num_features=num_features))
+        assert ds.feature_density == 1.0
+        ds.materialize_features(seed=seed)
+        reference = sparse.random(
+            ds.num_nodes, num_features, density=1.0, format="csr",
+            dtype=np.float64, random_state=np.random.RandomState(seed),
+            data_rvs=lambda size: np.ones(size),
+        )
+        assert type(ds.features) is type(reference)
+        assert ds.features.shape == reference.shape
+        for name in ("indptr", "indices", "data"):
+            ours, theirs = getattr(ds.features, name), getattr(reference, name)
+            assert ours.dtype == theirs.dtype, name
+            assert ours.tobytes() == theirs.tobytes(), name
+        # The label draw is the one the RNG path always made.
+        rng = np.random.default_rng(seed)
+        labels = np.where(
+            ds.community >= 0,
+            ds.community % ds.num_classes,
+            rng.integers(0, ds.num_classes, size=ds.num_nodes),
+        )
+        noise = rng.random(ds.num_nodes) < 0.05
+        labels[noise] = rng.integers(0, ds.num_classes, size=int(noise.sum()))
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tobytes() == labels.astype(np.int64).tobytes()
+
     def test_labels_correlate_with_structure(self, tiny_cora):
         labels = tiny_cora.labels
         community = tiny_cora.community

@@ -17,6 +17,9 @@ Three guarantees (ISSUE 5 / §3.1.1, Fig. 3):
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from repro.core import (
     IslandConsumer,
     IslandLocator,
     LocatorConfig,
+    TaskMemo,
 )
 from repro.core.consumer import execution_mismatch
 from repro.core.interhub import build_interhub_plan
@@ -33,7 +37,7 @@ from repro.errors import ConfigError
 from repro.graph import hub_island_graph, load_dataset
 from repro.graph.generators import CommunityProfile
 from repro.hw.memory import TrafficMeter
-from repro.models import gcn_model
+from repro.models import build_model, gcn_model
 from repro.models.reference import normalization_for
 from repro.serialize import config_digest
 
@@ -273,6 +277,145 @@ class TestOverlapModel:
             graph, model
         )
         assert staged.total_cycles == streamed.total_cycles
+
+
+# ----------------------------------------------------------------------
+# Task chunks reused across runs (TaskMemo)
+# ----------------------------------------------------------------------
+def _model(spec, ds):
+    family, _, variant = spec.partition(":")
+    kwargs = {"variant": variant} if variant else {}
+    return build_model(family, ds.num_features, ds.num_classes, **kwargs)
+
+
+def _assert_same_report(a, b):
+    assert a.base_summary() == b.base_summary()
+    assert a.layers == b.layers
+    assert a.meter.reads == b.meter.reads
+    assert a.meter.writes == b.meter.writes
+    assert (a.staged_cycles, a.streamed_cycles, a.total_cycles) == (
+        b.staged_cycles, b.streamed_cycles, b.total_cycles
+    )
+    assert (a.island_p50_us, a.island_p99_us) == (
+        b.island_p50_us, b.island_p99_us
+    )
+    if a.outputs is None:
+        assert b.outputs is None
+    else:
+        assert a.outputs.dtype == b.outputs.dtype
+        assert a.outputs.tobytes() == b.outputs.tobytes()
+
+
+def _record_chunks(monkeypatch, dead=()):
+    """Weak references to every chunk ``prepare_chunk`` assembles.
+
+    Every call first checks that the chunks referenced by ``dead`` (a
+    list the test may refill) are already unreachable.
+    """
+    made: list = []
+    assemble = IslandConsumer.prepare_chunk
+
+    def recording(self, *args, **kwargs):
+        gc.collect()
+        assert all(ref() is None for ref in dead)
+        chunk = assemble(self, *args, **kwargs)
+        made.append(weakref.ref(chunk))
+        return chunk
+
+    monkeypatch.setattr(IslandConsumer, "prepare_chunk", recording)
+    return made
+
+
+class TestTaskMemo:
+    #: gcn, gcn:hy and graphsage aggregate over A+I and gin over A, so
+    #: in this order the memo serves the 2nd, 3rd and 5th run.
+    SEQUENCE = ("gcn", "gcn:hy", "graphsage", "gin", "gin")
+    HITS = (False, True, True, False, True)
+
+    @pytest.mark.parametrize("functional", (False, True))
+    @pytest.mark.parametrize("pipeline", ("streamed", "staged", "event"))
+    @pytest.mark.parametrize("consumer_backend", BACKENDS)
+    def test_memo_run_equals_fresh_run(
+        self, tiny_cora, consumer_backend, pipeline, functional
+    ):
+        accelerator = _accelerator("batched", consumer_backend, pipeline)
+        result = accelerator.islandize(tiny_cora.graph)
+        memo = TaskMemo()
+        for spec, hit in zip(self.SEQUENCE, self.HITS):
+            model = _model(spec, tiny_cora)
+            kwargs = dict(
+                feature_density=tiny_cora.feature_density,
+                islandization=result,
+            )
+            if functional:
+                kwargs.update(functional=True, features=tiny_cora.features)
+            hits = memo.stats.hits
+            served = accelerator.run(
+                tiny_cora.graph, model, task_memo=memo, **kwargs
+            )
+            assert memo.stats.hits == hits + hit, spec
+            fresh = accelerator.run(tiny_cora.graph, model, **kwargs)
+            _assert_same_report(served, fresh)
+        assert (memo.stats.hits, memo.stats.misses) == (3, 2)
+
+    def test_live_run_never_touches_memo(self, stream_graph, monkeypatch):
+        made = _record_chunks(monkeypatch)
+        memo = TaskMemo()
+        accelerator = _accelerator("batched", "batched", "streamed")
+        accelerator.run(stream_graph, gcn_model(16, 4), task_memo=memo)
+        assert (memo.stats.hits, memo.stats.misses) == (0, 0)
+        gc.collect()
+        assert made and all(ref() is None for ref in made)
+
+    def test_other_islandization_never_gets_the_entry(
+        self, stream_graph, tiny_cora, monkeypatch
+    ):
+        # A miss drops the old entry before it assembles the new one.
+        dead: list = []
+        made = _record_chunks(monkeypatch, dead)
+        model = gcn_model(16, 4)
+        accelerator = _accelerator("batched", "batched", "streamed")
+        first = accelerator.islandize(stream_graph)
+        memo = TaskMemo()
+        accelerator.run(stream_graph, model, islandization=first, task_memo=memo)
+        first_chunks = list(made)
+        assert len(first_chunks) == first.num_rounds
+        # Another locator config on the same graph, then the next dataset.
+        others = [
+            (stream_graph, IGCNAccelerator(
+                locator=LocatorConfig(c_max=4)
+            ).islandize(stream_graph)),
+            (tiny_cora.graph, accelerator.islandize(tiny_cora.graph)),
+        ]
+        for graph, result in others:
+            before = len(made)
+            dead[:] = first_chunks
+            served = accelerator.run(
+                graph, model, islandization=result, task_memo=memo
+            )
+            dead.clear()
+            # A miss: this islandization's rounds were all assembled.
+            assert len(made) - before == result.num_rounds
+            _assert_same_report(
+                served, accelerator.run(graph, model, islandization=result)
+            )
+            first_chunks = made[before:before + result.num_rounds]
+        assert (memo.stats.hits, memo.stats.misses) == (0, 3)
+
+    def test_backend_is_part_of_the_key(self, stream_graph):
+        model = gcn_model(16, 4)
+        result = IslandLocator().run(stream_graph)
+        memo = TaskMemo()
+        for backend in ("batched", "scalar", "batched"):
+            accelerator = _accelerator("batched", backend, "streamed")
+            served = accelerator.run(
+                stream_graph, model, islandization=result, task_memo=memo
+            )
+            _assert_same_report(
+                served,
+                accelerator.run(stream_graph, model, islandization=result),
+            )
+        assert (memo.stats.hits, memo.stats.misses) == (0, 3)
 
 
 # ----------------------------------------------------------------------

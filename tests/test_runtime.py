@@ -163,6 +163,37 @@ class TestEngineCaching:
         engine.islandization(small_cora.graph)
         assert view["islandization"].misses == 1
 
+    def test_task_chunks_reused_across_models(self, small_cora, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.core import IslandConsumer
+        from repro.models import build_model
+
+        made = []
+        assemble = IslandConsumer.prepare_chunk
+
+        def recording(self, *args, **kwargs):
+            chunk = assemble(self, *args, **kwargs)
+            made.append(weakref.ref(chunk))
+            return chunk
+
+        monkeypatch.setattr(IslandConsumer, "prepare_chunk", recording)
+        engine = Engine()
+        view = engine.cache_stats()
+        for family in ("gcn", "graphsage", "gin"):
+            model = build_model(
+                family, small_cora.num_features, small_cora.num_classes
+            )
+            engine.simulate("igcn", small_cora, model)
+        # graphsage reuses gcn's A+I chunks; gin (over A) assembles.
+        assert (view["tasks"].hits, view["tasks"].misses) == (1, 2)
+        assert made
+        engine.clear()
+        assert view["tasks"].total == 0
+        gc.collect()
+        assert all(ref() is None for ref in made)
+
     def test_engine_locator_config_governs_igcn(self, small_cora, small_model):
         from repro.core import IGCNAccelerator
 
@@ -241,11 +272,17 @@ class TestSweep:
         ]
 
     def test_parallel_equals_serial(self):
-        serial = Engine().sweep(self.DATASETS, self.PLATFORMS, scale=0.15, seed=3)
-        parallel = Engine().sweep(
+        serial_engine, parallel_engine = Engine(), Engine()
+        serial = serial_engine.sweep(
+            self.DATASETS, self.PLATFORMS, scale=0.15, seed=3
+        )
+        parallel = parallel_engine.sweep(
             self.DATASETS, self.PLATFORMS, scale=0.15, seed=3, parallel=2
         )
         assert parallel == serial
+        # Worker task-memo counters fold back like the store kinds.
+        tasks = [e.cache_stats()["tasks"] for e in (serial_engine, parallel_engine)]
+        assert [(t.hits, t.misses) for t in tasks] == [(0, 2), (0, 2)]
 
     def test_unified_schema_rows(self):
         rows = Engine().sweep(("cora",), ("igcn", "pyg-cpu"), scale=0.15, seed=3)
