@@ -3,12 +3,7 @@
 from repro.baselines.awb_gcn import AWB_DEFAULT_HW, AWBGCNAccelerator
 from repro.baselines.common import AcceleratorModel, SimReport
 from repro.baselines.hygcn import HYGCN_DEFAULT_HW, HyGCNAccelerator
-from repro.baselines.platforms import (
-    PLATFORMS,
-    PlatformModel,
-    get_platform,
-    platform_names,
-)
+from repro.baselines.platforms import PLATFORMS, PlatformModel, get_platform
 from repro.baselines.pull import PullAccelerator
 from repro.baselines.push import PushAccelerator
 from repro.baselines.sigma import SIGMA_DEFAULT_HW, SigmaAccelerator
@@ -26,6 +21,5 @@ __all__ = [
     "PushAccelerator",
     "PlatformModel",
     "PLATFORMS",
-    "platform_names",
     "get_platform",
 ]

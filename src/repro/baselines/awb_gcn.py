@@ -23,8 +23,6 @@ Model summary
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.baselines.common import AcceleratorModel
 from repro.graph.csr import CSRGraph
 from repro.hw.config import HardwareConfig
@@ -88,10 +86,3 @@ class AWBGCNAccelerator(AcceleratorModel):
             )
             meter.write(result_category, result_bytes)
         return meter
-
-    def with_utilization(self, utilization: float) -> "AWBGCNAccelerator":
-        """Clone with a different utilisation (for sensitivity studies)."""
-        return AWBGCNAccelerator(
-            replace(self.hw, compute_utilization=utilization),
-            result_buffer_bytes=self.result_buffer_bytes,
-        )

@@ -78,7 +78,7 @@ class AcceleratorModel(ABC):
             workload = build_workload(graph, model, feature_density=feature_density)
         meter = self.traffic(graph, workload)
         macs = self.macs(workload)
-        compute_cycles = macs / (self.hw.num_macs * self.hw.compute_utilization)
+        compute_cycles = macs / self.hw.macs_per_cycle
         # Same on-chip residence convention as the I-GCN latency model:
         # read-mostly operands stay on-chip up to capacity.
         memory_cycles = (

@@ -33,7 +33,7 @@ from repro.hw.memory import TrafficMeter
 from repro.models.configs import ModelConfig
 from repro.models.workload import BYTES_PER_VALUE, Workload, build_workload
 
-__all__ = ["PlatformModel", "PLATFORMS", "platform_names", "get_platform"]
+__all__ = ["PlatformModel", "PLATFORMS", "get_platform"]
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,6 @@ PLATFORMS: dict[str, PlatformModel] = {
     # DGL on V100 (more launches per layer than PyG's fused path).
     "dgl-gpu-v100": PlatformModel("dgl-gpu-v100", 2500.0, 350.0, 1.0e-3),
 }
-
-
-def platform_names() -> list[str]:
-    """Registered platform names."""
-    return list(PLATFORMS)
 
 
 def get_platform(name: str) -> PlatformModel:

@@ -15,7 +15,6 @@ from repro.core.islandizer_partitioned import (
 )
 from repro.core.pipeline import pipelined_makespan, streamed_schedule
 from repro.core.preagg import ScanCounts, scan_aggregate, scan_costs
-from repro.core.schedule import PEScheduleReport, ScheduledTask, schedule_islands
 from repro.core.types import (
     Island,
     IslandizationResult,
@@ -43,9 +42,6 @@ __all__ = [
     "islandize_partitioned",
     "quality_metrics",
     "ScanCounts",
-    "PEScheduleReport",
-    "ScheduledTask",
-    "schedule_islands",
     "scan_aggregate",
     "scan_costs",
     "pipelined_makespan",

@@ -7,7 +7,6 @@ from repro.graph.generators import (
     barabasi_albert,
     erdos_renyi,
     hub_island_graph,
-    stochastic_block,
 )
 from repro.graph.datasets import (
     DATASETS,
@@ -25,7 +24,6 @@ from repro.graph.partition import (
     PartitionStats,
     partition_graph,
 )
-from repro.graph.stats import GraphStats, connected_components, graph_stats
 
 __all__ = [
     "CSRGraph",
@@ -34,7 +32,6 @@ __all__ = [
     "hub_island_graph",
     "erdos_renyi",
     "barabasi_albert",
-    "stochastic_block",
     "DATASETS",
     "Dataset",
     "DatasetSpec",
@@ -42,9 +39,6 @@ __all__ = [
     "load_dataset",
     "figure2_graph",
     "figure7_island_graph",
-    "GraphStats",
-    "graph_stats",
-    "connected_components",
     "GraphPartition",
     "GraphShard",
     "PartitionError",

@@ -29,7 +29,6 @@ __all__ = [
     "hub_island_graph",
     "erdos_renyi",
     "barabasi_albert",
-    "stochastic_block",
 ]
 
 
@@ -263,31 +262,3 @@ def barabasi_albert(
         name=name,
     )
 
-
-def stochastic_block(
-    block_sizes: list[int],
-    p_in: float,
-    p_out: float,
-    *,
-    seed: int = 0,
-    name: str = "sbm",
-) -> tuple[CSRGraph, np.ndarray]:
-    """Stochastic block model; returns (graph, block labels).
-
-    Used by tests as a second, structurally different community graph.
-    Dense within-block sampling is quadratic per block, so keep blocks
-    modest (tests use tens of nodes per block).
-    """
-    if not block_sizes:
-        raise GraphError("block_sizes must be non-empty")
-    if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
-        raise GraphError("probabilities must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    num_nodes = int(sum(block_sizes))
-    labels = np.repeat(np.arange(len(block_sizes)), block_sizes).astype(np.int64)
-    iu, iv = np.triu_indices(num_nodes, k=1)
-    same = labels[iu] == labels[iv]
-    prob = np.where(same, p_in, p_out)
-    keep = rng.random(len(iu)) < prob
-    graph = CSRGraph.from_edges(num_nodes, iu[keep], iv[keep], name=name)
-    return graph, labels

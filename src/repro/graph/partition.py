@@ -49,7 +49,6 @@ __all__ = [
     "GraphPartition",
     "partition_graph",
     "route_edits",
-    "separator_membership",
     "ROUTE_BOUNDARY",
     "ROUTE_INTERIOR",
     "ROUTE_CROSS",
@@ -227,18 +226,6 @@ class GraphPartition:
                 raise PartitionError(
                     f"shard {shard.part_id} is not the induced interior subgraph"
                 )
-
-
-def separator_membership(part_of: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Boolean mask: which of ``nodes`` are separator (boundary) nodes.
-
-    ``part_of`` is a :class:`GraphPartition`-style assignment (shard id
-    per interior node, ``-1`` on the separator); the incremental router
-    evolves such an array outside any ``GraphPartition`` object, so the
-    query takes the raw array rather than the partition.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    return part_of[nodes] < 0
 
 
 def route_edits(

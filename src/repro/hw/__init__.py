@@ -1,8 +1,7 @@
-"""Hardware models: envelope, traffic, cycles, energy, area, ring."""
+"""Hardware models: envelope, traffic, energy, area, ring."""
 
 from repro.hw.area import AreaBreakdown, AreaModel
 from repro.hw.config import IGCN_DEFAULT, HardwareConfig
-from repro.hw.cycles import LatencyModel, PhaseCycles, compute_cycles, memory_cycles
 from repro.hw.energy import EnergyReport, estimate_energy
 from repro.hw.memory import CacheModel, TrafficMeter
 from repro.hw.ring import RingNetwork, RingStats
@@ -12,10 +11,6 @@ __all__ = [
     "IGCN_DEFAULT",
     "TrafficMeter",
     "CacheModel",
-    "LatencyModel",
-    "PhaseCycles",
-    "compute_cycles",
-    "memory_cycles",
     "EnergyReport",
     "estimate_energy",
     "AreaBreakdown",

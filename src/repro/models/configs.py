@@ -78,16 +78,6 @@ class ModelConfig:
         """Number of GraphCONV layers."""
         return len(self.layers)
 
-    @property
-    def input_dim(self) -> int:
-        """Input feature width."""
-        return self.layers[0].in_dim
-
-    @property
-    def output_dim(self) -> int:
-        """Output (class) width."""
-        return self.layers[-1].out_dim
-
     def layer_dims(self) -> list[tuple[int, int]]:
         """(in, out) for each layer, in order."""
         return [(layer.in_dim, layer.out_dim) for layer in self.layers]

@@ -3,7 +3,6 @@
 The expensive parts of reproducing the paper's cross-platform tables
 (§4.6, Table 2) are *shared* between cells: five datasets × many platforms × several
 model variants all reuse the same dataset surrogates, the same
-self-loop-free graph copies, the same
 :class:`~repro.core.types.IslandizationResult` per (graph, locator
 config), and the same :class:`~repro.models.workload.Workload` per
 (graph, model).  :class:`Engine` centralises that reuse behind a
@@ -300,21 +299,17 @@ class Engine:
             ),
         )
 
-    def clean_graph(self, graph: CSRGraph) -> CSRGraph:
-        """Cached self-loop-free copy of ``graph``."""
-        key = graph_fingerprint(graph)
-        return self._memo("clean_graph", key, graph.without_self_loops)
-
     def islandization(
         self, graph: CSRGraph, config: LocatorConfig | None = None
     ) -> IslandizationResult:
         """Cached Island Locator result for (graph, locator config).
 
-        ``graph`` may still carry self-loops; the cached clean copy is
-        islandized, mirroring ``IGCNAccelerator.islandize``.  The key
-        is the clean graph's fingerprint + the locator config digest,
-        so engines with different configs sharing one disk tier never
-        collide.
+        ``graph`` may still carry self-loops; its self-loop-free copy
+        (``graph.without_self_loops()``, the graph itself when it has
+        none) is islandized, mirroring ``IGCNAccelerator.islandize``.
+        The key is that clean graph's fingerprint + the locator config
+        digest, so engines with different configs sharing one disk tier
+        never collide.
 
         A config with ``incremental=True`` routes through
         :meth:`islandization_state`, so the result's updatable
@@ -323,7 +318,7 @@ class Engine:
         config = config or self.locator_config
         if config.incremental:
             return self.islandization_state(graph, config)[0]
-        clean = self.clean_graph(graph)
+        clean = graph.without_self_loops()
         key = f"{graph_fingerprint(clean)}|loc={config_digest(config)}"
         return self._memo(
             "islandization", key,
@@ -360,7 +355,7 @@ class Engine:
                 "incremental=True (the recording flag is part of the "
                 "cache key)"
             )
-        clean = self.clean_graph(graph)
+        clean = graph.without_self_loops()
         key = f"{graph_fingerprint(clean)}|loc={config_digest(config)}"
         result = self.store.get("islandization", key)
         state = self.store.get("ilstate", key)
@@ -391,11 +386,8 @@ class Engine:
         and stores the updated pair under the *mutated* graph's
         fingerprint — so updates chain: ``engine.update(upd.result.graph,
         next_delta)`` starts from a warm cache, never re-islandizing.
-        The mutated clean graph is cached under its own fingerprint
-        too, keeping :meth:`clean_graph`/:meth:`islandization` lookups
-        on it O(1).
 
-        ``delta`` is applied to the cached *clean* copy of ``graph``
+        ``delta`` is applied to the self-loop-free copy of ``graph``
         (islandization is defined on self-loop-free graphs).  Returns
         the full :class:`~repro.core.islandizer_incremental.IncrementalUpdate`
         (result, refreshed state, dirty-region telemetry, and whether
@@ -406,8 +398,8 @@ class Engine:
         chained updates reuse one worker pool (see :meth:`close`).
         """
         config = config or self.locator_config
-        cached, state = self.islandization_state(graph, config)
-        clean = self.clean_graph(graph)
+        clean = graph.without_self_loops()
+        cached, state = self.islandization_state(clean, config)
         applied = clean.apply_delta(delta, with_changes=True)
         if isinstance(state, PartitionedIncrementalState):
             upd = update_islandization_partitioned(
@@ -422,7 +414,6 @@ class Engine:
             )
         new_graph = upd.result.graph
         new_key = f"{graph_fingerprint(new_graph)}|loc={config_digest(config)}"
-        self.store.put("clean_graph", graph_fingerprint(new_graph), new_graph)
         self.store.put("islandization", new_key, upd.result)
         self.store.put("ilstate", new_key, upd.state)
         return upd

@@ -11,7 +11,7 @@ caches are backed by an :class:`ArtifactStore` — a plain
 * :class:`DiskStore` — content-addressed files under a cache directory
   (``~/.cache/repro`` by default, or ``REPRO_CACHE_DIR`` /
   ``--cache-dir``).  Artifact kinds with a stable serialization
-  (datasets, clean graphs, islandizations, workloads → npz; report
+  (datasets, shards, islandizations, workloads → npz; report
   summaries → JSON) persist across processes and hosts; kinds without
   one (live report objects) are simply not handled by the tier.
 * :class:`TieredStore` — a memory-over-disk stack: reads walk the
@@ -47,7 +47,6 @@ from typing import Any, Callable, IO
 from repro.core.islandizer_pincremental import load_ilstate
 from repro.core.types import IslandizationResult
 from repro.errors import ConfigError
-from repro.graph.csr import CSRGraph
 from repro.graph.datasets import Dataset
 from repro.graph.partition import GraphShard
 from repro.models.workload import Workload
@@ -77,8 +76,10 @@ MISS = object()
 #: "ilstate" holds the incremental-islandization bookkeeping
 #: (``IncrementalState``) recorded alongside an "islandization" under
 #: the *same key*, so the pair travels together through every tier.
+#: Retiring a kind needs no VERSION bump: gc removes every file in the
+#: old kind's directory, and its index lines are not corruption.
 ARTIFACT_KINDS = (
-    "dataset", "clean_graph", "shard", "islandization", "ilstate",
+    "dataset", "shard", "islandization", "ilstate",
     "workload", "report", "summary",
 )
 
@@ -217,7 +218,6 @@ class DiskStore(ArtifactStore):
     #: kind → (extension, encode(value, fh), decode(fh)).
     CODECS: dict[str, tuple[str, Callable, Callable]] = {
         "dataset": _npz_codec(Dataset),
-        "clean_graph": _npz_codec(CSRGraph),
         "shard": _npz_codec(GraphShard),
         "islandization": _npz_codec(IslandizationResult),
         # ilstate decodes through a format dispatcher: format 1 is the
@@ -423,9 +423,11 @@ class DiskStore(ArtifactStore):
     def _valid_index_line(self, line: str) -> bool:
         """Whether one index line has the shape ``_index_add`` writes.
 
-        Current-version lines are checked strictly (known kind, a
-        filename put() would produce); other-version lines — legacy
-        content a later gc is entitled to ignore — only for shape.
+        Current-version lines of a known kind are checked strictly (a
+        filename put() would produce); those of a kind this build has
+        retired, whose files gc removes anyway, only for a 32-hex-digit
+        stem plus an extension.  Other-version lines — legacy content a
+        later gc is entitled to ignore — only for shape.
         """
         head, sep, rest = line.partition(" ")
         if not sep or not head.startswith("v") or not head[1:].isdigit():
@@ -435,9 +437,10 @@ class DiskStore(ArtifactStore):
             return False
         if int(head[1:]) != self.VERSION:
             return True
+        path = Path(name)
         if kind not in self.CODECS:
-            return False
-        return self._well_named(Path(name), self.CODECS[kind][0])
+            return bool(path.suffix) and self._well_named(path, path.suffix)
+        return self._well_named(path, self.CODECS[kind][0])
 
     @staticmethod
     def _artifact_files(directory: Path) -> list[Path]:

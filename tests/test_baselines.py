@@ -1,15 +1,17 @@
 """Unit tests for baseline accelerator and platform models."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import (
+    PLATFORMS,
     AWBGCNAccelerator,
     HyGCNAccelerator,
     PullAccelerator,
     PushAccelerator,
     SigmaAccelerator,
     get_platform,
-    platform_names,
 )
 from repro.graph import load_dataset
 from repro.hw import IGCN_DEFAULT
@@ -74,7 +76,7 @@ class TestAWB:
 
     def test_utilization_sensitivity(self, small_cora, small_model):
         base = AWBGCNAccelerator()
-        faster = base.with_utilization(0.9)
+        faster = AWBGCNAccelerator(replace(base.hw, compute_utilization=0.9))
         assert (
             _run(faster, small_cora, small_model).latency_us
             < _run(base, small_cora, small_model).latency_us
@@ -112,7 +114,7 @@ class TestSigma:
 
 class TestPlatforms:
     def test_five_platforms(self):
-        assert len(platform_names()) == 5
+        assert len(PLATFORMS) == 5
 
     def test_unknown_platform(self):
         with pytest.raises(KeyError):

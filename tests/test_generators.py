@@ -9,7 +9,6 @@ from repro.graph.generators import (
     barabasi_albert,
     erdos_renyi,
     hub_island_graph,
-    stochastic_block,
 )
 
 
@@ -102,26 +101,3 @@ class TestBarabasiAlbert:
         with pytest.raises(GraphError):
             barabasi_albert(1, 1)
 
-
-class TestStochasticBlock:
-    def test_labels_match_sizes(self):
-        _, labels = stochastic_block([10, 20, 30], 0.5, 0.01, seed=0)
-        assert np.bincount(labels).tolist() == [10, 20, 30]
-
-    def test_intra_block_denser(self):
-        g, labels = stochastic_block([40, 40], 0.5, 0.01, seed=0)
-        intra = inter = 0
-        for u, v in g.iter_edges():
-            if labels[u] == labels[v]:
-                intra += 1
-            else:
-                inter += 1
-        assert intra > 5 * inter
-
-    def test_rejects_empty(self):
-        with pytest.raises(GraphError):
-            stochastic_block([], 0.5, 0.1)
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(GraphError):
-            stochastic_block([5], 1.5, 0.1)

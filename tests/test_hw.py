@@ -1,5 +1,5 @@
-"""Unit tests for the hardware models: config, memory, cycles, energy,
-area, ring."""
+"""Unit tests for the hardware models: config, memory, energy, area,
+ring."""
 
 import pytest
 
@@ -9,12 +9,9 @@ from repro.hw import (
     CacheModel,
     HardwareConfig,
     IGCN_DEFAULT,
-    LatencyModel,
     RingNetwork,
     TrafficMeter,
-    compute_cycles,
     estimate_energy,
-    memory_cycles,
 )
 from repro.hw.memory import effective_offchip_bytes
 
@@ -27,6 +24,10 @@ class TestHardwareConfig:
     def test_bytes_per_cycle(self):
         hw = HardwareConfig(offchip_bandwidth_bps=330e6 * 100, frequency_hz=330e6)
         assert hw.bytes_per_cycle == pytest.approx(100)
+
+    def test_macs_per_cycle(self):
+        hw = HardwareConfig(num_macs=100, compute_utilization=0.5)
+        assert 1000 / hw.macs_per_cycle == pytest.approx(20.0)
 
     def test_cycles_to_us(self):
         assert IGCN_DEFAULT.cycles_to_us(330) == pytest.approx(1.0)
@@ -100,29 +101,6 @@ class TestCacheModel:
         m.write("hidden-results", 400)
         m.write("results", 100)
         assert effective_offchip_bytes(m, 10_000) == 100
-
-
-class TestCycles:
-    def test_compute_cycles(self):
-        hw = HardwareConfig(num_macs=100, compute_utilization=0.5)
-        assert compute_cycles(1000, hw) == pytest.approx(20.0)
-
-    def test_memory_cycles(self):
-        hw = HardwareConfig(offchip_bandwidth_bps=330e6 * 10, frequency_hz=330e6)
-        assert memory_cycles(100, hw) == pytest.approx(10.0)
-
-    def test_phase_total_overlaps(self):
-        model = LatencyModel(IGCN_DEFAULT)
-        phase = model.phase("p", macs=4096 * 0.8 * 100, dram_bytes=0)
-        assert phase.total == pytest.approx(100.0)
-        assert phase.bound == "compute"
-
-    def test_sequential_vs_overlapped(self):
-        model = LatencyModel(IGCN_DEFAULT)
-        a = model.phase("a", macs=4096 * 0.8 * 10)
-        b = model.phase("b", macs=4096 * 0.8 * 20)
-        assert model.sequential(a, b) == pytest.approx(30.0)
-        assert model.overlapped(a, b) == pytest.approx(20.0)
 
 
 class TestEnergy:

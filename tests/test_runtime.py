@@ -140,6 +140,19 @@ class TestEngineCaching:
         assert again is default
         assert small is not default
 
+    def test_self_loops_share_the_clean_islandization(self):
+        from repro.core import islandize
+
+        graph = load_dataset("cora", scale=0.2).graph
+        looped = graph.with_self_loops()
+        assert looped.nnz > graph.nnz
+        engine = Engine()
+        first = engine.islandization(looped)
+        assert engine.islandization(graph) is first
+        assert first.equals(islandize(graph))
+        stats = engine.cache_stats()["islandization"]
+        assert (stats.hits, stats.misses) == (1, 1)
+
     def test_workload_shared_across_baselines(self, small_cora, small_model):
         engine = Engine()
         engine.simulate("awb", small_cora, small_model)

@@ -203,7 +203,6 @@ class TestDiskStore:
         model = gcn_model(small_cora.num_features, small_cora.num_classes)
         artifacts = {
             "dataset": small_cora,
-            "clean_graph": small_cora.graph.without_self_loops(),
             "islandization": islandization,
             "workload": build_workload(small_cora.graph, model),
             "summary": {"platform": "igcn", "latency_us": 1.5, "graphs_per_kj": None},
@@ -224,23 +223,23 @@ class TestDiskStore:
 
     def test_corrupt_file_degrades_to_miss(self, small_cora, tmp_path):
         store = DiskStore(tmp_path)
-        store.put("clean_graph", "k", small_cora.graph)
-        path = store._path("clean_graph", "k")
+        store.put("dataset", "k", small_cora)
+        path = store._path("dataset", "k")
         path.write_bytes(b"not an npz archive")
-        assert store.get("clean_graph", "k") is MISS
+        assert store.get("dataset", "k") is MISS
         assert not path.exists()  # the broken file was evicted
 
     def test_keys_are_isolated_per_kind(self, small_cora, tmp_path):
         store = DiskStore(tmp_path)
-        store.put("clean_graph", "same-key", small_cora.graph)
-        assert store.get("dataset", "same-key") is MISS
+        store.put("dataset", "same-key", small_cora)
+        assert store.get("workload", "same-key") is MISS
 
     def test_clear_and_entries(self, small_cora, tmp_path):
         store = DiskStore(tmp_path)
-        store.put("clean_graph", "a", small_cora.graph)
+        store.put("dataset", "a", small_cora)
         store.put("summary", "b", {"x": 1})
         entries = store.entries()
-        assert entries["clean_graph"][0] == 1 and entries["summary"][0] == 1
+        assert entries["dataset"][0] == 1 and entries["summary"][0] == 1
         assert store.clear() == 2
         assert store.entries() == {}
 
@@ -248,10 +247,10 @@ class TestDiskStore:
         # A worker killed mid-put leaves a ".tmp-*" file behind; it must
         # not inflate entries()/clear() accounting (clear still removes it).
         store = DiskStore(tmp_path)
-        store.put("clean_graph", "a", small_cora.graph)
-        orphan = tmp_path / "clean_graph" / ".tmp-abandoned.npz"
+        store.put("dataset", "a", small_cora)
+        orphan = tmp_path / "dataset" / ".tmp-abandoned.npz"
         orphan.write_bytes(b"partial write")
-        assert store.entries()["clean_graph"][0] == 1
+        assert store.entries()["dataset"][0] == 1
         assert store.clear() == 1
         assert not orphan.exists()
 
@@ -304,14 +303,14 @@ class TestEviction:
         import os
 
         store = DiskStore(tmp_path)
-        store.put("clean_graph", "old", small_cora.graph)
-        os.utime(store._path("clean_graph", "old"), (1, 1))
+        store.put("dataset", "old", small_cora)
+        os.utime(store._path("dataset", "old"), (1, 1))
         store.put("summary", "new", {"row": 1})
         os.utime(store._path("summary", "new"), (2_000_000_000, 2_000_000_000))
-        graph_bytes = store._path("clean_graph", "old").stat().st_size
+        dataset_bytes = store._path("dataset", "old").stat().st_size
         removed, freed = store.evict(self._total_bytes(store) - 1)
-        assert removed == 1 and freed == graph_bytes
-        assert store.get("clean_graph", "old") is MISS
+        assert removed == 1 and freed == dataset_bytes
+        assert store.get("dataset", "old") is MISS
         assert store.get("summary", "new") is not MISS
 
     def test_evict_rejects_negative_budget(self, tmp_path):
@@ -328,30 +327,30 @@ class TestTieredStore:
     def test_lower_tier_hit_promotes(self, small_cora, tmp_path):
         memory, disk = MemoryStore(), DiskStore(tmp_path)
         tiered = TieredStore(memory, disk)
-        disk.put("clean_graph", "k", small_cora.graph)
-        first = tiered.get("clean_graph", "k")
+        disk.put("dataset", "k", small_cora)
+        first = tiered.get("dataset", "k")
         assert first is not MISS
         # Promotion: the memory tier now answers without touching disk.
-        assert memory.get("clean_graph", "k") is not MISS
-        disk_stats = tiered.stats()["disk"]["clean_graph"]
-        tiered.get("clean_graph", "k")
-        assert tiered.stats()["disk"]["clean_graph"].total == disk_stats.total
+        assert memory.get("dataset", "k") is not MISS
+        disk_stats = tiered.stats()["disk"]["dataset"]
+        tiered.get("dataset", "k")
+        assert tiered.stats()["disk"]["dataset"].total == disk_stats.total
 
     def test_put_writes_through_all_tiers(self, small_cora, tmp_path):
         memory, disk = MemoryStore(), DiskStore(tmp_path)
-        TieredStore(memory, disk).put("clean_graph", "k", small_cora.graph)
-        assert memory.get("clean_graph", "k") is not MISS
-        assert disk.get("clean_graph", "k") is not MISS
+        TieredStore(memory, disk).put("dataset", "k", small_cora)
+        assert memory.get("dataset", "k") is not MISS
+        assert disk.get("dataset", "k") is not MISS
 
     def test_duplicate_tier_types_keep_separate_stats(self, small_cora, tmp_path):
         a, b = DiskStore(tmp_path / "a"), DiskStore(tmp_path / "b")
         tiered = TieredStore(a, b)
-        b.put("clean_graph", "k", small_cora.graph)
-        tiered.get("clean_graph", "k")
+        b.put("dataset", "k", small_cora)
+        tiered.get("dataset", "k")
         stats = tiered.stats()
         assert set(stats) == {"disk", "disk2"}
-        assert stats["disk"]["clean_graph"].misses == 1   # tier a missed
-        assert stats["disk2"]["clean_graph"].hits == 1    # tier b hit
+        assert stats["disk"]["dataset"].misses == 1   # tier a missed
+        assert stats["disk2"]["dataset"].hits == 1    # tier b hit
 
     def test_unserializable_kind_stays_in_memory(self, tmp_path):
         tiered = TieredStore(MemoryStore(), DiskStore(tmp_path))
@@ -500,13 +499,13 @@ class TestEngineWarmStart:
         def racing_mkstemp(*args, **kwargs):
             if not raced:
                 raced.append(True)
-                shutil.rmtree(tmp_path / "clean_graph")
+                shutil.rmtree(tmp_path / "dataset")
                 raise FileNotFoundError("directory swept by clear()")
             return original_mkstemp(*args, **kwargs)
 
         monkeypatch.setattr("repro.runtime.store.tempfile.mkstemp", racing_mkstemp)
-        store.put("clean_graph", "k", small_cora.graph)
-        assert store.get("clean_graph", "k") is not MISS
+        store.put("dataset", "k", small_cora)
+        assert store.get("dataset", "k") is not MISS
 
     def test_memory_only_engine_never_touches_disk(self, small_cora, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))
@@ -532,10 +531,10 @@ class TestEngineWarmStart:
 
     def test_disk_key_space_is_versioned(self, small_cora, tmp_path, monkeypatch):
         store = DiskStore(tmp_path)
-        store.put("clean_graph", "k", small_cora.graph)
+        store.put("dataset", "k", small_cora)
         monkeypatch.setattr(DiskStore, "VERSION", DiskStore.VERSION + 1)
         # A version bump invalidates old entries: they miss, not serve.
-        assert store.get("clean_graph", "k") is MISS
+        assert store.get("dataset", "k") is MISS
 
     def test_clear_spares_shared_disk_tier_by_default(self, small_cora, tmp_path):
         engine = Engine(cache_dir=str(tmp_path))
@@ -553,11 +552,11 @@ class TestEngineWarmStart:
     def test_disk_store_creates_nothing_until_put(self, small_cora, tmp_path):
         root = tmp_path / "never-written"
         store = DiskStore(root)
-        assert store.get("clean_graph", "k") is MISS
+        assert store.get("dataset", "k") is MISS
         assert store.entries() == {}
         assert store.clear() == 0
         assert not root.exists()  # read-only paths have no side effects
-        store.put("clean_graph", "k", small_cora.graph)
+        store.put("dataset", "k", small_cora)
         assert root.exists()
 
     def test_store_and_cache_dir_mutually_exclusive(self, tmp_path):
@@ -921,7 +920,6 @@ class TestIndexLock:
         # publishes.  Holding the lock must block the other side's
         # put (publish + index append) until release.
         import threading
-        import time
 
         fcntl = pytest.importorskip("fcntl")
         del fcntl
@@ -992,6 +990,24 @@ class TestIndexCrashTolerance:
         with pytest.warns(RuntimeWarning, match="skipped 3 corrupt"):
             report = seeded.gc(dry_run=True)
         assert report.live == 2
+
+    def test_retired_kind_lines_are_not_corruption(self, seeded):
+        # A cache written by a build with a kind this one no longer has
+        # (e.g. the old "clean_graph" kind): its well-formed index lines
+        # are not damage.  gc sweeps the files, then verify is clean.
+        assert "retired" not in DiskStore.CODECS
+        stale = seeded.root / "retired" / ("a" * 32 + ".npz")
+        stale.parent.mkdir()
+        stale.write_bytes(b"x")
+        with open(seeded.root / "index.log", "a") as fh:
+            fh.write(f"v{DiskStore.VERSION} retired/{stale.name}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert seeded.gc(dry_run=True).removed == [str(stale)]
+            report = seeded.gc()
+        assert report.removed_count == 1 and report.live == 2
+        assert not stale.exists()
+        assert seeded.verify().clean
 
     def test_old_version_lines_are_not_corruption(self, seeded):
         # Legacy lines are ignorable history, not damage: no warning.
