@@ -62,7 +62,7 @@ class _GreedyEngineDispatch:
 
     Replaces the original per-task ``np.argmin(engine_load)`` full scan
     with an O(log P2) heap.  Entries are ``(load, engine)`` tuples, so
-    a pop returns the least-loaded engine and — among ties — the
+    the heap top is the least-loaded engine and — among ties — the
     lowest engine index, exactly ``argmin``'s first-minimum rule; the
     resulting ``per_engine_scans`` distribution is identical.
     """
@@ -73,8 +73,8 @@ class _GreedyEngineDispatch:
 
     def add(self, scans: int) -> None:
         """Assign one task's scan work to the current idlest engine."""
-        load, engine = heapq.heappop(self._heap)
-        heapq.heappush(self._heap, (load + scans, engine))
+        load, engine = self._heap[0]
+        heapq.heapreplace(self._heap, (load + scans, engine))
 
     def loads(self) -> np.ndarray:
         """Per-engine scan totals (the LocatorWork distribution)."""
@@ -190,7 +190,6 @@ class IslandLocator:
         csr_rows = (
             np.repeat(np.arange(n, dtype=np.int64), degrees) if batched else None
         )
-        csr_lists: dict = {}  # lazily filled list-CSR cache for walks
 
         islands: list[Island] = []
         hub_ids: list[int] = []
@@ -254,7 +253,7 @@ class IslandLocator:
             if batched:
                 outcome = execute_round_batched(
                     graph, csr_rows, is_hub, classified, config.c_max,
-                    task_hubs, task_seeds, interhub_keys, csr_lists,
+                    task_hubs, task_seeds, interhub_keys,
                 )
                 islands.extend(
                     Island.from_trusted_arrays(

@@ -554,7 +554,6 @@ def _run_sub(
     csr_rows = (
         np.repeat(np.arange(m, dtype=np.int64), sub.degrees) if batched else None
     )
-    csr_lists: dict = {}
     interhub_keys = _EMPTY
     interhub_seen: set[tuple[int, int]] = set()
 
@@ -606,7 +605,7 @@ def _run_sub(
         if batched:
             outcome = execute_round_batched(
                 sub, csr_rows, is_hub, classified, config.c_max,
-                task_hubs, task_seeds, interhub_keys, csr_lists,
+                task_hubs, task_seeds, interhub_keys,
             )
             islands_local = outcome.islands
             if outcome.islands:

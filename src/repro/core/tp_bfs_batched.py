@@ -40,9 +40,14 @@ Hence, per round:
    solo BFS order because components are disjoint).
 3. **Large components** (``size > c_max``): tasks can abort mid-edge
    on the cap or on a collision with a previous partial walk, so they
-   run sequentially through :func:`run_task_levelwise` — still
-   level-vectorized, with the exact abort position recovered from
-   per-level cumulative counts.
+   run sequentially.  A task whose seed repeats an earlier such task's
+   seed dies with zero work (the earlier task stamped that seed, or
+   found it stamped), so one first-occurrence pass drops those in
+   bulk.  The rest walk one by one: through :func:`run_task_levelwise`
+   for large caps — level-vectorized, with the exact abort position
+   recovered from per-level cumulative counts — and otherwise through
+   a per-edge walker that reads the CSR arrays through zero-copy
+   memoryviews.
 
 Classification uses one ``int8`` state array per round instead of the
 scalar path's three stamp arrays, so each BFS level costs a single
@@ -65,6 +70,7 @@ ends, so the next task sees only global state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -99,12 +105,14 @@ STATE_OWN_HUB = np.int8(4)
 
 #: Per-task outcome codes of ``BatchedRoundOutcome.task_outcomes``
 #: (compact int8 encoding of :class:`~repro.core.tp_bfs.TaskOutcome`).
-TASK_ISLAND = np.int8(0)
-TASK_SEED_HUB = np.int8(1)
-TASK_VISITED = np.int8(2)
-TASK_CMAX = np.int8(3)
+#: Plain ints, so the sequential walkers return and compare them at
+#: Python-int speed.
+TASK_ISLAND = 0
+TASK_SEED_HUB = 1
+TASK_VISITED = 2
+TASK_CMAX = 3
 
-TASK_OUTCOME_CODES: dict[TaskOutcome, np.int8] = {
+TASK_OUTCOME_CODES: dict[TaskOutcome, int] = {
     TaskOutcome.ISLAND: TASK_ISLAND,
     TaskOutcome.SEED_IS_HUB: TASK_SEED_HUB,
     TaskOutcome.ALREADY_VISITED: TASK_VISITED,
@@ -200,7 +208,7 @@ def run_task_levelwise(
     c_max: int,
     seed_hub: int,
     a0: int,
-) -> tuple[TaskOutcome, np.ndarray | None, np.ndarray | None, int, int, int]:
+) -> tuple[int, np.ndarray | None, np.ndarray | None, int, int, int]:
     """Execute one TP-BFS task with level-vectorized frontier expansion.
 
     Exact counterpart of :func:`repro.core.tp_bfs.run_bfs_task` for a
@@ -213,8 +221,9 @@ def run_task_levelwise(
     is still stamped into ``v_global`` (the scalar loop stamps before
     it checks the cap).
 
-    Returns ``(outcome, members, hubs, scans, fetches, bytes)``;
-    members/hubs are ``None`` unless the outcome is ``ISLAND``.
+    Returns ``(code, members, hubs, scans, fetches, bytes)``, where
+    ``code`` is the task's ``TASK_*`` outcome code; members/hubs are
+    ``None`` unless the code is ``TASK_ISLAND``.
     """
     state[a0] = STATE_OWN
     state[seed_hub] = STATE_OWN_HUB
@@ -225,7 +234,7 @@ def run_task_levelwise(
     fetches = 0
     nbytes = 0
     frontier = member_chunks[0]
-    aborted: TaskOutcome | None = None
+    aborted: int | None = None
 
     while frontier.size and aborted is None:
         if frontier.size == 1:
@@ -264,10 +273,10 @@ def run_task_levelwise(
                 first_cmax = total
             first_coll = int(np.argmax(collision)) if collided else total
             if first_coll < first_cmax:
-                pos, aborted = first_coll, TaskOutcome.ALREADY_VISITED
+                pos, aborted = first_coll, TASK_VISITED
                 stamp_end = pos          # the colliding entry is not stamped
             else:
-                pos, aborted = first_cmax, TaskOutcome.CMAX_EXCEEDED
+                pos, aborted = first_cmax, TASK_CMAX
                 stamp_end = pos + 1      # the cap-tripping member is stamped
             stamped = nbrs[:stamp_end][new_mask[:stamp_end]]
             state[stamped] = STATE_VISITED
@@ -308,17 +317,28 @@ def run_task_levelwise(
     state[hubs] = STATE_HUB
     if aborted is not None:
         return aborted, None, None, scans, fetches, nbytes
-    return TaskOutcome.ISLAND, members, hubs, scans, fetches, nbytes
+    return TASK_ISLAND, members, hubs, scans, fetches, nbytes
+
+
+def _int64_view(array: np.ndarray) -> memoryview:
+    """Zero-copy memoryview of a C-contiguous int64 array.
+
+    Indexing and slicing it yield Python ints as fast as a list does,
+    without a per-entry copy.  The byte round-trip also accepts the
+    ``=q`` buffer format of memory-mapped arrays, which a plain
+    memoryview refuses to index.
+    """
+    return memoryview(array).cast("B").cast("q")
 
 
 def _run_walk_edgewise(
-    indptr: list[int],
-    indices: list[int],
+    indptr: memoryview,
+    indices: memoryview,
     state: bytearray,
     c_max: int,
     seed_hub: int,
     a0: int,
-) -> tuple[TaskOutcome, np.ndarray | None, np.ndarray | None, int, int, int]:
+) -> tuple[int, np.ndarray | None, np.ndarray | None, int, int, int]:
     """Per-edge TP-BFS walk on a bytearray state (short-walk fast path).
 
     Same contract and semantics as :func:`run_task_levelwise`, mirroring
@@ -327,10 +347,10 @@ def _run_walk_edgewise(
     Collision walks into partially stamped regions die after a handful
     of edge scans on typical graphs, where even per-level array dispatch
     costs more than it saves — so this walker runs on plain-Python data
-    structures (list CSR, bytearray state) with ~40 ns per touch.
-    :func:`execute_round_batched` picks the level-wise kernel instead
-    when ``c_max`` is large enough for carving walks to amortise
-    vectorization.
+    (memoryviews of the CSR arrays from :func:`_int64_view`, bytearray
+    state) with ~40 ns per touch.  :func:`execute_round_batched` picks
+    the level-wise kernel instead when ``c_max`` is large enough for
+    carving walks to amortise vectorization.
     """
     state[a0] = 3          # STATE_OWN
     state[seed_hub] = 4    # STATE_OWN_HUB
@@ -341,7 +361,7 @@ def _run_walk_edgewise(
     scans = 0
     fetches = 0
     nbytes = 0
-    aborted: TaskOutcome | None = None
+    aborted: int | None = None
     while query != count and aborted is None:
         node = members[query]
         start, end = indptr[node], indptr[node + 1]
@@ -355,10 +375,10 @@ def _run_walk_edgewise(
                 members.append(nb)
                 state[nb] = 3
                 if count > c_max:
-                    aborted = TaskOutcome.CMAX_EXCEEDED
+                    aborted = TASK_CMAX
                     break
             elif s == 2:               # STATE_VISITED: collision
-                aborted = TaskOutcome.ALREADY_VISITED
+                aborted = TASK_VISITED
                 break
             elif s == 1:               # STATE_HUB: first contact
                 hubs.append(nb)
@@ -373,7 +393,7 @@ def _run_walk_edgewise(
     if aborted is not None:
         return aborted, None, None, scans, fetches, nbytes
     return (
-        TaskOutcome.ISLAND,
+        TASK_ISLAND,
         np.asarray(members, dtype=np.int64),
         np.asarray(hubs, dtype=np.int64),
         scans,
@@ -512,7 +532,6 @@ def execute_round_batched(
     task_hubs: np.ndarray,
     task_seeds: np.ndarray,
     interhub_keys: np.ndarray,
-    csr_lists: dict,
 ) -> BatchedRoundOutcome:
     """Execute one round's TP-BFS task queue, batched.
 
@@ -521,10 +540,10 @@ def execute_round_batched(
     detection, ``task_hubs``/``task_seeds`` are the Th2-generated queue
     in task order, and ``interhub_keys`` is the sorted canonical key
     array (``min * n + max``) of all inter-hub edges found in earlier
-    rounds.  ``csr_lists`` is a per-run cache dict the round fills with
-    list-typed CSR copies the first time a round needs the plain-Python
-    walker.  The outcome's per-task scans let the caller replay the
-    greedy engine dispatch in task order.
+    rounds.  The over-``c_max`` walks read ``graph``'s own CSR arrays
+    in place (memory-mapped and read-only ones included), so a run
+    keeps no per-graph cache.  The outcome's per-task scans let the
+    caller replay the greedy engine dispatch in task order.
     """
     n = graph.num_nodes
     num_tasks = len(task_seeds)
@@ -614,54 +633,63 @@ def execute_round_batched(
     # carve is long, so small caps use the per-edge bytearray walker.
     big_pos = np.flatnonzero(~small)
     if len(big_pos):
-        levelwise = c_max >= _LEVELWISE_CMAX
-        if not levelwise:
-            # Snapshot the numpy state for plain-Python walking.  The
-            # walk phase is the round's last consumer of the state, so
-            # the snapshot never needs to be written back.
-            if "indptr" not in csr_lists:
-                csr_lists["indptr"] = graph.indptr.tolist()
-                csr_lists["indices"] = graph.indices.tolist()
-            indptr_l, indices_l = csr_lists["indptr"], csr_lists["indices"]
-            wstate = bytearray(state)
-        walk_seeds = bfs_seeds[big_pos].tolist()
+        # A task whose seed repeats an earlier walk task's seed dies
+        # with zero work: the earlier task either walked, which stamps
+        # its seed, or found the seed stamped.  Such tasks keep the
+        # zero-work VISITED defaults.
         walk_idx = bfs_idx[big_pos]
-        walk_hubs = task_hubs[walk_idx].tolist()
-        for pos, a0, seed_hub in zip(walk_idx.tolist(), walk_seeds, walk_hubs):
-            if levelwise:
-                if int(state[a0]) == 2:  # STATE_VISITED: instant death
-                    out.dropped_visited += 1
-                    continue
-                outcome, members, hubs, scans, fetches, nbytes = (
-                    run_task_levelwise(
-                        graph.indptr, graph.indices, state, scratch,
-                        c_max, seed_hub, a0,
-                    )
-                )
-            else:
-                if wstate[a0] == 2:      # STATE_VISITED: instant death
-                    out.dropped_visited += 1
-                    continue
-                outcome, members, hubs, scans, fetches, nbytes = (
-                    _run_walk_edgewise(
-                        indptr_l, indices_l, wstate, c_max, seed_hub, a0
-                    )
-                )
-            task_scans[pos] = scans
-            task_fetches[pos] = fetches
-            task_bytes[pos] = nbytes
-            task_outcomes[pos] = TASK_OUTCOME_CODES[outcome]
-            out.scans += scans
-            out.fetches += fetches
-            out.adjacency_bytes += nbytes
-            if outcome is TaskOutcome.ISLAND:
+        walk_seeds = bfs_seeds[big_pos]
+        fresh = _first_occurrence(walk_seeds, scratch)
+        walk_idx = walk_idx[fresh]
+        walk_seeds = walk_seeds[fresh]
+        if c_max >= _LEVELWISE_CMAX:
+            wstate = state
+            walk = partial(
+                run_task_levelwise, graph.indptr, graph.indices, state,
+                scratch, c_max,
+            )
+        else:
+            # The walk phase is the round's last consumer of the state,
+            # so the bytearray snapshot never needs to be written back.
+            wstate = bytearray(state)
+            walk = partial(
+                _run_walk_edgewise, _int64_view(graph.indptr),
+                _int64_view(graph.indices), wstate, c_max,
+            )
+        # Per-walk results go to Python lists and reach the task
+        # arrays in one scatter per round.
+        walked: list[int] = []
+        w_scans: list[int] = []
+        w_fetches: list[int] = []
+        w_bytes: list[int] = []
+        w_codes: list[int] = []
+        for pos, a0, seed_hub in zip(
+            walk_idx.tolist(), walk_seeds.tolist(),
+            task_hubs[walk_idx].tolist(),
+        ):
+            if wstate[a0] == 2:          # STATE_VISITED: instant death
+                continue
+            code, members, hubs, scans, fetches, nbytes = walk(seed_hub, a0)
+            walked.append(pos)
+            w_scans.append(scans)
+            w_fetches.append(fetches)
+            w_bytes.append(nbytes)
+            w_codes.append(code)
+            if code == TASK_ISLAND:
                 # Unreachable for components larger than c_max, but the
                 # kernels are general; keep the result rather than assume.
                 out.islands.append((members, hubs))
-            elif outcome is TaskOutcome.ALREADY_VISITED:
-                out.dropped_visited += 1
-            else:
-                out.dropped_cmax += 1
+        task_scans[walked] = w_scans
+        task_fetches[walked] = w_fetches
+        task_bytes[walked] = w_bytes
+        task_outcomes[walked] = w_codes
+        out.scans += sum(w_scans)
+        out.fetches += sum(w_fetches)
+        out.adjacency_bytes += sum(w_bytes)
+        out.dropped_visited += (
+            len(big_pos) - len(walked) + w_codes.count(TASK_VISITED)
+        )
+        out.dropped_cmax += w_codes.count(TASK_CMAX)
 
     out.task_scans = task_scans
     out.task_fetches = task_fetches

@@ -4,11 +4,14 @@ The batched TP-BFS kernel's contract is *exact* result equality with
 the scalar oracle: identical islands (ids, rounds, member discovery
 order, hub first-contact order), hub lists, inter-hub edge maps,
 per-round statistics, and work counters including the per-engine scan
-distribution.  These tests pin that contract across graph families
-(hub-island community, Erdős–Rényi, power-law, grids, chains, cliques,
-stars), degenerate inputs, and adversarial configs (tiny and huge
-``c_max``, forced threshold schedules), plus a hypothesis sweep over
-random graphs.
+distribution.  Each run also compares the per-task attribution that
+``IslandLocator.stream(tap=...)`` reports — every task's hub, seed,
+scans, fetches, bytes and outcome code — which incremental
+islandization splices.  These tests pin that contract across graph
+families (hub-island community, Erdős–Rényi, power-law, grids, chains,
+cliques, stars), degenerate inputs, and adversarial configs (tiny and
+huge ``c_max``, forced threshold schedules), plus a hypothesis sweep
+over random graphs.
 """
 
 import numpy as np
@@ -16,23 +19,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IslandLocator, LocatorConfig, islandize
+from repro.core import IslandLocator, LocatorConfig, islandize, tp_bfs_batched
 from repro.errors import ConfigError
 from repro.graph import CSRGraph, GraphBuilder, erdos_renyi, hub_island_graph
 from repro.graph.generators import CommunityProfile, barabasi_albert
+from repro.graph.partition import GraphShard
+
+#: The array arguments of one ``stream(tap=...)`` call, after the round id.
+TAP_FIELDS = (
+    "task_hubs", "task_seeds", "task_scans", "task_fetches", "task_bytes",
+    "task_outcomes",
+)
 
 
-def both(graph, **config_kwargs):
-    """Run both backends; returns (scalar result, batched result)."""
-    scalar = islandize(graph, LocatorConfig(backend="scalar", **config_kwargs))
-    batched = islandize(graph, LocatorConfig(backend="batched", **config_kwargs))
-    return scalar, batched
+def tapped_run(graph, **config_kwargs):
+    """Drain one locator stream; returns (result, per-round tap calls)."""
+    taps = []
+    stream = IslandLocator(LocatorConfig(**config_kwargs)).stream(
+        graph, tap=lambda *args: taps.append(args)
+    )
+    while True:
+        try:
+            next(stream)
+        except StopIteration as stop:
+            return stop.value, taps
 
 
 def assert_equivalent(graph, **config_kwargs):
-    scalar, batched = both(graph, **config_kwargs)
+    """Both backends agree on the result and on every tapped task."""
+    scalar, scalar_taps = tapped_run(graph, backend="scalar", **config_kwargs)
+    batched, batched_taps = tapped_run(graph, backend="batched", **config_kwargs)
     assert scalar.equals(batched), _diff(scalar, batched)
+    tap_diff = _tap_diff(scalar_taps, batched_taps)
+    assert tap_diff is None, tap_diff
     batched.validate()
+    return batched
+
+
+def _tap_diff(a, b):
+    """First per-task divergence between two tap logs, or ``None``."""
+    if len(a) != len(b):
+        return f"{len(a)} tapped rounds != {len(b)}"
+    for ta, tb in zip(a, b):
+        if ta[0] != tb[0]:
+            return f"round id {ta[0]} != {tb[0]}"
+        for name, x, y in zip(TAP_FIELDS, ta[1:], tb[1:]):
+            if x.dtype != y.dtype or not np.array_equal(x, y):
+                return f"round {ta[0]}: {name} {x} != {y}"
+    return None
 
 
 def _diff(a, b):
@@ -146,10 +180,22 @@ class TestDegenerateGraphs:
 class TestConfigSweep:
     @pytest.mark.parametrize("c_max", [1, 2, 8, 64, 600, 100000])
     def test_cmax_extremes(self, c_max):
-        # c_max >= 512 routes over-cap walks through the level-wise
-        # kernel instead of the per-edge walker — both must be exact.
+        # Small caps send this graph's tasks through the per-edge
+        # over-cap walker.  No component of 300 nodes exceeds 600, so
+        # the two large caps never walk: test_levelwise_walks covers
+        # the level-wise kernel.
         graph = erdos_renyi(300, 5.0, seed=2).without_self_loops()
         assert_equivalent(graph, c_max=c_max)
+
+    def test_levelwise_walks(self):
+        # c_max >= _LEVELWISE_CMAX routes over-cap walks through the
+        # level-wise kernel.  At 3,000 nodes the active subgraph has a
+        # component over the cap, so walks run and some abort on it.
+        c_max = 600
+        assert c_max >= tp_bfs_batched._LEVELWISE_CMAX
+        graph = erdos_renyi(3000, 5.0, seed=2).without_self_loops()
+        result = assert_equivalent(graph, c_max=c_max)
+        assert any(r.tasks_dropped_cmax > 0 for r in result.rounds)
 
     @pytest.mark.parametrize("decay", [0.3, 0.5, 0.9])
     def test_decay_schedules(self, decay, community_graph):
@@ -172,6 +218,41 @@ class TestConfigSweep:
         assert config_digest(LocatorConfig(backend="batched")) != config_digest(
             LocatorConfig(backend="scalar")
         )
+
+
+class TestReadOnlyCSR:
+    """Over-cap walks read the CSR arrays in place, whatever backs them."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return erdos_renyi(3000, 5.0, seed=2).without_self_loops()
+
+    @staticmethod
+    def assert_same_run(graph, reference, c_max):
+        config = LocatorConfig(c_max=c_max)
+        result = islandize(graph, config)
+        assert result.equals(islandize(reference, config))
+        # Over-cap walks ran (and some aborted on the cap).
+        assert any(r.tasks_dropped_cmax > 0 for r in result.rounds)
+
+    @pytest.mark.parametrize("c_max", [8, 600])
+    def test_memory_mapped(self, graph, c_max, tmp_path):
+        path = str(tmp_path / "shard.npz")
+        GraphShard(0, np.arange(graph.num_nodes), graph).to_npz(path)
+        mapped = GraphShard.from_npz_mmap(path).graph
+        assert isinstance(mapped.indptr.base, np.memmap)
+        assert isinstance(mapped.indices.base, np.memmap)
+        self.assert_same_run(mapped, graph, c_max)
+
+    @pytest.mark.parametrize("c_max", [8, 600])
+    def test_read_only(self, graph, c_max):
+        indptr, indices = graph.indptr.copy(), graph.indices.copy()
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        frozen = CSRGraph(indptr, indices)
+        assert not frozen.indptr.flags.writeable
+        assert not frozen.indices.flags.writeable
+        self.assert_same_run(frozen, graph, c_max)
 
 
 class TestEquals:
@@ -204,6 +285,4 @@ def test_random_graphs_property(num_nodes, num_edges, c_max, edge_seed):
     cols = rng.integers(0, num_nodes, size=num_edges)
     keep = rows != cols
     graph = CSRGraph.from_edges(num_nodes, rows[keep], cols[keep], name="hyp")
-    scalar, batched = both(graph, c_max=c_max)
-    assert scalar.equals(batched), _diff(scalar, batched)
-    batched.validate()
+    assert_equivalent(graph, c_max=c_max)
