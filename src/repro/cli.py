@@ -112,10 +112,6 @@ _BENCH_FLAG_DEFAULTS = {
 }
 #: ``repro bench`` destinations whose runner keyword differs.
 _BENCH_KWARGS = {"cmax": "c_max", "partition_strategy": "strategy"}
-#: ``run --functional`` fails when the islandized output differs from
-#: the scipy reference by more than this, relative to the largest
-#: reference entry (the two agree to a few ulps, ~1e-15).
-_FUNCTIONAL_RTOL = 1e-9
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -557,21 +553,25 @@ def _cmd_run(args) -> int:
     if args.functional:
         import numpy as np
 
-        from repro.models import init_weights, reference_forward
+        from repro.models import (
+            FUNCTIONAL_RTOL,
+            init_weights,
+            reference_forward,
+            relative_error,
+        )
 
         ref = reference_forward(
             ds.graph.without_self_loops(), model, ds.features,
             init_weights(model, seed=0),
         )
         err = float(np.max(np.abs(report.outputs - ref), initial=0.0))
-        scale = float(np.max(np.abs(ref), initial=0.0))
-        rel = err / scale if scale else err
+        rel = relative_error(report.outputs, ref)
         print(f"max |islandized - reference| = {err:.2e} "
               f"({rel:.2e} relative)")
-        if not rel <= _FUNCTIONAL_RTOL:
+        if not rel <= FUNCTIONAL_RTOL:
             raise SimulationError(
                 f"islandized output differs from the reference by "
-                f"{rel:.2e} relative (tolerance {_FUNCTIONAL_RTOL:g})"
+                f"{rel:.2e} relative (tolerance {FUNCTIONAL_RTOL:g})"
             )
     return 0
 

@@ -31,7 +31,15 @@ The contract is *exact* equality: identical :class:`LayerCounts`
 (including every :class:`~repro.core.preagg.ScanCounts` field), DRAM
 traffic, ring statistics, DHUB-PRC bank counters, and — in functional
 mode — byte-identical output matrices
-(``tests/test_consumer_equivalence.py``).
+(``tests/test_consumer_equivalence.py``).  Both backends fix the same
+float order: each island row is the left fold of
+:mod:`repro.core.preagg` (from ``+0.0``: its full and subtract windows'
+group pre-sums in group order, minus its subtract windows' missing
+columns, plus its direct windows' present columns, each in column
+order), and each hub row folds its island contributions in task order,
+then its inter-hub edges, then its self loop.  The combination
+``X @ W`` is shared code: a CSR that stores every entry is multiplied
+as its zero-copy dense view (:func:`_dense_view`).
 """
 
 from __future__ import annotations
@@ -80,6 +88,23 @@ def prepare_tasks(
         build_island_task(result.graph, island, add_self_loops=add_self_loops)
         for island in result.islands
     ]
+
+
+def _dense_view(x) -> np.ndarray | None:
+    """A CSR that stores every entry, as its row-major dense matrix.
+
+    When ``x`` is a canonical CSR (sorted, duplicate-free rows) holding
+    all ``rows * cols`` entries, ``x.data`` already is the dense matrix
+    in row-major order, and BLAS multiplies that view without a copy.
+    Any other input returns ``None`` and keeps its own product, so an
+    unsorted or duplicated index can never be reshaped into a number.
+    """
+    if not (sparse.issparse(x) and x.format == "csr"):
+        return None
+    rows, cols = x.shape
+    if x.nnz != rows * cols or not x.has_canonical_format:
+        return None
+    return x.data.reshape(rows, cols)
 
 
 @dataclass
@@ -414,7 +439,9 @@ class IslandConsumer:
 
         # ---------------- combination ---------------------------------
         if functional:
-            xw = np.asarray(x @ w, dtype=np.float64)
+            dense = _dense_view(x)
+            xw = np.asarray((x if dense is None else dense) @ w,
+                            dtype=np.float64)
             input_nnz = (
                 int(x.nnz) if sparse.issparse(x) else int(np.count_nonzero(x))
             )

@@ -20,19 +20,38 @@ consumer:
   (:func:`repro.core.preagg.classify_windows`), and the classification
   is cached on the batch so later layers skip it entirely.  Ring
   emissions, DHUB-PRC updates and HUB-XW-cache accesses are batched
-  across tasks with per-call rounding parity; functional mode groups
-  tasks by bitmap shape and runs the add-vs-subtract scan as stacked
-  matmuls.
+  across tasks with per-call rounding parity; functional mode runs the
+  add-vs-subtract scan of every island, whatever its shape, as three
+  sparse products per chunk.
 
 The contract with the scalar oracle is **exact equality** — identical
 :class:`~repro.core.consumer.LayerCounts`,
 :class:`~repro.core.preagg.ScanCounts`, DRAM traffic, ring statistics,
-DHUB-PRC bank counters, and byte-identical functional outputs.  The
-trickiest part is floating-point accumulation order: hub partial sums
-receive contributions from many islands, so the fold below replays the
-scalar loop's per-hub contribution order exactly (contributions are
-ranked by their per-hub occurrence index and applied rank-by-rank,
-which is the same left-fold the sequential loop performs).
+DHUB-PRC bank counters, and byte-identical functional outputs.  Float
+order is pinned by two left folds:
+
+* **The window scan.**  :meth:`TaskBatch.scan_terms` stores, per local
+  row, the signed terms of the accumulation order stated in
+  :mod:`repro.core.preagg`: the pre-sums of its full and subtract
+  windows in group order (``+1``), the missing columns of its subtract
+  windows in column order (``-1``), then the present columns of its
+  direct windows in column order (``+1``).  Term columns are global
+  node ids followed by the batch's group pre-sums, and the group CSR
+  lists each group's columns in column order.  scipy's CSR times dense
+  product (``csr_matvecs``) computes every output row as a left fold
+  from ``+0.0`` over the row's entries in stored order, and ``±1.0 *
+  x`` is exact, so each row equals the scalar oracle's fold bit for
+  bit.
+* **The hub fold.**  Hub partial sums receive contributions from many
+  islands.  :func:`_ordered_hub_fold` is one CSR product whose row per
+  touched hub holds the running accumulator, then the hub's
+  contributions in arrival order — the scalar loop's ``+=`` sequence.
+  Seeding with the accumulator costs nothing: ``+0.0 + acc == acc``
+  bitwise, since a fold seeded at ``+0.0`` never yields ``-0.0``.
+
+The scipy matrices are built directly from ``(data, indices,
+indptr)``: ``tocsr``, ``sum_duplicates`` and ``sort_indices`` would
+reorder the entries, and with them the folds.
 """
 
 from __future__ import annotations
@@ -40,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.preagg import ScanCounts, classify_windows, group_layout_batch
 from repro.errors import SimulationError
@@ -50,17 +70,6 @@ __all__ = [
     "run_island_chunk",
     "run_interhub_batched",
 ]
-
-#: Bitmap-cell budget per functional shape chunk: caps the dense
-#: (stack, L, L) bool stacks and their float64 matmul operands at a few
-#: hundred MB regardless of how many same-shape islands a graph has.
-_CHUNK_CELLS = 1 << 24
-
-#: Element budget for one hub-fold block: bounds the dense
-#: ``(active hubs, ranks + 1, channels)`` cumsum operand to ~16 MB of
-#: float64 regardless of how many islands the hottest hub touches.
-_FOLD_BLOCK_ELEMS = 1 << 21
-
 
 def _empty() -> np.ndarray:
     return np.zeros(0, dtype=np.int64)
@@ -77,7 +86,6 @@ class _ScanClasses:
     """
 
     counts: ScanCounts
-    groups: np.ndarray           # (T,) windows-per-row of each task
     group_offsets: np.ndarray    # (T+1,)
     group_starts: np.ndarray     # flat per-(task, group) column starts
     group_widths: np.ndarray     # flat per-(task, group) widths
@@ -85,8 +93,25 @@ class _ScanClasses:
     full: np.ndarray             # flat bool per (task, group, row)
     subtract: np.ndarray
     direct: np.ndarray
-    sub_tasks: np.ndarray        # (T,) any subtract-class window
-    dir_tasks: np.ndarray        # (T,) any direct-class window
+
+
+@dataclass
+class _ScanTerms:
+    """Cached per-k signed term matrices of a whole :class:`TaskBatch`.
+
+    Columns ``[0, span)`` are global node ids and ``span + j`` is the
+    batch's flat group ``j``; ``groups @ xw[:span]`` yields the group
+    pre-sums.  ``members`` has one row per member row of every task
+    (task-major, writing ``member_nodes``), ``hubs`` one per attached
+    hub (in ``hub_nodes`` order).  Each row's entries are stored in the
+    accumulation order, never canonicalised.
+    """
+
+    span: int
+    groups: sparse.csr_matrix    # (G, span) group pre-sum folds
+    members: sparse.csr_matrix   # (M, span + G)
+    hubs: sparse.csr_matrix      # (H, span + G)
+    member_nodes: np.ndarray     # (M,) global id of each member row
 
 
 @dataclass
@@ -96,8 +121,8 @@ class TaskBatch:
     ``local_nodes`` concatenates every task's ``[hubs..., members...]``
     local order; ``entry_task/row/col`` is the COO of every task's
     bitmap (deduplicated, sorted task-major then row-major), from which
-    both the window scan and — when functional mode needs them — dense
-    per-shape bitmap stacks are derived.  ``nnz`` is precomputed once
+    both the window scan and — when functional mode needs them — the
+    signed term matrices are derived.  ``nnz`` is precomputed once
     per task (the scalar :class:`~repro.core.bitmap.IslandTask`
     recomputed it per access until it grew a cache).
     """
@@ -114,6 +139,9 @@ class TaskBatch:
     entry_offsets: np.ndarray    # (T+1,) per-task COO slices
     nnz: np.ndarray              # (T,) directed entries per task
     _scan_cache: dict[int, _ScanClasses] = field(
+        default_factory=dict, repr=False
+    )
+    _term_cache: dict[int, _ScanTerms] = field(
         default_factory=dict, repr=False
     )
 
@@ -353,19 +381,9 @@ class TaskBatch:
 
         # Per-window non-zero counts from the COO entries: each entry
         # lands in its column's group; empty windows stay zero.
-        task = self.entry_task
-        hub_group_count = (self.num_hubs + k - 1) // k
-        in_hub = self.entry_col < self.num_hubs[task]
-        group_of = np.where(
-            in_hub,
-            self.entry_col // k,
-            hub_group_count[task] + (self.entry_col - self.num_hubs[task]) // k,
-        )
-        cell = (
-            cell_offsets[task] + group_of * self.num_locals[task]
-            + self.entry_row
-        )
-        z = np.bincount(cell, minlength=total_cells).astype(np.int64, copy=False)
+        z = np.bincount(
+            self._entry_cells(k, cell_offsets), minlength=total_cells
+        ).astype(np.int64, copy=False)
         group_task = np.repeat(np.arange(num_tasks, dtype=np.int64), groups)
         cell_widths = np.repeat(group_widths, self.num_locals[group_task])
         full, subtract, direct, cost = classify_windows(z, cell_widths)
@@ -379,18 +397,152 @@ class TaskBatch:
             windows_direct=int(direct.sum()),
             windows_skipped=int((z == 0).sum()),
         )
-        cell_task = np.repeat(np.arange(num_tasks, dtype=np.int64),
-                              cells_per_task)
-        sub_tasks = np.bincount(cell_task[subtract], minlength=num_tasks) > 0
-        dir_tasks = np.bincount(cell_task[direct], minlength=num_tasks) > 0
         classes = _ScanClasses(
-            counts=counts, groups=groups, group_offsets=group_offsets,
+            counts=counts, group_offsets=group_offsets,
             group_starts=group_starts, group_widths=group_widths,
             cell_offsets=cell_offsets, full=full, subtract=subtract,
-            direct=direct, sub_tasks=sub_tasks, dir_tasks=dir_tasks,
+            direct=direct,
         )
         self._scan_cache[k] = classes
         return classes
+
+    def _entry_cells(self, k: int, cell_offsets: np.ndarray) -> np.ndarray:
+        """The (task, group, row) window cell of every COO entry."""
+        task = self.entry_task
+        hub_group_count = (self.num_hubs + k - 1) // k
+        in_hub = self.entry_col < self.num_hubs[task]
+        group_of = np.where(
+            in_hub,
+            self.entry_col // k,
+            hub_group_count[task] + (self.entry_col - self.num_hubs[task]) // k,
+        )
+        return (
+            cell_offsets[task] + group_of * self.num_locals[task]
+            + self.entry_row
+        )
+
+    # ------------------------------------------------------------------
+    # Functional scan terms (shared across layers)
+    # ------------------------------------------------------------------
+    def scan_terms(self, k: int) -> _ScanTerms:
+        """Signed term matrices of every task's 1×k scan (cached per ``k``).
+
+        Built once from :meth:`scan_classes` on the first functional
+        layer, in the accumulation order of the module docstring.  A
+        local row is ``local_offsets[t] + r``.  Each of the three term
+        lists below is sorted by local row, and within a row in its
+        fold order, so a term's slot is its row's start, plus the
+        row's terms of earlier lists, plus its rank in its own list.
+        """
+        cached = self._term_cache.get(k)
+        if cached is not None:
+            return cached
+        if self.num_tasks == 0:
+            raise SimulationError("a batch without tasks has no scan terms")
+        classes = self.scan_classes(k)
+        locals_n = self.num_locals
+        total_rows = int(self.local_offsets[-1])
+        span = int(self.local_nodes.max()) + 1
+        total_groups = int(classes.group_offsets[-1])
+
+        # 1. Pre-sums of full and subtract windows.  Cells run task,
+        # group, row; a stable sort by local row puts each row's
+        # windows in group order.
+        cells = np.flatnonzero(classes.full | classes.subtract)
+        cell_task = np.searchsorted(classes.cell_offsets, cells, side="right") - 1
+        group, row = np.divmod(
+            cells - classes.cell_offsets[cell_task], locals_n[cell_task]
+        )
+        order = np.argsort(self.local_offsets[cell_task] + row, kind="stable")
+        cells, cell_task = cells[order], cell_task[order]
+        pre_row = self.local_offsets[cell_task] + row[order]
+        pre_group = classes.group_offsets[cell_task] + group[order]
+
+        # 2. Missing columns of subtract windows: every column of each
+        # subtract window, minus the bitmap entries among them.
+        is_sub = classes.subtract[cells]
+        sub_group = pre_group[is_sub]
+        widths = classes.group_widths[sub_group]
+        cand_row = np.repeat(pre_row[is_sub], widths)
+        cand_col = (
+            np.repeat(classes.group_starts[sub_group], widths)
+            + np.arange(int(widths.sum()), dtype=np.int64)
+            - np.repeat(_cumsum0(widths)[:-1], widths)
+        )
+        cand_base = np.repeat(self.local_offsets[cell_task[is_sub]], widths)
+        entry_row = self.local_offsets[self.entry_task] + self.entry_row
+        key_span = int(locals_n.max())
+        entry_key = entry_row * key_span + self.entry_col
+        cand_key = cand_row * key_span + cand_col
+        hit = np.minimum(
+            np.searchsorted(entry_key, cand_key), len(entry_key) - 1
+        )
+        missing = entry_key[hit] != cand_key
+        sub_row = cand_row[missing]
+        sub_col = self.local_nodes[cand_base[missing] + cand_col[missing]]
+
+        # 3. Present columns of direct windows: the bitmap entries of
+        # direct cells, already sorted by row, then column.
+        is_dir = classes.direct[self._entry_cells(k, classes.cell_offsets)]
+        dir_row = entry_row[is_dir]
+        dir_col = self.local_nodes[
+            self.local_offsets[self.entry_task[is_dir]] + self.entry_col[is_dir]
+        ]
+
+        # Rows: every member row (task-major), then every hub row (the
+        # hub_nodes pair order).
+        row_task = np.repeat(
+            np.arange(self.num_tasks, dtype=np.int64), locals_n
+        )
+        rank = np.arange(total_rows, dtype=np.int64) - self.local_offsets[row_task]
+        is_hub = rank < self.num_hubs[row_task]
+        member_rows = np.flatnonzero(~is_hub)
+        row_order = np.concatenate((member_rows, np.flatnonzero(is_hub)))
+        lists = (
+            (pre_row, span + pre_group, 1.0),
+            (sub_row, sub_col, -1.0),
+            (dir_row, dir_col, 1.0),
+        )
+        per_list = [np.bincount(rows, minlength=total_rows)
+                    for rows, _, _ in lists]
+        indptr = _cumsum0(sum(per_list)[row_order])
+        row_start = np.empty(total_rows, dtype=np.int64)
+        row_start[row_order] = indptr[:-1]
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        data = np.empty(int(indptr[-1]), dtype=np.float64)
+        for (rows, cols, sign), counts in zip(lists, per_list):
+            slots = (
+                row_start[rows]
+                + np.arange(len(rows), dtype=np.int64)
+                - _cumsum0(counts)[rows]
+            )
+            indices[slots] = cols
+            data[slots] = sign
+            row_start += counts
+
+        split = int(indptr[len(member_rows)])
+        width = span + total_groups
+        terms = _ScanTerms(
+            span=span,
+            groups=sparse.csr_matrix(
+                (np.ones(total_rows), self.local_nodes,
+                 _cumsum0(classes.group_widths)),
+                shape=(total_groups, span),
+            ),
+            members=sparse.csr_matrix(
+                (data[:split], indices[:split],
+                 indptr[:len(member_rows) + 1]),
+                shape=(len(member_rows), width),
+            ),
+            hubs=sparse.csr_matrix(
+                (data[split:], indices[split:],
+                 indptr[len(member_rows):] - split),
+                shape=(total_rows - len(member_rows), width),
+            ),
+            member_nodes=self.local_nodes[member_rows],
+        )
+        self._term_cache[k] = terms
+        return terms
 
 
 # ----------------------------------------------------------------------
@@ -421,21 +573,14 @@ def run_island_chunk(
         consumer.ring.send_batches(pes, batch.hub_nodes, batch.hub_offsets)
         state.prc.update_many(batch.hub_nodes, meter)
 
-    if state.functional:
-        total_pairs = len(batch.hub_nodes)
-        if total_pairs:
-            pair_pos = state.hub_pos[batch.hub_nodes]
-            if pair_pos.min() < 0:
-                raise SimulationError(
-                    f"island task references unknown hub "
-                    f"{int(batch.hub_nodes[int(pair_pos.argmin())])}"
-                )
-        else:
-            pair_pos = _empty()
-        contrib = np.empty(
-            (total_pairs, state.xw_scaled.shape[1]), dtype=np.float64
-        )
-        _island_scans(state, batch, classes, contrib)
+    if state.functional and batch.num_tasks:
+        pair_pos = state.hub_pos[batch.hub_nodes]
+        if len(pair_pos) and pair_pos.min() < 0:
+            raise SimulationError(
+                f"island task references unknown hub "
+                f"{int(batch.hub_nodes[int(pair_pos.argmin())])}"
+            )
+        contrib = _island_scans(state, batch, config.preagg_k)
         _ordered_hub_fold(state, pair_pos, contrib)
 
 
@@ -461,220 +606,59 @@ def run_interhub_batched(state, interhub, meter) -> None:
         state.prc.update_many(interhub.self_loop_hubs, meter)
 
     if state.functional and num_edges + num_self:
-        xw_scaled = state.xw_scaled
-        contrib = np.empty(
-            (num_edges + num_self, xw_scaled.shape[1]), dtype=np.float64
+        targets = np.concatenate(
+            (interhub.directed_edges[:, 0], interhub.self_loop_hubs)
         )
-        positions = np.empty(num_edges + num_self, dtype=np.int64)
-        if num_edges:
-            positions[:num_edges] = state.hub_pos[interhub.directed_edges[:, 0]]
-            contrib[:num_edges] = xw_scaled[interhub.directed_edges[:, 1]]
-        if num_self:
-            positions[num_edges:] = state.hub_pos[interhub.self_loop_hubs]
-            contrib[num_edges:] = xw_scaled[interhub.self_loop_hubs]
-        _ordered_hub_fold(state, positions, contrib)
+        sources = np.concatenate(
+            (interhub.directed_edges[:, 1], interhub.self_loop_hubs)
+        )
+        _ordered_hub_fold(
+            state, state.hub_pos[targets], state.xw_scaled, sources
+        )
 
 
-def _island_scans(state, batch: TaskBatch, classes: _ScanClasses,
-                  contrib: np.ndarray) -> None:
-    """Stacked add-vs-subtract scans, grouped by bitmap shape.
+def _island_scans(state, batch: TaskBatch, k: int) -> np.ndarray:
+    """Every island's add-vs-subtract scan as three sparse products.
 
-    Tasks sharing (locals, hubs) have identical group layouts, so each
-    shape runs as three stacked matmuls — the same three products the
-    scalar ``scan_aggregate`` performs per island, whose per-slice
-    results NumPy's stacked ``matmul`` reproduces bitwise.  Member rows
-    scatter straight into ``out``; hub rows land in ``contrib`` at
-    their task's slot for the ordered fold.
+    Member rows land in ``out``; the hub rows are returned, one per
+    ``batch.hub_nodes`` pair, for the ordered fold.
     """
-    num_tasks = batch.num_tasks
-    if num_tasks == 0:
-        return
-    xw_scaled = state.xw_scaled
-    out = state.out
-    shape_key = (
-        batch.num_locals * (int(batch.num_hubs.max()) + 1) + batch.num_hubs
-    )
-    # Group same-shape tasks in one sort instead of rescanning the key
-    # array per distinct shape; the stable sort keeps each group's task
-    # ids ascending, and group order is irrelevant (chunks only scatter
-    # to disjoint rows).
-    order = np.argsort(shape_key, kind="stable")
-    bounds = np.concatenate((
-        [0],
-        np.flatnonzero(np.diff(shape_key[order])) + 1,
-        [num_tasks],
-    ))
-    for lo_group, hi_group in zip(bounds[:-1], bounds[1:]):
-        shape_tids = order[lo_group:hi_group]
-        first = int(shape_tids[0])
-        locals_n = int(batch.num_locals[first])
-        hubs_n = int(batch.num_hubs[first])
-        group_n = int(classes.groups[first])
-        # Bound the dense temporaries (bitmap stacks and the float64
-        # matmul operands scale with stack_n × L²): chunks are
-        # per-task-independent, so splitting changes nothing bitwise
-        # while the scalar oracle's peak stays the reference point.
-        chunk = max(1, _CHUNK_CELLS // (locals_n * locals_n))
-        for lo in range(0, len(shape_tids), chunk):
-            _scan_shape_chunk(
-                batch, classes, xw_scaled, out, contrib,
-                shape_tids[lo:lo + chunk], locals_n, hubs_n, group_n,
-            )
+    terms = batch.scan_terms(k)
+    xw_scaled = state.xw_scaled[:terms.span]
+    operands = np.vstack((xw_scaled, terms.groups @ xw_scaled))
+    state.out[terms.member_nodes] = terms.members @ operands
+    return terms.hubs @ operands
 
 
-def _scan_shape_chunk(batch, classes, xw_scaled, out, contrib,
-                      tids, locals_n, hubs_n, group_n):
-    """Stacked scan of one bounded chunk of same-shape tasks."""
-    first = int(tids[0])
-    stack_n = len(tids)
-    g0 = int(classes.group_offsets[first])
-    starts_shape = classes.group_starts[g0:g0 + group_n]
-    widths_shape = classes.group_widths[g0:g0 + group_n]
-
-    locs = batch.local_nodes[
-        batch.local_offsets[tids][:, None]
-        + np.arange(locals_n, dtype=np.int64)
-    ]
-    xw_stack = xw_scaled[locs]                      # (S, L, C)
-    big_starts = (
-        (np.arange(stack_n, dtype=np.int64) * locals_n)[:, None]
-        + starts_shape
-    ).ravel()
-    group_sums = np.add.reduceat(
-        xw_stack.reshape(stack_n * locals_n, -1), big_starts, axis=0
-    ).reshape(stack_n, group_n, -1)
-
-    cell_idx = (
-        classes.cell_offsets[tids][:, None]
-        + np.arange(group_n * locals_n, dtype=np.int64)
-    )
-    full_gl = classes.full[cell_idx].reshape(stack_n, group_n, locals_n)
-    sub_gl = classes.subtract[cell_idx].reshape(stack_n, group_n, locals_n)
-    acc = np.zeros((stack_n, locals_n, xw_stack.shape[2]))
-    acc += np.matmul(
-        (full_gl | sub_gl).transpose(0, 2, 1).astype(np.float64),
-        group_sums,
-    )
-
-    need_sub = np.flatnonzero(classes.sub_tasks[tids])
-    need_dir = np.flatnonzero(classes.dir_tasks[tids])
-    if len(need_sub) or len(need_dir):
-        bitmap = np.zeros((stack_n, locals_n, locals_n), dtype=bool)
-        per_task = batch.nnz[tids]
-        entries = int(per_task.sum())
-        if entries:
-            inner = _cumsum0(per_task)
-            flat_entries = (
-                np.repeat(batch.entry_offsets[tids], per_task)
-                + np.arange(entries, dtype=np.int64)
-                - np.repeat(inner[:-1], per_task)
-            )
-            slot = np.repeat(
-                np.arange(stack_n, dtype=np.int64), per_task
-            )
-            bitmap[
-                slot,
-                batch.entry_row[flat_entries],
-                batch.entry_col[flat_entries],
-            ] = True
-        col_group = np.repeat(
-            np.arange(group_n, dtype=np.int64), widths_shape
-        )
-        # Per-task guards mirror the scalar `if sub_cols.any()`:
-        # a subtract window always has a missing column and a
-        # direct window a present one, so window-class presence is
-        # exactly column-mask non-emptiness.
-        if len(need_sub):
-            sub_cols = (
-                sub_gl[need_sub].transpose(0, 2, 1)[:, :, col_group]
-                & ~bitmap[need_sub]
-            )
-            acc[need_sub] -= np.matmul(
-                sub_cols.astype(np.float64), xw_stack[need_sub]
-            )
-        if len(need_dir):
-            dir_gl = classes.direct[cell_idx].reshape(
-                stack_n, group_n, locals_n
-            )
-            dir_cols = (
-                dir_gl[need_dir].transpose(0, 2, 1)[:, :, col_group]
-                & bitmap[need_dir]
-            )
-            acc[need_dir] += np.matmul(
-                dir_cols.astype(np.float64), xw_stack[need_dir]
-            )
-
-    out[locs[:, hubs_n:].ravel()] = acc[:, hubs_n:, :].reshape(
-        -1, acc.shape[2]
-    )
-    if hubs_n:
-        pair_idx = (
-            batch.hub_offsets[tids][:, None]
-            + np.arange(hubs_n, dtype=np.int64)
-        )
-        contrib[pair_idx.ravel()] = acc[:, :hubs_n, :].reshape(
-            -1, acc.shape[2]
-        )
-
-
-def _ordered_hub_fold(state, positions: np.ndarray,
-                      contrib: np.ndarray) -> None:
+def _ordered_hub_fold(state, positions: np.ndarray, rows: np.ndarray,
+                      sources: np.ndarray | None = None) -> None:
     """Accumulate contributions per hub in exact sequential order.
 
-    Additions to *different* hubs commute; within one hub the float
-    left-fold order matters.  Contributions are segmented per hub (the
-    stable sort keeps each segment in arrival order) and folded a block
-    of ranks at a time: the running accumulator seeds row 0 of a dense
-    per-hub block and ``cumsum`` — a strict sequential ``accumulate``,
-    unlike pairwise ``reduce`` — replays the scalar loop's addition
-    sequence bit for bit.  Python-level iterations scale with
-    ``max ranks / block width`` instead of ``max ranks``, so a single
-    hot hub touching thousands of islands no longer degenerates into
-    thousands of one-row scatters.
+    Contribution ``i`` adds ``rows[sources[i]]`` (``rows[i]`` without
+    ``sources``) to hub row ``positions[i]``.  Additions to *different*
+    hubs commute; within one hub the float left-fold order matters.
+    One CSR product over ``vstack(hub_acc[touched], rows)`` does every
+    touched hub at once: its row holds the running accumulator, then
+    the hub's contributions in arrival order (the stable sort keeps
+    each hub's segment in arrival order), which is the scalar loop's
+    ``+=`` sequence.
     """
     total = len(positions)
     if total == 0:
         return
     order = np.argsort(positions, kind="stable")
-    counts_all = np.bincount(positions, minlength=len(state.hub_ids))
-    hubs = np.flatnonzero(counts_all)
-    seg_starts = _cumsum0(counts_all)[hubs]
-    remaining = counts_all[hubs]
-    done = np.zeros(len(hubs), dtype=np.int64)
-    active = np.arange(len(hubs), dtype=np.int64)
+    counts = np.bincount(positions, minlength=len(state.hub_ids))
+    touched = np.flatnonzero(counts)
+    indptr = _cumsum0(counts[touched] + 1)
+    heads = indptr[:-1]
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    indices[heads] = np.arange(len(touched), dtype=np.int64)
+    tail = np.ones(len(indices), dtype=bool)
+    tail[heads] = False
+    indices[tail] = len(touched) + (order if sources is None else sources[order])
+    fold = sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr),
+        shape=(len(touched), len(touched) + len(rows)),
+    )
     hub_acc = state.hub_acc
-    channels = contrib.shape[1]
-    while len(active):
-        n_act = len(active)
-        width = int(min(
-            int(remaining[active].max()),
-            max(1, _FOLD_BLOCK_ELEMS // (n_act * max(1, channels)) - 1),
-        ))
-        take = np.minimum(remaining[active], width)
-        taken = int(take.sum())
-        flat_rows = np.repeat(np.arange(n_act, dtype=np.int64), take)
-        inner = (
-            np.arange(taken, dtype=np.int64)
-            - np.repeat(_cumsum0(take)[:-1], take)
-        )
-        src = order[
-            np.repeat(seg_starts[active] + done[active], take) + inner
-        ]
-        if width == 1:
-            # One rank per hub: a plain scatter-add is the fold.
-            hub_acc[hubs[active]] += contrib[src]
-        else:
-            # Seed row 0 with the running accumulator and cumsum along
-            # the rank axis: ``accumulate`` is a strict left fold, so
-            # row ``take`` holds exactly the scalar addition sequence.
-            # Zero padding sits past each hub's last rank, never read.
-            block = np.zeros((n_act, width + 1, channels), dtype=np.float64)
-            block[:, 0, :] = hub_acc[hubs[active]]
-            block[flat_rows, inner + 1, :] = contrib[src]
-            np.cumsum(block, axis=1, out=block)
-            hub_acc[hubs[active]] = block[
-                np.arange(n_act, dtype=np.int64), take, :
-            ]
-        done[active] += take
-        remaining[active] -= take
-        active = active[remaining[active] > 0]
+    hub_acc[touched] = fold @ np.vstack((hub_acc[touched], rows))

@@ -20,6 +20,19 @@ matrix as separate structures (Figure 3(A)), so pre-aggregation groups
 do not straddle the hub/member boundary; ``boundary`` restarts the
 group tiling at that column.  This keeps the dense member blocks
 aligned with the windows, which is where the reuse lives.
+
+Functional accumulation order (shared with the batched consumer in
+``repro.core.consumer_batched``, which must match it bit for bit):
+each group pre-sum is a left fold from ``+0.0`` over its columns in
+column order.  Row ``r`` is one left fold from ``+0.0`` that
+
+1. adds the pre-sums of its full and subtract windows, in group order;
+2. subtracts the missing columns of its subtract windows, in column
+   order;
+3. adds the present columns of its direct windows, in column order.
+
+The order depends only on the row's own windows, never on the island's
+shape, so islands of every shape can run as one sparse product.
 """
 
 from __future__ import annotations
@@ -205,9 +218,11 @@ def scan_aggregate(
     """Functional window scan: returns (row accumulators, op counts).
 
     ``xw_local`` holds the pre-scaled combination results of the local
-    columns, shape (L, C).  The result row ``t`` is exactly
-    ``sum_s bitmap[t, s] * xw_local[s]`` — computed through the group
-    reuse path so tests can prove the redundancy removal is lossless.
+    columns, shape (L, C).  The result row ``t`` is
+    ``sum_s bitmap[t, s] * xw_local[s]`` computed through the group
+    reuse path, so tests can prove the redundancy removal is lossless.
+    This is the oracle of the module docstring's accumulation order:
+    every fold is written out as a Python loop of vector adds.
     """
     rows, cols = bitmap.shape
     feat = xw_local.shape[1]
@@ -216,10 +231,8 @@ def scan_aggregate(
         return acc, ScanCounts()
 
     bmap = bitmap.astype(bool, copy=False)
+    xw_local = np.asarray(xw_local, dtype=np.float64)
     starts, widths = group_layout(cols, k, boundary=boundary)
-    # Pre-aggregation: group sums built once per island.
-    group_sums = np.add.reduceat(np.asarray(xw_local, dtype=np.float64),
-                                 starts, axis=0)
     z, full, subtract, direct_mask, cost = _window_classes(bmap, starts, widths)
     counts = ScanCounts(
         baseline_ops=int(z.sum()),
@@ -230,17 +243,21 @@ def scan_aggregate(
         windows_direct=int(direct_mask.sum()),
         windows_skipped=int((z == 0).sum()),
     )
-    # Row t accumulates: one group pre-sum per full/subtract window,
-    # minus the absent columns of subtract windows, plus the present
-    # columns of direct windows — three dense products instead of the
-    # former per-row × per-group Python loop (the bitmaps are small and
-    # dense, so sparse kernels would not pay off).
-    acc += (full | subtract).astype(np.float64) @ group_sums
+    # Pre-aggregation: group sums built once per island.
+    group_sums = np.zeros((len(starts), feat), dtype=np.float64)
+    for g, (start, width) in enumerate(zip(starts.tolist(), widths.tolist())):
+        for col in range(start, start + width):
+            group_sums[g] += xw_local[col]
     col_group = np.repeat(np.arange(len(starts)), widths)
+    reused = full | subtract
     sub_cols = subtract[:, col_group] & ~bmap
-    if sub_cols.any():
-        acc -= sub_cols.astype(np.float64) @ xw_local
     dir_cols = direct_mask[:, col_group] & bmap
-    if dir_cols.any():
-        acc += dir_cols.astype(np.float64) @ xw_local
+    for t in range(rows):
+        row = acc[t]
+        for g in np.flatnonzero(reused[t]).tolist():
+            row += group_sums[g]
+        for col in np.flatnonzero(sub_cols[t]).tolist():
+            row -= xw_local[col]
+        for col in np.flatnonzero(dir_cols[t]).tolist():
+            row += xw_local[col]
     return acc, counts

@@ -13,6 +13,11 @@ per-layer :class:`~repro.core.consumer.LayerCounts`, DRAM traffic,
 ring statistics and DHUB-PRC bank counters — and, on the small tiers,
 byte-identical functional outputs — so the perf trajectory in
 ``BENCH_consumer.json`` can never silently drift from correctness.
+On every tier the batched backend's functional output is also checked
+against :func:`~repro.models.reference.reference_forward`, an
+independent scipy forward pass: ``reference_rel_err`` is
+:func:`~repro.models.reference.relative_error`, which the gate holds
+to :data:`~repro.models.reference.FUNCTIONAL_RTOL`.
 
 Entry points:
 
@@ -29,7 +34,8 @@ The JSON schema (one record per file)::
      "tiers": [{"tier": "1e4", "nodes": ..., "edges": ...,
                 "islands": ..., "hubs": ...,
                 "scalar_s": ..., "batched_s": ..., "speedup": ...,
-                "equal": true, "functional_verified": true}, ...],
+                "equal": true, "functional_verified": true,
+                "reference_rel_err": ...}, ...],
      "largest_tier": "...", "largest_speedup": ...}
 """
 
@@ -48,7 +54,11 @@ from repro.eval.harness import best_of
 from repro.hw.config import IGCN_DEFAULT
 from repro.hw.memory import TrafficMeter
 from repro.models.configs import gcn_model
-from repro.models.reference import normalization_for
+from repro.models.reference import (
+    normalization_for,
+    reference_forward,
+    relative_error,
+)
 
 __all__ = ["run_consumer_bench"]
 
@@ -128,7 +138,8 @@ def run_consumer_bench(
     oracle runs ``repeats`` times up to the 1e5 tier and once above it.
     Each tier asserts the exact-equivalence contract in counts mode —
     plus byte-identical functional outputs on the small tiers — and
-    records the verdict in the row.
+    records the verdict in the row, next to the batched functional
+    output's error against the scipy reference.
     """
     model = gcn_model(32, 8)
     rows: list[dict] = []
@@ -151,17 +162,21 @@ def run_consumer_bench(
         scalar_reps = repeats if graph.num_edges < 300_000 else 1
         scalar_s, scalar = best_of(lambda: run("scalar"), scalar_reps)
         equal = _layers_equal(scalar, batched, functional=False)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(graph.num_nodes, model.layers[0].in_dim))
+        weights = [
+            rng.normal(size=(layer.in_dim, layer.out_dim))
+            for layer in model.layers
+        ]
+        functional = run("batched", x=x, weights=weights)
+        final_layer, _ = functional[0][-1]
+        reference_rel_err = relative_error(
+            final_layer.output, reference_forward(graph, model, x, weights)
+        )
         functional_verified = graph.num_edges // 2 <= _FUNCTIONAL_EDGE_LIMIT
         if functional_verified:
-            rng = np.random.default_rng(seed)
-            x = rng.normal(size=(graph.num_nodes, model.layers[0].in_dim))
-            weights = [
-                rng.normal(size=(layer.in_dim, layer.out_dim))
-                for layer in model.layers
-            ]
             equal = equal and _layers_equal(
-                run("scalar", x=x, weights=weights),
-                run("batched", x=x, weights=weights),
+                run("scalar", x=x, weights=weights), functional,
                 functional=True,
             )
 
@@ -177,6 +192,7 @@ def run_consumer_bench(
                 "speedup": round(scalar_s / batched_s, 2) if batched_s else None,
                 "equal": equal,
                 "functional_verified": functional_verified,
+                "reference_rel_err": float(f"{reference_rel_err:.3g}"),
             }
         )
     largest = rows[-1] if rows else None

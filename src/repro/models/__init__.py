@@ -9,12 +9,14 @@ from repro.models.configs import (
     graphsage_model,
 )
 from repro.models.reference import (
+    FUNCTIONAL_RTOL,
     NormalizationSpec,
     init_weights,
     normalization_for,
     normalized_adjacency,
     reference_forward,
     reference_layer,
+    relative_error,
 )
 from repro.models.workload import LayerWorkload, Workload, build_workload
 
@@ -25,12 +27,14 @@ __all__ = [
     "graphsage_model",
     "gin_model",
     "build_model",
+    "FUNCTIONAL_RTOL",
     "NormalizationSpec",
     "normalization_for",
     "normalized_adjacency",
     "init_weights",
     "reference_forward",
     "reference_layer",
+    "relative_error",
     "LayerWorkload",
     "Workload",
     "build_workload",

@@ -38,13 +38,20 @@ from repro.graph.csr import CSRGraph
 from repro.models.configs import ModelConfig
 
 __all__ = [
+    "FUNCTIONAL_RTOL",
     "NormalizationSpec",
     "normalization_for",
     "normalized_adjacency",
     "init_weights",
     "reference_layer",
     "reference_forward",
+    "relative_error",
 ]
+
+#: Largest error a functional output may show against
+#: :func:`reference_forward`, relative to the largest reference entry
+#: (:func:`relative_error`).  The two agree to a few ulps, ~1e-15.
+FUNCTIONAL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -168,3 +175,13 @@ def reference_forward(
             )
         x = reference_layer(a_hat, x, w, activation=layer.activation)
     return np.asarray(x)
+
+
+def relative_error(output: np.ndarray, reference: np.ndarray) -> float:
+    """``max |output - reference|`` over the largest ``|reference|`` entry.
+
+    The absolute error when the reference is all zeros.
+    """
+    err = float(np.max(np.abs(output - reference), initial=0.0))
+    scale = float(np.max(np.abs(reference), initial=0.0))
+    return err / scale if scale else err

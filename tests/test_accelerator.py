@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core import ConsumerConfig, IGCNAccelerator, LocatorConfig
+from repro.core.consumer import _dense_view
 from repro.core.pipeline import pipelined_makespan
 from repro.errors import SimulationError
 from repro.models import (
+    FUNCTIONAL_RTOL,
     gcn_model,
     gin_model,
     graphsage_model,
     init_weights,
     reference_forward,
+    relative_error,
 )
 
 
@@ -83,6 +87,55 @@ class TestFunctionalEquivalence:
             tiny_cora.features, weights,
         )
         assert np.allclose(report.outputs, reference, atol=1e-9)
+
+    @pytest.mark.parametrize("backend", ["batched", "scalar"])
+    def test_full_csr_runs_as_its_dense_array(self, community_graph, backend):
+        # A CSR that stores every entry is multiplied through a
+        # zero-copy view of its data: bitwise the ndarray's product.
+        graph, _ = community_graph
+        dense = np.random.default_rng(4).normal(size=(graph.num_nodes, 12))
+        full = sparse.csr_matrix(dense)
+        assert np.shares_memory(_dense_view(full), full.data)
+        model = gcn_model(12, 4)
+        weights = init_weights(model, seed=3)
+        acc = IGCNAccelerator(consumer=ConsumerConfig(backend=backend))
+        outputs = [
+            acc.run(graph, model, features=features, weights=weights,
+                    functional=True).outputs
+            for features in (full, dense)
+        ]
+        assert outputs[0].tobytes() == outputs[1].tobytes()
+
+    @pytest.mark.parametrize("defect", ["unsorted", "duplicate"])
+    def test_full_count_noncanonical_csr_stays_sparse(
+        self, community_graph, defect
+    ):
+        # As many entries as a dense matrix, but not its row-major
+        # layout: reshaping the data would misplace values.
+        graph, _ = community_graph
+        n, m = graph.num_nodes, 12
+        dense = np.random.default_rng(5).normal(size=(n, m))
+        indices = np.tile(np.arange(m), n)
+        data = dense.ravel()
+        if defect == "unsorted":
+            indices = np.tile(np.arange(m)[::-1], n)
+            data = dense[:, ::-1].ravel()
+        else:
+            indices[1] = 0  # row 0 holds column 0 twice, column 1 never
+        features = sparse.csr_matrix(
+            (data, indices, np.arange(n + 1) * m), shape=(n, m)
+        )
+        assert features.nnz == n * m
+        assert _dense_view(features) is None
+        model = gcn_model(m, 4)
+        weights = init_weights(model, seed=3)
+        report = IGCNAccelerator().run(
+            graph, model, features=features, weights=weights, functional=True,
+        )
+        reference = reference_forward(
+            graph.without_self_loops(), model, features, weights,
+        )
+        assert relative_error(report.outputs, reference) <= FUNCTIONAL_RTOL
 
     def test_functional_needs_features(self, tiny_cora):
         model = gcn_model(tiny_cora.num_features, tiny_cora.num_classes)

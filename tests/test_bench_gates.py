@@ -100,6 +100,9 @@ CLAUSES = [
             ("speedup", _flat_speedup),
         )
     ),
+    pytest.param("consumer", "reference_rel_err",
+                 _row(2, reference_rel_err=2e-9),
+                 id="consumer-reference_rel_err"),
     pytest.param("event", "sandwich", _row(0, sandwich=False),
                  id="event-sandwich"),
     pytest.param("event", "deterministic", _row(1, deterministic=False),

@@ -188,6 +188,7 @@ class TestCommands:
         assert record["tiers"][0]["tier"] == "1e3"
         assert record["tiers"][0]["equal"] is True
         assert record["tiers"][0]["functional_verified"] is True
+        assert record["tiers"][0]["reference_rel_err"] <= 1e-9
 
     def test_run_staged_pipeline_same_counts(self, capsys):
         # Only the latency column may differ between pipeline modes.

@@ -164,17 +164,6 @@ class TestConfigSweep:
         assert_equivalent(graph, locator_kwargs={"c_max": 3})
 
 
-class TestChunkedFunctionalScan:
-    def test_tiny_chunks_stay_exact(self, monkeypatch, community_graph):
-        # Force every shape group through many small chunks: chunk
-        # boundaries must not change a single bit of the contract.
-        import repro.core.consumer_batched as consumer_batched
-
-        monkeypatch.setattr(consumer_batched, "_CHUNK_CELLS", 64)
-        graph, _ = community_graph
-        assert_equivalent(graph)
-
-
 def _hot_hub_graph(num_islands: int) -> CSRGraph:
     """One hub node feeding ``num_islands`` two-node islands.
 
@@ -192,25 +181,18 @@ def _hot_hub_graph(num_islands: int) -> CSRGraph:
 
 
 class TestHotHubFold:
-    """Single hot hub touching thousands of islands (blocked fold)."""
+    """Single hot hub touching thousands of islands."""
 
     def test_single_hot_hub_thousands_of_islands(self):
         assert_equivalent(_hot_hub_graph(1200), locator_kwargs={"th0": 8})
 
-    def test_tiny_fold_blocks_stay_exact(self, monkeypatch):
-        # Force the fold through many narrow blocks: block boundaries
-        # must not change a single bit of the accumulation.
-        import repro.core.consumer_batched as consumer_batched
-
-        monkeypatch.setattr(consumer_batched, "_FOLD_BLOCK_ELEMS", 64)
-        assert_equivalent(_hot_hub_graph(150), locator_kwargs={"th0": 8})
-
     def test_fold_is_exact_and_single_pass(self):
-        # The regression itself: one hub with thousands of ranks must
-        # fold in O(max-rank / block-width) passes — here exactly one
-        # cumsum — while reproducing the scalar left fold bit for bit.
+        # One hub with thousands of ranks folds in one sparse product
+        # per call while reproducing the scalar left fold bit for bit.
         from types import SimpleNamespace
         from unittest import mock
+
+        from scipy import sparse
 
         import repro.core.consumer_batched as consumer_batched
 
@@ -225,18 +207,46 @@ class TestHotHubFold:
         state = SimpleNamespace(
             hub_ids=np.array([7]), hub_acc=start.copy()
         )
-        passes = {"n": 0}
-        real_cumsum = np.cumsum
+        products = {"n": 0}
+        real_matmul = sparse.csr_matrix.__matmul__
 
-        def counting_cumsum(a, *args, **kwargs):
-            if getattr(a, "ndim", 0) == 3:  # block folds, not cumsum0
-                passes["n"] += 1
-            return real_cumsum(a, *args, **kwargs)
+        def counting_matmul(self, other):
+            products["n"] += 1
+            return real_matmul(self, other)
 
-        with mock.patch.object(np, "cumsum", counting_cumsum):
+        with mock.patch.object(sparse.csr_matrix, "__matmul__",
+                               counting_matmul):
             consumer_batched._ordered_hub_fold(state, positions, contrib)
-        assert passes["n"] == 1
+        assert products["n"] == 1
         np.testing.assert_array_equal(state.hub_acc[0], expected)
+
+
+class TestSignedZerosAndCancellation:
+    """Operands whose sums only one fold order reproduces bit for bit."""
+
+    def test_scalar_and_batched_stay_byte_identical(
+        self, monkeypatch, community_graph
+    ):
+        # -0.0 rows test the +0.0 seed of every fold; rows that cancel
+        # their neighbour exactly, next to 1e16 and 1.0, make any other
+        # term order change the result.
+        graph, _ = community_graph
+        rng = np.random.default_rng(11)
+        xw = rng.choice([1e16, -1e16, 1.0, -1.0, 0.5],
+                        size=(graph.num_nodes, 4))
+        xw[0::3] = -0.0
+        xw[2::3] = -xw[1::3][:len(xw[2::3])]
+        real_setup = IslandConsumer._layer_setup
+
+        def crafted(self, *args, **kwargs):
+            state = real_setup(self, *args, **kwargs)
+            state.xw_scaled = xw
+            return state
+
+        monkeypatch.setattr(IslandConsumer, "_layer_setup", crafted)
+        assert_equivalent(
+            graph, layers=(LayerSpec(4, 4, activation="none"),)
+        )
 
 
 class TestSpillingCaches:

@@ -2,8 +2,90 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.preagg import ScanCounts, group_layout, scan_aggregate, scan_costs
+
+#: Values whose sums depend on the fold order (1e16 + 1.0 rounds the
+#: 1.0 away), plus signed zeros and exact cancellations.
+_TRICKY = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e16, -1e16]
+
+
+def _documented_fold(bitmap, k, xw, boundary):
+    """The accumulation order of ``repro.core.preagg``, over Python floats.
+
+    Written independently of the module: its own group tiling, window
+    classes and one left fold from ``+0.0`` per pre-sum and per row.
+    """
+    rows, cols = bitmap.shape
+    feat = xw.shape[1]
+    vectors = xw.tolist()
+    groups = [
+        range(start, min(start + k, hi))
+        for lo, hi in ((0, boundary), (boundary, cols))
+        for start in range(lo, hi, k)
+    ]
+
+    def add(acc, vec, sign=1.0):
+        return [a + sign * b for a, b in zip(acc, vec)]
+
+    presums = []
+    for group in groups:
+        total = [0.0] * feat
+        for col in group:
+            total = add(total, vectors[col])
+        presums.append(total)
+
+    out = np.zeros((rows, feat))
+    for r in range(rows):
+        kinds = []
+        for group in groups:
+            present = sum(bool(bitmap[r, col]) for col in group)
+            width = len(group)
+            if present == 0:
+                kinds.append(None)
+            elif width > 1 and present == width:
+                kinds.append("full")
+            elif width > 1 and 1 + (width - present) < present:
+                kinds.append("subtract")
+            else:
+                kinds.append("direct")
+        acc = [0.0] * feat
+        for presum, kind in zip(presums, kinds):
+            if kind in ("full", "subtract"):
+                acc = add(acc, presum)
+        for group, kind in zip(groups, kinds):
+            if kind == "subtract":
+                for col in group:
+                    if not bitmap[r, col]:
+                        acc = add(acc, vectors[col], -1.0)
+        for group, kind in zip(groups, kinds):
+            if kind == "direct":
+                for col in group:
+                    if bitmap[r, col]:
+                        acc = add(acc, vectors[col])
+        out[r] = acc
+    return out
+
+
+@st.composite
+def _scans(draw):
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 11))
+    feat = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.booleans(), min_size=rows * cols,
+                          max_size=rows * cols))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(_TRICKY),
+                  st.floats(-1e3, 1e3, allow_nan=False)),
+        min_size=cols * feat, max_size=cols * feat,
+    ))
+    bitmap = np.array(cells, dtype=bool).reshape(rows, cols)
+    xw = np.array(values, dtype=np.float64).reshape(cols, feat)
+    k = draw(st.integers(2, 6))
+    boundary = draw(st.integers(0, cols))
+    return bitmap, k, xw, boundary
 
 
 class TestGroupLayout:
@@ -142,3 +224,11 @@ class TestScanAggregate:
         acc, counts = scan_aggregate(np.zeros((0, 0), dtype=bool), 2, np.zeros((0, 3)))
         assert acc.shape == (0, 3)
         assert counts.baseline_ops == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_scans())
+    def test_is_the_documented_left_fold_bitwise(self, case):
+        bitmap, k, xw, boundary = case
+        acc, _ = scan_aggregate(bitmap, k, xw, boundary=boundary)
+        expected = _documented_fold(bitmap, k, xw, boundary)
+        assert acc.tobytes() == expected.tobytes()
