@@ -63,7 +63,7 @@ from scipy import sparse
 
 from repro.core.preagg import ScanCounts, classify_windows, group_layout_batch
 from repro.errors import SimulationError
-from repro.nputil import cumsum0 as _cumsum0, sorted_unique
+from repro.nputil import csr_gather, cumsum0 as _cumsum0, sorted_unique
 
 __all__ = [
     "TaskBatch",
@@ -245,14 +245,8 @@ class TaskBatch:
         sorted_local = hub_rank[key_order]
 
         # One adjacency gather over every member row of every task.
-        indptr = graph.indptr.astype(np.int64, copy=False)
-        deg = indptr[members_flat + 1] - indptr[members_flat]
-        num_edges = int(deg.sum())
-        edge_off = _cumsum0(deg)
-        flat = (
-            np.arange(num_edges, dtype=np.int64)
-            - np.repeat(edge_off[:-1], deg)
-            + np.repeat(indptr[members_flat], deg)
+        flat, deg = csr_gather(
+            graph.indptr.astype(np.int64, copy=False), members_flat
         )
         neigh = graph.indices[flat].astype(np.int64, copy=False)
         src_task = np.repeat(member_task[members_flat], deg)

@@ -9,6 +9,14 @@ asynchronous hardware because all three phases share one predicate
 *work* of each phase is still tracked separately so the hardware cycle
 model can overlap them.
 
+The round loop is one private generator, :func:`_locate_rounds`, which
+yields each round's raw record in the graph's own ids.  Two callers
+drive it: :meth:`IslandLocator.stream` turns the records into
+islands, round statistics and the final :class:`IslandizationResult`,
+and the incremental sub-run
+(:mod:`repro.core.islandizer_incremental`) maps them to global ids for
+the dirty region it re-runs.
+
 Th3 has two interchangeable backends selected by
 :attr:`~repro.core.config.LocatorConfig.backend`:
 
@@ -19,8 +27,10 @@ Th3 has two interchangeable backends selected by
 * ``"scalar"`` — the original per-edge Python loop of
   :mod:`repro.core.tp_bfs`, kept as the oracle.
 
-Both produce the exact same :class:`IslandizationResult` — islands,
-hub order, inter-hub edges, round statistics and work counters — which
+Both return one :class:`~repro.core.tp_bfs_batched.RoundOutcome` per
+round, so the loop keeps no per-backend bookkeeping, and both produce
+the exact same :class:`IslandizationResult` — islands, hub order,
+inter-hub edges, round statistics and work counters — which
 ``tests/test_backend_equivalence.py`` pins across graph families.
 
 Termination: the threshold decays geometrically to ``th_min``; at
@@ -32,14 +42,24 @@ always empties (DESIGN.md §6).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Generator
+from dataclasses import dataclass
+from typing import Callable, Generator, Iterator
 
 import numpy as np
 
 from repro.core.config import LocatorConfig
 from repro.core.hub_detector import detect_new_hubs
-from repro.core.tp_bfs import BFSRoundState, TaskOutcome, run_bfs_task
-from repro.core.tp_bfs_batched import TASK_OUTCOME_CODES, execute_round_batched
+from repro.core.tp_bfs import BFSRoundState, run_bfs_task
+from repro.core.tp_bfs_batched import (
+    TASK_CMAX,
+    TASK_ISLAND,
+    TASK_OUTCOME_CODES,
+    TASK_SEED_HUB,
+    TASK_VISITED,
+    RoundOutcome,
+    dedup_interhub_keys,
+    execute_round_batched,
+)
 from repro.core.types import (
     Island,
     IslandizationResult,
@@ -49,60 +69,242 @@ from repro.core.types import (
 )
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph
+from repro.nputil import csr_gather
 
 __all__ = ["IslandLocator", "islandize"]
 
 _MAX_ROUNDS = 1000  # safety net; real runs finish in < 20 rounds
 
-_NO_HUBS = np.zeros(0, dtype=np.int64)
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 class _GreedyEngineDispatch:
     """Greedy idle-engine assignment for the P2 work model.
 
-    Replaces the original per-task ``np.argmin(engine_load)`` full scan
-    with an O(log P2) heap.  Entries are ``(load, engine)`` tuples, so
-    the heap top is the least-loaded engine and — among ties — the
-    lowest engine index, exactly ``argmin``'s first-minimum rule; the
-    resulting ``per_engine_scans`` distribution is identical.
+    In task order, each task with nonzero scans goes to the engine with
+    the least scan work so far, ties to the lowest engine index —
+    ``np.argmin``'s first-minimum rule — through an O(log P2) heap.
+    Heap entries are ``load * p2 + engine``: one int orders exactly like
+    the ``(load, engine)`` tuple (``engine < p2``) but sifts faster, and
+    adding ``scans * p2`` re-keys the least-loaded engine in place.
     """
 
     def __init__(self, p2: int) -> None:
         self._p2 = p2
-        self._heap: list[tuple[int, int]] = [(0, i) for i in range(p2)]
+        self._heap = list(range(p2))
 
-    def add(self, scans: int) -> None:
-        """Assign one task's scan work to the current idlest engine."""
-        load, engine = self._heap[0]
-        heapq.heapreplace(self._heap, (load + scans, engine))
+    def add(self, task_scans: np.ndarray) -> None:
+        """Assign a run of tasks' scans in order, skipping zero-scan tasks."""
+        heap = self._heap
+        heapreplace = heapq.heapreplace
+        for scaled in (task_scans[task_scans > 0] * self._p2).tolist():
+            heapreplace(heap, heap[0] + scaled)
 
     def loads(self) -> np.ndarray:
         """Per-engine scan totals (the LocatorWork distribution)."""
-        arr = np.zeros(self._p2, dtype=np.int64)
-        for load, engine in self._heap:
-            arr[engine] = load
-        return arr
+        p2 = self._p2
+        loads = np.zeros(p2, dtype=np.int64)
+        for entry in self._heap:
+            loads[entry % p2] = entry // p2
+        return loads
 
 
-class _Round:
-    """Mutable Th3 tallies of one round (shared by both backends)."""
+@dataclass
+class _LocatedRound:
+    """One round of Algorithm 1 as :func:`_locate_rounds` yields it.
 
-    __slots__ = (
-        "islands_found", "nodes_islanded", "dropped_classified",
-        "dropped_visited", "dropped_cmax", "interhub_found",
-        "scans", "fetches", "bytes",
+    Node ids are the located graph's own.
+    """
+
+    threshold: int
+    isolated: np.ndarray        # degree-0 leftovers, ascending
+    new_hubs: np.ndarray        # hubs detected this round, ascending
+    task_hubs: np.ndarray       # the Th2 queue, in task order
+    task_seeds: np.ndarray
+    outcome: RoundOutcome       # the Th3 result, either backend
+    interhub_keys: np.ndarray   # sorted keys of every inter-hub edge so far
+    stats: dict[str, int]       # RoundStats' 12 additive fields
+
+
+def _locate_rounds(
+    graph: CSRGraph,
+    degrees: np.ndarray,
+    is_hub: np.ndarray,
+    config: LocatorConfig,
+    threshold: int,
+    imported_hubs: np.ndarray,
+    imported_seeds: np.ndarray,
+) -> Iterator[_LocatedRound]:
+    """Run Algorithm 1's rounds on ``graph``, yielding one record each.
+
+    ``threshold`` is TH0.  The full run passes ``graph.degrees``, no
+    hubs in ``is_hub`` and no imported tasks; the incremental sub-run
+    on an extracted dirty region differs in exactly those three inputs:
+
+    * ``degrees`` are what the threshold tests read (hub detection and
+      the scalar BFS's hub contacts) — global degrees in a sub-run, so
+      a boundary hub whose local row is truncated still reads as a
+      hub.  Component labelling reads the CSR's own row lengths;
+    * ``is_hub`` marks nodes that start out as classified hubs (the
+      sub-run's boundary hubs, detected on the clean side); the caller's
+      array is not modified;
+    * ``imported_hubs``/``imported_seeds`` are extra round-1 tasks,
+      merged into the generated queue in ``(hub, seed)`` order.  They
+      add their 4-byte queue entries to the round's bytes but not
+      their hub's adjacency fetch.
+    """
+    batched = config.backend == "batched"
+    n = graph.num_nodes
+    is_hub = is_hub.copy()
+    classified = is_hub.copy()
+    num_classified = int(classified.sum())
+    # Scalar backend: persistent v_global stamp array.  Batched
+    # backend: per-entry CSR source ids shared by every round's
+    # component labelling (built once: the graph is immutable).
+    visited_round = None if batched else np.zeros(n, dtype=np.int64)
+    csr_rows = (
+        np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+        if batched
+        else None
     )
+    interhub_keys = _EMPTY
+    round_id = 1
+    while num_classified < n:
+        if round_id > _MAX_ROUNDS:
+            raise IslandizationError(
+                f"locator failed to converge after {_MAX_ROUNDS} rounds"
+            )
+        detection = detect_new_hubs(degrees, classified, threshold)
+        new_hubs = detection.new_hubs
+        isolated = detection.isolated
+        is_hub[new_hubs] = True
+        classified[new_hubs] = True
+        classified[isolated] = True
+        num_classified += len(new_hubs) + len(isolated)
 
-    def __init__(self) -> None:
-        self.islands_found = 0
-        self.nodes_islanded = 0
-        self.dropped_classified = 0
-        self.dropped_visited = 0
-        self.dropped_cmax = 0
-        self.interhub_found = 0
-        self.scans = 0
-        self.fetches = 0
-        self.bytes = 0
+        # --- Th2: task generation (reads each new hub's adjacency).
+        # One (hub, a0) task per adjacency entry of each new hub,
+        # emitted hub-major with neighbours in row (sorted) order — the
+        # exact sequence a scalar per-hub loop would produce.
+        flat, counts = csr_gather(graph.indptr, new_hubs)
+        task_hubs = np.repeat(new_hubs, counts)
+        task_seeds = graph.indices[flat]
+        if round_id == 1 and len(imported_hubs):
+            task_hubs = np.concatenate([task_hubs, imported_hubs])
+            task_seeds = np.concatenate([task_seeds, imported_seeds])
+            order = np.lexsort((task_seeds, task_hubs))
+            task_hubs = task_hubs[order]
+            task_seeds = task_seeds[order]
+
+        # --- Th3: TP-BFS over the task queue.
+        if batched:
+            outcome = execute_round_batched(
+                graph, csr_rows, is_hub, classified, config.c_max,
+                task_hubs, task_seeds, interhub_keys,
+            )
+        else:
+            outcome = _run_round_scalar(
+                graph, degrees, threshold, config.c_max, round_id,
+                visited_round, task_hubs, task_seeds, interhub_keys,
+            )
+        if outcome.islands:
+            members = np.concatenate([m for m, _ in outcome.islands])
+            classified[members] = True
+            num_classified += len(members)
+        if len(outcome.new_interhub_keys):
+            # New keys are sorted and disjoint from the known set; a
+            # stable sort of the concatenation is a near-linear merge
+            # (np.union1d re-uniques instead).
+            interhub_keys = np.sort(
+                np.concatenate([interhub_keys, outcome.new_interhub_keys]),
+                kind="stable",
+            )
+        yield _LocatedRound(
+            threshold=threshold,
+            isolated=isolated,
+            new_hubs=new_hubs,
+            task_hubs=task_hubs,
+            task_seeds=task_seeds,
+            outcome=outcome,
+            interhub_keys=interhub_keys,
+            stats={
+                "nodes_remaining": detection.detect_items,
+                "hubs_found": len(new_hubs),
+                "islands_found": outcome.islands_found,
+                "nodes_islanded": outcome.nodes_islanded,
+                "tasks_generated": len(task_hubs),
+                "tasks_dropped_classified": outcome.dropped_classified,
+                "tasks_dropped_visited": outcome.dropped_visited,
+                "tasks_dropped_cmax": outcome.dropped_cmax,
+                "interhub_edges_found": len(outcome.new_interhub_keys),
+                "adjacency_fetches": outcome.fetches + len(new_hubs),
+                "adjacency_bytes": outcome.adjacency_bytes + 4 * len(task_hubs),
+                "detect_items": detection.detect_items,
+            },
+        )
+        threshold = config.next_threshold(threshold)
+        round_id += 1
+
+
+def _run_round_scalar(
+    graph: CSRGraph,
+    degrees: np.ndarray,
+    threshold: int,
+    c_max: int,
+    round_id: int,
+    visited_round: np.ndarray,
+    task_hubs: np.ndarray,
+    task_seeds: np.ndarray,
+    interhub_keys: np.ndarray,
+) -> RoundOutcome:
+    """One round of Th3 through the per-edge oracle loop.
+
+    Runs :func:`~repro.core.tp_bfs.run_bfs_task` on each task in queue
+    order and fills the :class:`RoundOutcome` the batched kernel
+    returns: islands in append order, each task's counters and outcome
+    code by task index, and the round's new inter-hub keys through the
+    same sorted-key dedup.
+    """
+    state = BFSRoundState.create(
+        graph, degrees, threshold, c_max, round_id, visited_round
+    )
+    islands: list[tuple[np.ndarray, np.ndarray]] = []
+    scans: list[int] = []
+    fetches: list[int] = []
+    nbytes: list[int] = []
+    codes: list[int] = []
+    for hub, a0 in zip(task_hubs.tolist(), task_seeds.tolist()):
+        bytes_before = state.adjacency_bytes
+        result = run_bfs_task(state, hub, a0)
+        code = TASK_OUTCOME_CODES[result.outcome]
+        scans.append(result.scans)
+        fetches.append(result.fetches)
+        nbytes.append(state.adjacency_bytes - bytes_before)
+        codes.append(code)
+        if code == TASK_ISLAND:
+            islands.append((
+                np.asarray(result.members, dtype=np.int64),
+                np.asarray(result.hubs, dtype=np.int64),
+            ))
+    task_outcomes = np.asarray(codes, dtype=np.int8)
+    seed_is_hub = task_outcomes == TASK_SEED_HUB
+    return RoundOutcome(
+        islands=islands,
+        new_interhub_keys=dedup_interhub_keys(
+            task_hubs[seed_is_hub], task_seeds[seed_is_hub],
+            graph.num_nodes, interhub_keys,
+        ),
+        dropped_classified=codes.count(TASK_SEED_HUB),
+        dropped_visited=codes.count(TASK_VISITED),
+        dropped_cmax=codes.count(TASK_CMAX),
+        scans=state.scans,
+        fetches=state.adjacency_fetches,
+        adjacency_bytes=state.adjacency_bytes,
+        task_scans=np.asarray(scans, dtype=np.int64),
+        task_fetches=np.asarray(fetches, dtype=np.int64),
+        task_bytes=np.asarray(nbytes, dtype=np.int64),
+        task_outcomes=task_outcomes,
+    )
 
 
 class IslandLocator:
@@ -177,278 +379,80 @@ class IslandLocator:
                 "graph.without_self_loops() first"
             )
         config = self.config
-        batched = config.backend == "batched"
         n = graph.num_nodes
         degrees = graph.degrees.astype(np.int64)
-        classified = np.zeros(n, dtype=bool)
-        is_hub = np.zeros(n, dtype=bool)
-        num_classified = 0
-        # Scalar backend: persistent v_global stamp array.  Batched
-        # backend: per-entry CSR source ids shared by every round's
-        # component labelling (built once: the graph is immutable).
-        visited_round = None if batched else np.zeros(n, dtype=np.int64)
-        csr_rows = (
-            np.repeat(np.arange(n, dtype=np.int64), degrees) if batched else None
-        )
-
         islands: list[Island] = []
-        hub_ids: list[int] = []
-        hub_rounds: list[int] = []
-        interhub: set[tuple[int, int]] = set()
-        interhub_keys = np.zeros(0, dtype=np.int64)
+        hub_ids: list[np.ndarray] = [_EMPTY]
+        hub_rounds: list[np.ndarray] = [_EMPTY]
         rounds: list[RoundStats] = []
         dispatch = _GreedyEngineDispatch(config.p2)
-
-        total_fetch = 0
-        total_bytes = 0
-        total_detect = 0
         total_scans = 0
-
-        threshold = config.initial_threshold(degrees)
-        round_id = 1
-        while num_classified < n:
-            if round_id > _MAX_ROUNDS:
-                raise IslandizationError(
-                    f"locator failed to converge after {_MAX_ROUNDS} rounds"
-                )
-            round_first_island = len(islands)
-            detection = detect_new_hubs(degrees, classified, threshold)
-            new_hubs = detection.new_hubs
-            classified[new_hubs] = True
-            is_hub[new_hubs] = True
-            num_classified += len(new_hubs)
-            hub_ids.extend(new_hubs.tolist())
-            hub_rounds.extend([round_id] * len(new_hubs))
-            isolated = detection.isolated
+        interhub_keys = _EMPTY
+        records = _locate_rounds(
+            graph, degrees, np.zeros(n, dtype=bool), config,
+            config.initial_threshold(degrees), _EMPTY, _EMPTY,
+        )
+        for round_id, rec in enumerate(records, 1):
+            outcome = rec.outcome
+            first_island = len(islands)
             islands.extend(
                 Island.from_trusted_arrays(
                     round_id=round_id,
-                    members=isolated[i:i + 1],
-                    hubs=_NO_HUBS,
+                    members=rec.isolated[i:i + 1],
+                    hubs=_EMPTY,
                 )
-                for i in range(len(isolated))
+                for i in range(len(rec.isolated))
             )
-            classified[isolated] = True
-            num_classified += len(isolated)
-
-            # --- Th2: task generation (reads each new hub's adjacency).
-            # Vectorised CSR gather: one (hub, a0) task per adjacency
-            # entry of each new hub, emitted hub-major with neighbours
-            # in row (sorted) order — the exact sequence a scalar
-            # per-hub loop would produce, so round stats are unchanged.
-            starts = graph.indptr[new_hubs]
-            counts = graph.indptr[new_hubs + 1] - starts
-            total_tasks = int(counts.sum())
-            prefix = np.cumsum(counts) - counts
-            flat = np.arange(total_tasks, dtype=np.int64) + np.repeat(
-                starts - prefix, counts
-            )
-            task_hubs = np.repeat(new_hubs, counts)
-            task_seeds = graph.indices[flat]
-            taskgen_fetches = len(new_hubs)
-            taskgen_bytes = total_tasks * 4
-
-            # --- Th3: TP-BFS over the task queue.
-            tally = _Round()
-            if batched:
-                outcome = execute_round_batched(
-                    graph, csr_rows, is_hub, classified, config.c_max,
-                    task_hubs, task_seeds, interhub_keys,
-                )
-                islands.extend(
-                    Island.from_trusted_arrays(
-                        round_id=round_id,
-                        members=members,
-                        hubs=hubs,
-                    )
-                    for members, hubs in outcome.islands
-                )
-                if outcome.islands:
-                    new_members = np.concatenate(
-                        [members for members, _ in outcome.islands]
-                    )
-                    classified[new_members] = True
-                    num_classified += len(new_members)
-                if len(outcome.new_interhub_keys):
-                    # New keys are sorted and disjoint from the known
-                    # set; a stable sort of the concatenation is a
-                    # near-linear merge (np.union1d re-uniques instead).
-                    interhub_keys = np.sort(
-                        np.concatenate(
-                            [interhub_keys, outcome.new_interhub_keys]
-                        ),
-                        kind="stable",
-                    )
-                # Replay the greedy dispatch in task order (tasks with
-                # zero scans are skipped, as in the scalar path).
-                for scans in outcome.task_scans[
-                    outcome.task_scans > 0
-                ].tolist():
-                    dispatch.add(scans)
-                tally.islands_found = outcome.islands_found
-                tally.nodes_islanded = outcome.nodes_islanded
-                tally.dropped_classified = outcome.dropped_classified
-                tally.dropped_visited = outcome.dropped_visited
-                tally.dropped_cmax = outcome.dropped_cmax
-                tally.interhub_found = len(outcome.new_interhub_keys)
-                tally.scans = outcome.scans
-                tally.fetches = outcome.fetches
-                tally.bytes = outcome.adjacency_bytes
-                if tap is not None:
-                    tap(
-                        round_id, task_hubs, task_seeds, outcome.task_scans,
-                        outcome.task_fetches, outcome.task_bytes,
-                        outcome.task_outcomes,
-                    )
-            else:
-                tap_arrays = (
-                    (
-                        np.zeros(total_tasks, dtype=np.int64),
-                        np.zeros(total_tasks, dtype=np.int64),
-                        np.zeros(total_tasks, dtype=np.int64),
-                        np.zeros(total_tasks, dtype=np.int8),
-                    )
-                    if tap is not None
-                    else None
-                )
-                num_classified += self._run_round_scalar(
-                    graph, degrees, threshold, round_id, visited_round,
-                    task_hubs, task_seeds, islands, classified, interhub,
-                    dispatch, tally, tap_arrays,
-                )
-                if tap is not None:
-                    tap(round_id, task_hubs, task_seeds, *tap_arrays)
-
-            rounds.append(
-                RoundStats(
+            islands.extend(
+                Island.from_trusted_arrays(
                     round_id=round_id,
-                    threshold=threshold,
-                    nodes_remaining=int(detection.detect_items),
-                    hubs_found=len(new_hubs),
-                    islands_found=tally.islands_found,
-                    nodes_islanded=tally.nodes_islanded,
-                    tasks_generated=total_tasks,
-                    tasks_dropped_classified=tally.dropped_classified,
-                    tasks_dropped_visited=tally.dropped_visited,
-                    tasks_dropped_cmax=tally.dropped_cmax,
-                    interhub_edges_found=tally.interhub_found,
-                    adjacency_fetches=tally.fetches + taskgen_fetches,
-                    adjacency_bytes=tally.bytes + taskgen_bytes,
-                    detect_items=detection.detect_items,
+                    members=members,
+                    hubs=hubs,
                 )
+                for members, hubs in outcome.islands
             )
-            total_fetch += tally.fetches + taskgen_fetches
-            total_bytes += tally.bytes + taskgen_bytes
-            total_detect += detection.detect_items
-            total_scans += tally.scans
-
+            hub_ids.append(rec.new_hubs)
+            hub_rounds.append(
+                np.full(len(rec.new_hubs), round_id, dtype=np.int64)
+            )
+            stats = RoundStats(
+                round_id=round_id, threshold=rec.threshold, **rec.stats
+            )
+            rounds.append(stats)
+            dispatch.add(outcome.task_scans)
+            total_scans += outcome.scans
+            interhub_keys = rec.interhub_keys
+            if tap is not None:
+                tap(
+                    round_id, rec.task_hubs, rec.task_seeds,
+                    outcome.task_scans, outcome.task_fetches,
+                    outcome.task_bytes, outcome.task_outcomes,
+                )
             yield RoundOutput(
-                stats=rounds[-1],
-                islands=tuple(islands[round_first_island:]),
-                new_hub_ids=new_hubs,
-                first_island_id=round_first_island,
+                stats=stats,
+                islands=tuple(islands[first_island:]),
+                new_hub_ids=rec.new_hubs,
+                first_island_id=first_island,
             )
 
-            threshold = config.next_threshold(threshold)
-            round_id += 1
-
-        if batched:
-            interhub_arr = (
-                np.stack([interhub_keys // n, interhub_keys % n], axis=1)
-                if len(interhub_keys)
-                else np.zeros((0, 2), dtype=np.int64)
-            )
-        else:
-            interhub_arr = (
-                np.asarray(sorted(interhub), dtype=np.int64).reshape(-1, 2)
-                if interhub
-                else np.zeros((0, 2), dtype=np.int64)
-            )
         work = LocatorWork(
-            total_adjacency_fetches=total_fetch,
-            total_adjacency_bytes=total_bytes,
-            total_detect_items=total_detect,
+            total_adjacency_fetches=sum(r.adjacency_fetches for r in rounds),
+            total_adjacency_bytes=sum(r.adjacency_bytes for r in rounds),
+            total_detect_items=sum(r.detect_items for r in rounds),
             total_bfs_scans=total_scans,
             per_engine_scans=dispatch.loads(),
         )
         return IslandizationResult(
             graph=graph,
             islands=islands,
-            hub_ids=np.asarray(hub_ids, dtype=np.int64),
-            hub_round=np.asarray(hub_rounds, dtype=np.int64),
-            interhub_edges=interhub_arr,
+            hub_ids=np.concatenate(hub_ids),
+            hub_round=np.concatenate(hub_rounds),
+            interhub_edges=np.stack(
+                [interhub_keys // n, interhub_keys % n], axis=1
+            ),
             rounds=rounds,
             work=work,
         )
-
-    # ------------------------------------------------------------------
-    def _run_round_scalar(
-        self,
-        graph: CSRGraph,
-        degrees: np.ndarray,
-        threshold: int,
-        round_id: int,
-        visited_round: np.ndarray,
-        task_hubs: np.ndarray,
-        task_seeds: np.ndarray,
-        islands: list[Island],
-        classified: np.ndarray,
-        interhub: set[tuple[int, int]],
-        dispatch: _GreedyEngineDispatch,
-        tally: _Round,
-        tap_arrays: tuple[np.ndarray, ...] | None = None,
-    ) -> int:
-        """One round of Th3 through the per-edge oracle loop.
-
-        Returns the number of nodes newly classified (islanded).
-        ``tap_arrays`` (optional, pre-zeroed ``(scans, fetches, bytes,
-        outcomes)``) collects each task's counters by task index for
-        the stream's ``tap`` callback.
-        """
-        config = self.config
-        state = BFSRoundState.create(
-            graph, degrees, threshold, config.c_max, round_id, visited_round
-        )
-        newly_classified = 0
-        for pos, (hub, a0) in enumerate(
-            zip(task_hubs.tolist(), task_seeds.tolist())
-        ):
-            bytes_before = state.adjacency_bytes
-            result = run_bfs_task(state, hub, a0)
-            if result.scans:
-                dispatch.add(result.scans)
-            if tap_arrays is not None:
-                tap_arrays[0][pos] = result.scans
-                tap_arrays[1][pos] = result.fetches
-                tap_arrays[2][pos] = state.adjacency_bytes - bytes_before
-                tap_arrays[3][pos] = TASK_OUTCOME_CODES[result.outcome]
-            if result.outcome is TaskOutcome.ISLAND:
-                members = np.asarray(result.members, dtype=np.int64)
-                islands.append(
-                    Island.from_trusted_arrays(
-                        round_id=round_id,
-                        members=members,
-                        hubs=np.asarray(result.hubs, dtype=np.int64),
-                    )
-                )
-                classified[members] = True
-                newly_classified += len(members)
-                tally.islands_found += 1
-                tally.nodes_islanded += len(members)
-            elif result.outcome is TaskOutcome.SEED_IS_HUB:
-                edge = (min(hub, a0), max(hub, a0))
-                if edge not in interhub:
-                    interhub.add(edge)
-                    tally.interhub_found += 1
-                tally.dropped_classified += 1
-            elif result.outcome is TaskOutcome.ALREADY_VISITED:
-                tally.dropped_visited += 1
-            else:
-                tally.dropped_cmax += 1
-        tally.scans = state.scans
-        tally.fetches = state.adjacency_fetches
-        tally.bytes = state.adjacency_bytes
-        return newly_classified
 
 
 def islandize(

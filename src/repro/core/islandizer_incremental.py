@@ -39,7 +39,12 @@ Folding the counters without re-running the old graph
 -----------------------------------------------------
 Every per-round counter folds as ``new = cached − old_dirty +
 new_dirty``.  ``new_dirty`` comes from one locator *sub-run* on the
-dirty region extracted from the mutated graph.  ``old_dirty`` needs no
+dirty region extracted from the mutated graph.  The sub-run drives the
+same Algorithm-1 round loop a full run does
+(:func:`repro.core.islandizer._locate_rounds`), started with the
+region's boundary hubs already classified, global degrees for the
+threshold tests, and the boundary hubs' round-1 tasks imported
+(:func:`_run_sub`).  ``old_dirty`` needs no
 run at all: the recorded state carries a full per-task log (hub, seed,
 scans, fetches, bytes, outcome — in task order) plus each node's
 classification round, so the old run's restriction to the dirty
@@ -65,21 +70,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO
 
-import heapq
-
 import numpy as np
 
 from repro.core.config import LocatorConfig
-from repro.core.hub_detector import detect_new_hubs
-from repro.core.islandizer import _NO_HUBS, IslandLocator
-from repro.core.tp_bfs import BFSRoundState, TaskOutcome, run_bfs_task
+from repro.core.islandizer import (
+    IslandLocator,
+    _GreedyEngineDispatch,
+    _locate_rounds,
+)
 from repro.core.tp_bfs_batched import (
     TASK_CMAX,
-    TASK_OUTCOME_CODES,
     TASK_SEED_HUB,
     TASK_VISITED,
     _component_labels,
-    execute_round_batched,
 )
 from repro.core.types import (
     ROUND_FIELDS,
@@ -90,7 +93,7 @@ from repro.core.types import (
 )
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph, GraphDelta
-from repro.nputil import cumsum0
+from repro.nputil import csr_gather, cumsum0
 from repro.serialize import read_npz, write_npz
 
 __all__ = [
@@ -235,41 +238,24 @@ class IncrementalUpdate:
 # ----------------------------------------------------------------------
 # Recording runs
 # ----------------------------------------------------------------------
-def _chunk_metadata(
-    islands: tuple[Island, ...] | list[Island],
-    task_hubs: np.ndarray,
-    task_seeds: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Winner hubs + (seed, size) metadata of one round's islands.
+def _winning_hubs(
+    seeds: np.ndarray, task_hubs: np.ndarray, task_seeds: np.ndarray
+) -> np.ndarray:
+    """The hub of each TP-BFS island's winning task, given its first member.
 
     An island's winning task is the first task (in task order) whose
     seed equals ``members[0]``: any earlier task in the same component
     would have won and re-seeded the island, and an earlier same-seed
-    task either won (same task) or poisoned the component.  Winners
-    are ``-1`` for isolated-node singletons.
+    task either won (same task) or poisoned the component.
     """
-    k = len(islands)
-    seed0 = np.empty(k, dtype=np.int64)
-    sizes = np.empty(k, dtype=np.int64)
-    winners = np.full(k, -1, dtype=np.int64)
-    member_arrays: list[np.ndarray] = []
-    tp_pos: list[int] = []
-    for i, isl in enumerate(islands):
-        members = isl.members
-        seed0[i] = members[0]
-        sizes[i] = len(members)
-        member_arrays.append(members)
-        if len(isl.hubs):
-            tp_pos.append(i)
-    if tp_pos:
-        order = np.argsort(task_seeds, kind="stable")
-        sorted_seeds = task_seeds[order]
-        tp = np.asarray(tp_pos, dtype=np.int64)
-        pos = np.searchsorted(sorted_seeds, seed0[tp])
-        if np.any(sorted_seeds[pos] != seed0[tp]):
-            raise IslandizationError("incremental: island seed missing from queue")
-        winners[tp] = task_hubs[order[pos]]
-    return winners, seed0, sizes, member_arrays
+    if len(seeds) == 0:
+        return _EMPTY
+    order = np.argsort(task_seeds, kind="stable")
+    sorted_seeds = task_seeds[order]
+    pos = np.minimum(np.searchsorted(sorted_seeds, seeds), len(order) - 1)
+    if np.any(sorted_seeds[pos] != seeds):
+        raise IslandizationError("incremental: island seed missing from queue")
+    return task_hubs[order[pos]]
 
 
 def _round1_labels(graph: CSRGraph, th0: int) -> np.ndarray:
@@ -316,15 +302,21 @@ def record_islandization(
         except StopIteration as stop:
             result = stop.value
             break
-        hubs, seeds = rounds_log[-1][0], rounds_log[-1][1]
-        winners, seed0, sizes, member_arrays = _chunk_metadata(
-            chunk.islands, hubs, seeds
+        member_arrays = [isl.members for isl in chunk.islands]
+        seed0 = np.asarray([m[0] for m in member_arrays], dtype=np.int64)
+        # Isolated-node singletons have no hubs and no winner (-1).
+        tp = np.asarray([len(isl.hubs) > 0 for isl in chunk.islands], dtype=bool)
+        winners = np.full(len(member_arrays), -1, dtype=np.int64)
+        winners[tp] = _winning_hubs(
+            seed0[tp], rounds_log[-1][0], rounds_log[-1][1]
         )
         winner_parts.append(winners)
         seed_parts.append(seed0)
-        size_parts.append(sizes)
+        size_parts.append(
+            np.asarray([len(m) for m in member_arrays], dtype=np.int64)
+        )
         round_parts.append(
-            np.full(len(chunk.islands), chunk.round_id, dtype=np.int64)
+            np.full(len(member_arrays), chunk.round_id, dtype=np.int64)
         )
         if member_arrays:
             class_round[np.concatenate(member_arrays)] = chunk.round_id
@@ -362,13 +354,7 @@ def record_islandization(
 def _neighbor_mask(graph: CSRGraph, nodes: np.ndarray) -> np.ndarray:
     """Boolean mask of every neighbour of ``nodes`` (one CSR gather)."""
     mask = np.zeros(graph.num_nodes, dtype=bool)
-    if len(nodes) == 0:
-        return mask
-    starts = graph.indptr[nodes]
-    counts = graph.indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    prefix = np.cumsum(counts) - counts
-    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - prefix, counts)
+    flat, _ = csr_gather(graph.indptr, nodes)
     mask[graph.indices[flat]] = True
     return mask
 
@@ -459,31 +445,6 @@ def _dirty_region(
     return dn_mask, boundary, region, hub_hub_pairs(ins_keys), hub_hub_pairs(del_keys)
 
 
-def _extract_region(
-    graph: CSRGraph, region: np.ndarray, reg_mask: np.ndarray
-) -> CSRGraph:
-    """Induced subgraph on ``region`` with order-preserving relabels.
-
-    Region ids are sorted, so local ids are monotone in global ids:
-    sorted adjacency, lexicographic task order and BFS discovery order
-    all transfer between the sub-run and the full run unchanged.
-    """
-    m = len(region)
-    relabel = np.full(graph.num_nodes, -1, dtype=np.int64)
-    relabel[region] = np.arange(m, dtype=np.int64)
-    starts = graph.indptr[region]
-    counts = graph.indptr[region + 1] - starts
-    total = int(counts.sum())
-    prefix = np.cumsum(counts) - counts
-    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - prefix, counts)
-    cols = graph.indices[flat]
-    keep = reg_mask[cols]
-    row_ids = np.repeat(np.arange(m, dtype=np.int64), counts)[keep]
-    sub_cols = relabel[cols[keep]]
-    indptr = cumsum0(np.bincount(row_ids, minlength=m).astype(np.int64))
-    return CSRGraph(indptr=indptr, indices=sub_cols, name=f"{graph.name}-dirty")
-
-
 # ----------------------------------------------------------------------
 # Sub-run on the extracted region
 # ----------------------------------------------------------------------
@@ -510,9 +471,6 @@ class _SubRound:
     scans_total: int
 
 
-_MAX_SUB_ROUNDS = 1000
-
-
 def _run_sub(
     sub: CSRGraph,
     gids: np.ndarray,
@@ -523,9 +481,10 @@ def _run_sub(
     config: LocatorConfig,
     th0: int,
 ) -> list[_SubRound]:
-    """Replay the locator's round loop on the extracted dirty region.
+    """Run the locator's round loop on the extracted dirty region.
 
-    Mirrors ``IslandLocator.stream`` with three differences that keep
+    Drives :func:`~repro.core.islandizer._locate_rounds` — the loop
+    ``IslandLocator.stream`` drives — with the three inputs that keep
     it exact against the full run's restriction to the region:
 
     * boundary hubs start classified/hub (their detection belongs to
@@ -539,200 +498,51 @@ def _run_sub(
       the full run's relative task order; imported tasks contribute
       their 4-byte queue entries but not their hub's adjacency fetch
       (that belongs to the clean side);
-    * inter-hub dedup is local to the sub-run: every edge it can find
-      has a dirty endpoint, disjoint from the cached clean-clean set.
+    * the threshold starts at ``th0``, the full run's resolved TH0 (the
+      region alone cannot reproduce the degree-quantile default).
 
-    ``th0`` is the full run's resolved TH0 (the region alone cannot
-    reproduce the degree-quantile default).
+    Inter-hub dedup is local to the sub-run: every edge it can find
+    has a dirty endpoint, disjoint from the cached clean-clean set.
+    Each round is reported in global ids.
     """
-    batched = config.backend == "batched"
     m = sub.num_nodes
-    classified = boundary_local.copy()
-    is_hub = boundary_local.copy()
-    num_classified = int(classified.sum())
-    visited_round = None if batched else np.zeros(m, dtype=np.int64)
-    csr_rows = (
-        np.repeat(np.arange(m, dtype=np.int64), sub.degrees) if batched else None
-    )
-    interhub_keys = _EMPTY
-    interhub_seen: set[tuple[int, int]] = set()
-
     out: list[_SubRound] = []
-    threshold = th0
-    round_id = 1
-    while num_classified < m:
-        if round_id > _MAX_SUB_ROUNDS:
-            raise IslandizationError(
-                f"incremental sub-run failed to converge after "
-                f"{_MAX_SUB_ROUNDS} rounds"
-            )
-        detection = detect_new_hubs(deg_global, classified, threshold)
-        new_hubs = detection.new_hubs
-        classified[new_hubs] = True
-        is_hub[new_hubs] = True
-        num_classified += len(new_hubs)
-        isolated = detection.isolated
-        classified[isolated] = True
-        num_classified += len(isolated)
-
-        starts = sub.indptr[new_hubs]
-        counts = sub.indptr[new_hubs + 1] - starts
-        total_gen = int(counts.sum())
-        prefix = np.cumsum(counts) - counts
-        flat = np.arange(total_gen, dtype=np.int64) + np.repeat(
-            starts - prefix, counts
-        )
-        task_hubs = np.repeat(new_hubs, counts)
-        task_seeds = sub.indices[flat]
-        if round_id == 1 and len(imported_hubs):
-            task_hubs = np.concatenate([task_hubs, imported_hubs])
-            task_seeds = np.concatenate([task_seeds, imported_seeds])
-            order = np.lexsort((task_seeds, task_hubs))
-            task_hubs = task_hubs[order]
-            task_seeds = task_seeds[order]
-        total_tasks = len(task_hubs)
-        taskgen_fetches = len(new_hubs)
-        taskgen_bytes = total_tasks * 4
-
-        islands_local: list[tuple[np.ndarray, np.ndarray]] = []
-        task_scans = np.zeros(total_tasks, dtype=np.int64)
-        task_fetches = np.zeros(total_tasks, dtype=np.int64)
-        task_bytes = np.zeros(total_tasks, dtype=np.int64)
-        task_outcomes = np.full(total_tasks, TASK_VISITED, dtype=np.int8)
-        new_pairs: list[tuple[int, int]] = []
-        dropped_classified = dropped_visited = dropped_cmax = 0
-        scans = fetches = nbytes = 0
-        if batched:
-            outcome = execute_round_batched(
-                sub, csr_rows, is_hub, classified, config.c_max,
-                task_hubs, task_seeds, interhub_keys,
-            )
-            islands_local = outcome.islands
-            if outcome.islands:
-                members_all = np.concatenate(
-                    [mem for mem, _ in outcome.islands]
-                )
-                classified[members_all] = True
-                num_classified += len(members_all)
-            if len(outcome.new_interhub_keys):
-                interhub_keys = np.sort(
-                    np.concatenate([interhub_keys, outcome.new_interhub_keys]),
-                    kind="stable",
-                )
-                u = outcome.new_interhub_keys // m
-                v = outcome.new_interhub_keys % m
-                new_pairs = list(zip(u.tolist(), v.tolist()))
-            task_scans = outcome.task_scans
-            task_fetches = outcome.task_fetches
-            task_bytes = outcome.task_bytes
-            task_outcomes = outcome.task_outcomes
-            dropped_classified = outcome.dropped_classified
-            dropped_visited = outcome.dropped_visited
-            dropped_cmax = outcome.dropped_cmax
-            scans = outcome.scans
-            fetches = outcome.fetches
-            nbytes = outcome.adjacency_bytes
-        else:
-            state = BFSRoundState.create(
-                sub, deg_global, threshold, config.c_max, round_id,
-                visited_round,
-            )
-            for pos, (hub, a0) in enumerate(
-                zip(task_hubs.tolist(), task_seeds.tolist())
-            ):
-                bytes_before = state.adjacency_bytes
-                result = run_bfs_task(state, hub, a0)
-                task_scans[pos] = result.scans
-                task_fetches[pos] = result.fetches
-                task_bytes[pos] = state.adjacency_bytes - bytes_before
-                task_outcomes[pos] = TASK_OUTCOME_CODES[result.outcome]
-                if result.outcome is TaskOutcome.ISLAND:
-                    members = np.asarray(result.members, dtype=np.int64)
-                    hubs_arr = np.asarray(result.hubs, dtype=np.int64)
-                    islands_local.append((members, hubs_arr))
-                    classified[members] = True
-                    num_classified += len(members)
-                elif result.outcome is TaskOutcome.SEED_IS_HUB:
-                    edge = (min(hub, a0), max(hub, a0))
-                    if edge not in interhub_seen:
-                        interhub_seen.add(edge)
-                        new_pairs.append(edge)
-                    dropped_classified += 1
-                elif result.outcome is TaskOutcome.ALREADY_VISITED:
-                    dropped_visited += 1
-                else:
-                    dropped_cmax += 1
-            scans = state.scans
-            fetches = state.adjacency_fetches
-            nbytes = state.adjacency_bytes
-
-        # Winner hubs + island metadata: first task (in task order)
-        # whose seed is the island's first member wins it.
-        k = len(islands_local)
-        isl_seed = np.empty(k, dtype=np.int64)
-        isl_size = np.empty(k, dtype=np.int64)
-        for i, (mem, _) in enumerate(islands_local):
-            isl_seed[i] = mem[0]
-            isl_size[i] = len(mem)
-        isl_winner = _EMPTY
-        if k:
-            order = np.argsort(task_seeds, kind="stable")
-            sorted_seeds = task_seeds[order]
-            pos = np.searchsorted(sorted_seeds, isl_seed)
-            if np.any(sorted_seeds[pos] != isl_seed):
-                raise IslandizationError(
-                    "incremental: sub-run island seed missing from queue"
-                )
-            isl_winner = task_hubs[order[pos]]
-
-        stats = {
-            "nodes_remaining": int(detection.detect_items),
-            "hubs_found": len(new_hubs),
-            "islands_found": k,
-            "nodes_islanded": int(isl_size.sum()) if k else 0,
-            "tasks_generated": total_tasks,
-            "tasks_dropped_classified": dropped_classified,
-            "tasks_dropped_visited": dropped_visited,
-            "tasks_dropped_cmax": dropped_cmax,
-            "interhub_edges_found": len(new_pairs),
-            "adjacency_fetches": fetches + taskgen_fetches,
-            "adjacency_bytes": nbytes + taskgen_bytes,
-            "detect_items": int(detection.detect_items),
-        }
+    for rec in _locate_rounds(
+        sub, deg_global, boundary_local, config, th0,
+        imported_hubs, imported_seeds,
+    ):
+        outcome = rec.outcome
+        islands = outcome.islands
+        isl_seed = np.asarray([mem[0] for mem, _ in islands], dtype=np.int64)
         islanded = (
-            np.concatenate([mem for mem, _ in islands_local])
-            if islands_local else _EMPTY
+            np.concatenate([mem for mem, _ in islands]) if islands else _EMPTY
         )
+        keys = outcome.new_interhub_keys
         out.append(
             _SubRound(
-                threshold=threshold,
-                singles=gids[isolated],
-                islands=[
-                    (gids[mem], gids[hubs_arr])
-                    for mem, hubs_arr in islands_local
-                ],
-                isl_seed=gids[isl_seed] if k else _EMPTY,
-                isl_size=isl_size,
-                isl_winner=gids[isl_winner] if k else _EMPTY,
-                islanded=gids[islanded] if len(islanded) else _EMPTY,
-                new_hubs=gids[new_hubs],
-                stats=stats,
-                interhub=(
-                    gids[np.asarray(new_pairs, dtype=np.int64)]
-                    if new_pairs
-                    else np.zeros((0, 2), dtype=np.int64)
+                threshold=rec.threshold,
+                singles=gids[rec.isolated],
+                islands=[(gids[mem], gids[hubs]) for mem, hubs in islands],
+                isl_seed=gids[isl_seed],
+                isl_size=np.asarray(
+                    [len(mem) for mem, _ in islands], dtype=np.int64
                 ),
-                log_hubs=gids[task_hubs],
-                log_seeds=gids[task_seeds],
-                log_scans=task_scans,
-                log_fetches=task_fetches,
-                log_bytes=task_bytes,
-                log_outcomes=task_outcomes,
-                scans_total=scans,
+                isl_winner=gids[
+                    _winning_hubs(isl_seed, rec.task_hubs, rec.task_seeds)
+                ],
+                islanded=gids[islanded],
+                new_hubs=gids[rec.new_hubs],
+                stats=rec.stats,
+                interhub=gids[np.stack([keys // m, keys % m], axis=1)],
+                log_hubs=gids[rec.task_hubs],
+                log_seeds=gids[rec.task_seeds],
+                log_scans=outcome.task_scans,
+                log_fetches=outcome.task_fetches,
+                log_bytes=outcome.task_bytes,
+                log_outcomes=outcome.task_outcomes,
+                scans_total=outcome.scans,
             )
         )
-        threshold = config.next_threshold(threshold)
-        round_id += 1
     return out
 
 
@@ -1039,7 +849,7 @@ def _splice_islands(
             members, hubs = pool[ref]
         else:
             members = singles_flat[ref:ref + 1]
-            hubs = _NO_HUBS
+            hubs = _EMPTY
         obj = obj_new(Island)
         set_attr(obj, "round_id", rnd)
         set_attr(obj, "members", members)
@@ -1150,8 +960,6 @@ def update_islandization(
         )
 
     # --- extraction + sub-run on the mutated graph ---------------------
-    reg_mask = np.zeros(n, dtype=bool)
-    reg_mask[region] = True
     m = len(region)
     if m:
         relabel = np.full(n, -1, dtype=np.int64)
@@ -1160,17 +968,15 @@ def update_islandization(
         # Boundary hubs' round-1 tasks into the dirty set, from the
         # mutated graph's rows: a boundary hub's changed edges all
         # target DN (or another clean hub, folded in closed form).
-        starts = new_graph.indptr[b_ids]
-        counts = new_graph.indptr[b_ids + 1] - starts
-        total_imp = int(counts.sum())
-        prefix = np.cumsum(counts) - counts
-        flat = np.arange(total_imp, dtype=np.int64) + np.repeat(
-            starts - prefix, counts
-        )
+        flat, counts = csr_gather(new_graph.indptr, b_ids)
         imp_seeds = new_graph.indices[flat]
         imp_hubs = np.repeat(b_ids, counts)
         keep = dn_mask[imp_seeds]
-        sub_new = _extract_region(new_graph, region, reg_mask)
+        # Region ids are sorted, so local ids are monotone in global
+        # ids: sorted adjacency, lexicographic task order and BFS
+        # discovery order all transfer between the sub-run and the
+        # full run unchanged.
+        sub_new = new_graph.subgraph(region, name=f"{new_graph.name}-dirty")
         new_rounds = _run_sub(
             sub_new, region, deg_new[region], boundary[region],
             relabel[imp_hubs[keep]], relabel[imp_seeds[keep]], config, th0,
@@ -1362,20 +1168,9 @@ def update_islandization(
     full_log[4][clean_pos] = state.log_bytes[keep_clean]
     full_log[5][clean_pos] = state.log_outcomes[keep_clean]
     full_log[:, sub_pos] = sub_all
-    # Greedy-dispatch replay over the merged task order.  Heap entries
-    # are ``load * p2 + engine`` — a single int compares exactly like
-    # the (load, engine) tuple (engine < p2) but sifts much faster, and
-    # adding ``scans * p2`` re-pushes the least-loaded engine in place.
-    p2 = config.p2
-    heap = list(range(p2))
-    heapreplace = heapq.heapreplace
-    mc = full_log[2]
-    for scaled in (mc[mc > 0] * p2).tolist():
-        heapreplace(heap, heap[0] + scaled)
-
-    per_engine = np.zeros(p2, dtype=np.int64)
-    for entry in heap:
-        per_engine[entry % p2] = entry // p2
+    # Greedy-dispatch replay over the merged task order.
+    dispatch = _GreedyEngineDispatch(config.p2)
+    dispatch.add(full_log[2])
     work = LocatorWork(
         total_adjacency_fetches=sum(r.adjacency_fetches for r in folded),
         total_adjacency_bytes=sum(r.adjacency_bytes for r in folded),
@@ -1385,7 +1180,7 @@ def update_islandization(
             - int(old_dirty["bfs_scans"].sum())
             + sum(sr.scans_total for sr in new_rounds)
         ),
-        per_engine_scans=per_engine,
+        per_engine_scans=dispatch.loads(),
     )
     _check(
         work.total_bfs_scans == int(full_log[2].sum()),

@@ -4,11 +4,11 @@ This module re-implements one round of Algorithm 1's Th3 phase (the
 TP-BFS task queue of :mod:`repro.core.tp_bfs`) as stamp-array NumPy
 kernels.  The one-round granularity is deliberate: each
 :func:`execute_round_batched` call returns a complete
-:class:`BatchedRoundOutcome`, which is exactly the unit
-:meth:`IslandLocator.stream <repro.core.islandizer.IslandLocator.stream>`
-hands to the Island Consumer as a
-:class:`~repro.core.types.RoundOutput` — the §3.1.1/Fig. 3 streamed
-pipeline needs no extra synchronisation inside this module.  The
+:class:`RoundOutcome` — the type the scalar oracle's round returns
+too — which is exactly the unit the locator's round loop turns into
+one :class:`~repro.core.types.RoundOutput` for the Island Consumer, so
+the §3.1.1/Fig. 3 streamed pipeline needs no extra synchronisation
+inside this module.  The
 contract is **exact result-equivalence** with the scalar
 per-edge loop — identical islands (members in BFS discovery order,
 hubs in first-contact order), identical inter-hub edges, identical
@@ -29,7 +29,8 @@ of the **active subgraph** (unclassified non-hub nodes):
 Hence, per round:
 
 1. **Seed-is-hub tasks** are classified in bulk against the hub mask;
-   their canonical inter-hub edges dedup through one sorted key array.
+   their canonical inter-hub edges dedup through one sorted key array
+   (:func:`dedup_interhub_keys`, which the scalar round calls too).
 2. **Small components** (``size <= c_max``): the first task whose seed
    lands in the component wins and islands the *entire* component —
    no collision or cap abort is reachable — and every later task in
@@ -79,7 +80,7 @@ from scipy.sparse.csgraph import connected_components
 from repro.core.tp_bfs import TaskOutcome
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph
-from repro.nputil import cumsum0
+from repro.nputil import csr_gather, cumsum0, sorted_unique
 
 __all__ = [
     "STATE_FREE",
@@ -92,7 +93,8 @@ __all__ = [
     "TASK_VISITED",
     "TASK_CMAX",
     "TASK_OUTCOME_CODES",
-    "BatchedRoundOutcome",
+    "RoundOutcome",
+    "dedup_interhub_keys",
     "run_task_levelwise",
     "execute_round_batched",
 ]
@@ -103,7 +105,7 @@ STATE_VISITED = np.int8(2)
 STATE_OWN = np.int8(3)
 STATE_OWN_HUB = np.int8(4)
 
-#: Per-task outcome codes of ``BatchedRoundOutcome.task_outcomes``
+#: Per-task outcome codes of ``RoundOutcome.task_outcomes``
 #: (compact int8 encoding of :class:`~repro.core.tp_bfs.TaskOutcome`).
 #: Plain ints, so the sequential walkers return and compare them at
 #: Python-int speed.
@@ -128,11 +130,13 @@ _LEVELWISE_CMAX = 512
 
 
 @dataclass
-class BatchedRoundOutcome:
-    """Everything one batched Th3 round hands back to the locator.
+class RoundOutcome:
+    """Everything one Th3 round hands back to the locator, either backend.
 
     ``islands`` are (members, hubs) pairs in the scalar path's append
-    order (winning-task order); ``task_scans``, ``task_fetches``,
+    order (winning-task order); ``new_interhub_keys`` are the sorted
+    canonical keys of the inter-hub edges first found this round (see
+    :func:`dedup_interhub_keys`); ``task_scans``, ``task_fetches``,
     ``task_bytes`` and ``task_outcomes`` hold each task's scan count,
     adjacency fetches/bytes and outcome code *in task order* — the
     scans drive the engine-dispatch replay, and the full per-task
@@ -182,22 +186,26 @@ def _first_occurrence(nbrs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return scratch[nbrs] == idx
 
 
-def _flat_gather(
-    indptr: np.ndarray, frontier: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """CSR row gather positions for a frontier.
+def dedup_interhub_keys(
+    hubs: np.ndarray, seeds: np.ndarray, num_nodes: int, known: np.ndarray
+) -> np.ndarray:
+    """Sorted canonical keys of the new inter-hub edges among ``(hub, seed)``.
 
-    Returns ``(flat, row_counts, total)`` where ``indices[flat]`` lists
-    every neighbour entry of ``frontier`` in row-major (task scan)
-    order — the same ``np.repeat``/``np.cumsum`` slicing trick the
-    locator's Th2 task generation uses.
+    Each pair's key is ``min * num_nodes + max``, so both orientations
+    of an edge share one key.  Repeated keys collapse to one, and keys
+    already in ``known`` (the sorted keys of earlier rounds' edges) are
+    dropped: a sort and one ``searchsorted`` instead of a per-task
+    set lookup.
     """
-    starts = indptr[frontier]
-    row_counts = indptr[frontier + 1] - starts
-    total = int(row_counts.sum())
-    prefix = np.cumsum(row_counts) - row_counts
-    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - prefix, row_counts)
-    return flat, row_counts, total
+    keys = sorted_unique(
+        np.minimum(hubs, seeds) * np.int64(num_nodes) + np.maximum(hubs, seeds)
+    )
+    if len(known) and len(keys):
+        keys = keys[
+            known[np.minimum(np.searchsorted(known, keys), len(known) - 1)]
+            != keys
+        ]
+    return keys
 
 
 def run_task_levelwise(
@@ -247,7 +255,8 @@ def run_task_levelwise(
             total = int(end - start)
             row_counts = None
         else:
-            flat, row_counts, total = _flat_gather(indptr, frontier)
+            flat, row_counts = csr_gather(indptr, frontier)
+            total = len(flat)
             nbrs = indices[flat]
         s = state[nbrs]
         free = s == STATE_FREE
@@ -468,8 +477,8 @@ def _multi_source_bfs(
     frontier = seeds
     owner = member_owner[0]
     while frontier.size:
-        flat, row_counts, total = _flat_gather(indptr, frontier)
-        if total == 0:
+        flat, row_counts = csr_gather(indptr, frontier)
+        if len(flat) == 0:
             break
         nbrs = indices[flat]
         nbr_owner = np.repeat(owner, row_counts)
@@ -532,7 +541,7 @@ def execute_round_batched(
     task_hubs: np.ndarray,
     task_seeds: np.ndarray,
     interhub_keys: np.ndarray,
-) -> BatchedRoundOutcome:
+) -> RoundOutcome:
     """Execute one round's TP-BFS task queue, batched.
 
     Parameters mirror the scalar loop's per-round inputs: ``is_hub``
@@ -547,7 +556,7 @@ def execute_round_batched(
     """
     n = graph.num_nodes
     num_tasks = len(task_seeds)
-    out = BatchedRoundOutcome()
+    out = RoundOutcome()
     if num_tasks == 0:
         return out
     task_scans = np.zeros(num_tasks, dtype=np.int64)
@@ -563,22 +572,10 @@ def execute_round_batched(
     out.dropped_classified = int(seed_hub_mask.sum())
     if out.dropped_classified:
         task_outcomes[seed_hub_mask] = TASK_SEED_HUB
-        hu = task_hubs[seed_hub_mask]
-        hv = task_seeds[seed_hub_mask]
-        keys = np.minimum(hu, hv) * np.int64(n) + np.maximum(hu, hv)
-        keys = np.sort(keys)
-        if len(keys) > 1:
-            distinct = np.ones(len(keys), dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-            keys = keys[distinct]
-        if len(interhub_keys):
-            keys = keys[
-                interhub_keys[
-                    np.clip(np.searchsorted(interhub_keys, keys), 0,
-                            len(interhub_keys) - 1)
-                ] != keys
-            ]
-        out.new_interhub_keys = keys
+        out.new_interhub_keys = dedup_interhub_keys(
+            task_hubs[seed_hub_mask], task_seeds[seed_hub_mask], n,
+            interhub_keys,
+        )
 
     bfs_idx = np.flatnonzero(~seed_hub_mask)
     if len(bfs_idx) == 0:

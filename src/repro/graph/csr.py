@@ -35,7 +35,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from repro.errors import GraphError
-from repro.nputil import cumsum0, sorted_unique
+from repro.nputil import csr_gather, cumsum0, sorted_unique
 from repro.serialize import read_npz, write_npz
 
 __all__ = ["CSRGraph", "GraphDelta"]
@@ -400,25 +400,34 @@ class CSRGraph:
             symmetrize=False,
         )
 
-    def subgraph(self, nodes: np.ndarray) -> "CSRGraph":
-        """Induced subgraph on ``nodes`` (relabelled 0..len(nodes)-1)."""
-        nodes = np.asarray(sorted(set(np.asarray(nodes, dtype=np.int64).tolist())))
-        relabel = -np.ones(self.num_nodes, dtype=np.int64)
-        relabel[nodes] = np.arange(len(nodes))
-        rows_out: list[int] = []
-        cols_out: list[int] = []
-        for new_u, u in enumerate(nodes):
-            for v in self.neighbors(int(u)):
-                nv = relabel[v]
-                if nv >= 0:
-                    rows_out.append(new_u)
-                    cols_out.append(int(nv))
-        return CSRGraph.from_edges(
-            len(nodes),
-            np.asarray(rows_out, dtype=np.int64),
-            np.asarray(cols_out, dtype=np.int64),
-            name=f"{self.name}-sub",
-            symmetrize=False,
+    def subgraph(
+        self, nodes: np.ndarray, *, name: str | None = None
+    ) -> "CSRGraph":
+        """Induced subgraph on ``nodes``, relabelled ``0..k-1``.
+
+        ``nodes`` is sorted and deduplicated first, so local ids are
+        monotone in global ids and every row keeps its sorted,
+        duplicate-free order: one CSR gather and a mask, no rebuild.
+        ``name`` defaults to ``"<name>-sub"``.
+        """
+        nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
+        k = len(nodes)
+        if k and (nodes[0] < 0 or nodes[-1] >= self.num_nodes):
+            raise GraphError("subgraph node ids out of range")
+        inside = np.zeros(self.num_nodes, dtype=bool)
+        inside[nodes] = True
+        relabel = np.full(self.num_nodes, -1, dtype=np.int64)
+        relabel[nodes] = np.arange(k, dtype=np.int64)
+        flat, counts = csr_gather(self.indptr, nodes)
+        cols = self.indices[flat]
+        # A byte mask gather first: hub rows carry many entries that
+        # leave the subgraph, and only the kept ones need relabelling.
+        keep = inside[cols]
+        rows = np.repeat(np.arange(k, dtype=np.int64), counts)[keep]
+        return CSRGraph(
+            indptr=cumsum0(np.bincount(rows, minlength=k)),
+            indices=relabel[cols[keep]],
+            name=f"{self.name}-sub" if name is None else name,
         )
 
     def edge_keys(self) -> np.ndarray:

@@ -95,7 +95,3 @@ def reordering_names() -> list[str]:
     names.extend(sorted(set(_REGISTRY) - set(names)))
     return names
 
-
-def identity_permutation(num_nodes: int) -> np.ndarray:
-    """The do-nothing permutation."""
-    return np.arange(num_nodes, dtype=np.int64)

@@ -180,6 +180,43 @@ class TestSubgraph:
         sub = star.subgraph(np.array([1, 2]))
         assert sub.num_edges == 0
 
+    @staticmethod
+    def _per_edge_reference(graph, nodes):
+        """Induced CSR on the sorted distinct ``nodes``, one edge at a time."""
+        keep = sorted(set(nodes.tolist()))
+        local = {u: i for i, u in enumerate(keep)}
+        indptr = [0]
+        indices = []
+        for u in keep:
+            for v in graph.neighbors(u).tolist():
+                if v in local:
+                    indices.append(local[v])
+            indptr.append(len(indices))
+        return indptr, indices
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_edge_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        k = int(rng.integers(0, 3 * n))
+        graph = CSRGraph.from_edges(
+            n, rng.integers(0, n, k), rng.integers(0, n, k), name="rnd"
+        )
+        # Unsorted, with repeats, sometimes empty or covering everything.
+        nodes = rng.integers(0, n, int(rng.integers(0, 2 * n)))
+        sub = graph.subgraph(nodes)
+        indptr, indices = self._per_edge_reference(graph, nodes)
+        assert sub.indptr.tolist() == indptr
+        assert sub.indices.tolist() == indices
+        assert sub.name == "rnd-sub"
+
+    def test_name_override(self, fig2):
+        assert fig2.subgraph(np.array([2, 0]), name="part").name == "part"
+
+    def test_rejects_out_of_range(self, triangle):
+        with pytest.raises(GraphError):
+            triangle.subgraph(np.array([0, 3]))
+
     def test_to_dense_matches(self, fig2):
         dense = fig2.to_dense()
         assert dense.sum() == fig2.num_edges

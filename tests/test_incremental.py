@@ -151,6 +151,48 @@ class TestRandomEditChains:
             graph, upd = check_update(graph, result, state, delta, config)
             result, state = upd.result, upd.state
 
+    @pytest.mark.parametrize("backend", ["batched", "scalar"])
+    def test_levelwise_walks_in_updates(self, backend, monkeypatch):
+        # c_max >= 512 sends the batched backend's over-c_max walks
+        # through the level-wise walker; the graph's giant component is
+        # far above the cap, so every update's sub-run walks.
+        from repro.core import islandizer_incremental, tp_bfs_batched
+
+        assert 600 >= tp_bfs_batched._LEVELWISE_CMAX
+        walks = {"all": 0, "update": 0}
+        real_walk = tp_bfs_batched.run_task_levelwise
+        real_sub = islandizer_incremental._run_sub
+
+        def counting_walk(*args):
+            walks["all"] += 1
+            return real_walk(*args)
+
+        def counting_sub(*args):
+            before = walks["all"]
+            rounds = real_sub(*args)
+            walks["update"] += walks["all"] - before
+            return rounds
+
+        monkeypatch.setattr(tp_bfs_batched, "run_task_levelwise", counting_walk)
+        monkeypatch.setattr(islandizer_incremental, "_run_sub", counting_sub)
+        rng = np.random.default_rng(3)
+        graph = random_graph(rng, 3000, 3)
+        config = LocatorConfig(
+            backend=backend, th0=9, c_max=600, incremental=True
+        )
+        result, state = record_islandization(graph, config)
+        for _ in range(3):
+            delta = random_delta(rng, graph, 5, 5)
+            graph, upd = check_update(graph, result, state, delta, config,
+                                      max_dirty_fraction=1.0)
+            result, state = upd.result, upd.state
+            assert not upd.fallback
+            assert sum(r.tasks_dropped_cmax for r in result.rounds) > 0
+        if backend == "batched":
+            assert walks["update"] > 0
+        else:
+            assert walks["all"] == 0
+
 
 # ----------------------------------------------------------------------
 # Targeted structural edits

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import LocatorConfig, islandize
 from repro.core.hub_detector import detect_new_hubs
+from repro.core.islandizer import _GreedyEngineDispatch
+from repro.core.tp_bfs_batched import dedup_interhub_keys
 from repro.errors import ConfigError, IslandizationError
 from repro.graph import CSRGraph, GraphBuilder, erdos_renyi, hub_island_graph
 from repro.graph.generators import CommunityProfile
@@ -219,3 +223,52 @@ class TestWorkTracking:
         loads = res.work.per_engine_scans
         assert len(loads) == 4
         assert loads.sum() == res.work.total_bfs_scans
+
+
+class TestEngineDispatch:
+    """The int-keyed dispatch heap against a plain ``argmin`` replay."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p2=st.integers(min_value=1, max_value=70),
+        scans=st.lists(st.integers(min_value=0, max_value=50), max_size=200),
+        cuts=st.lists(st.integers(min_value=0, max_value=200), max_size=4),
+    )
+    def test_matches_argmin_replay(self, p2, scans, cuts):
+        # Reference: each nonzero-scan task, in order, goes to the
+        # least-loaded engine, ties to the lowest index (argmin's rule).
+        expected = np.zeros(p2, dtype=np.int64)
+        for s in scans:
+            if s:
+                expected[int(np.argmin(expected))] += s
+        # The heap sees the same task sequence in one chunk or several.
+        task_scans = np.asarray(scans, dtype=np.int64)
+        bounds = [0, *sorted(min(c, len(scans)) for c in cuts), len(scans)]
+        dispatch = _GreedyEngineDispatch(p2)
+        for lo, hi in zip(bounds, bounds[1:]):
+            dispatch.add(task_scans[lo:hi])
+        assert np.array_equal(dispatch.loads(), expected)
+
+
+class TestInterhubDedup:
+    """The sorted-key inter-hub dedup against a Python set of pairs."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        hubs = rng.integers(0, n, 40)
+        seeds = rng.integers(0, n, 40)
+        keep = hubs != seeds
+        hubs, seeds = hubs[keep], seeds[keep]
+        # Each pair again reversed and again as drawn: both orientations
+        # and repeats, on top of the repeats a small ``n`` draws.
+        hubs, seeds = (
+            np.concatenate([hubs, seeds, hubs]),
+            np.concatenate([seeds, hubs, seeds]),
+        )
+        pairs = {(min(u, v), max(u, v)) for u, v in zip(hubs.tolist(), seeds.tolist())}
+        known_pairs = set(sorted(pairs)[::3])
+        known = np.asarray(sorted(u * n + v for u, v in known_pairs), dtype=np.int64)
+        expected = sorted(u * n + v for u, v in pairs - known_pairs)
+        assert dedup_interhub_keys(hubs, seeds, n, known).tolist() == expected
