@@ -1,9 +1,10 @@
-"""Ablations of I-GCN's design choices (DESIGN.md §6).
+"""Ablations of I-GCN's design choices.
 
 Not a paper figure: sweeps the parameters the paper leaves open
 (pre-aggregation width k, island-size cap c_max, threshold decay) and
 records their effect on pruning and latency, so the calibrated defaults
-are justified by data in the bench log.
+are justified by data in the bench log
+(docs/architecture.md#open-parameters-and-their-ablations).
 """
 
 import pytest

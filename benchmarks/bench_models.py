@@ -4,7 +4,7 @@ The paper evaluates three model families; the headline figures use
 GCN.  This bench runs all three through I-GCN on every dataset and
 checks that islandization's benefits are model-independent (the
 locator result is shared; pruning applies to any factorisable
-aggregation — DESIGN.md §3).
+aggregation — docs/architecture.md#model-independence).
 """
 
 import pytest

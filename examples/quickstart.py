@@ -11,7 +11,8 @@ from repro.eval import render_table
 
 def main() -> None:
     # 1. Load a dataset (an offline surrogate with Cora's published
-    #    statistics and community structure; see DESIGN.md §4).
+    #    statistics and community structure; see
+    #    docs/architecture.md#dataset-surrogates-and-scale).
     ds = load_dataset("cora")
     print(f"dataset: {ds.name}, {ds.num_nodes} nodes, "
           f"{ds.graph.num_edges} directed edges, "

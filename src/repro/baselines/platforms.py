@@ -20,7 +20,7 @@ of peak FLOPs for sparse-workload CPUs, ~10-20 % of peak for GPU dense
 GEMMs at GNN sizes, DDR4/HBM streaming efficiencies, and measured-order
 framework overheads.  They are calibrated so the I-GCN speedup
 magnitudes land in the paper's bands (≈10⁴× PyG-CPU, ≈10³× DGL-CPU,
-≈10²-10³× GPUs); see EXPERIMENTS.md.
+≈10²-10³× GPUs); see docs/architecture.md#framework-baseline-calibration.
 """
 
 from __future__ import annotations

@@ -49,7 +49,8 @@ def detect_new_hubs(
     Degree-0 nodes can never be reached by TP-BFS (no hub will ever
     list them as a neighbour) nor pass any threshold, so the sweep
     classifies them directly as singleton islands; this is the
-    termination guard discussed in DESIGN.md §6.
+    termination guard discussed in
+    docs/architecture.md#locator-termination-guard.
     """
     remaining = ~classified
     new_hubs = np.flatnonzero(remaining & (degrees >= threshold))

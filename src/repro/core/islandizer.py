@@ -22,8 +22,8 @@ Th3 has two interchangeable backends selected by
 
 * ``"batched"`` (default) — the vectorized stamp-array kernels of
   :mod:`repro.core.tp_bfs_batched`: bulk task classification, one
-  multi-source NumPy BFS for all island-producing tasks, and
-  level-vectorized walks for over-``c_max`` regions;
+  multi-source NumPy BFS for all island-producing tasks, and per-edge
+  walks, one task at a time, for over-``c_max`` regions;
 * ``"scalar"`` — the original per-edge Python loop of
   :mod:`repro.core.tp_bfs`, kept as the oracle.
 
@@ -36,7 +36,7 @@ inter-hub edges, round statistics and work counters — which
 Termination: the threshold decays geometrically to ``th_min``; at
 ``th_min = 1`` every remaining node with an edge becomes a hub and
 degree-0 nodes are swept into singleton islands, so the node list
-always empties (DESIGN.md §6).
+always empties (docs/architecture.md#locator-termination-guard).
 """
 
 from __future__ import annotations
@@ -460,14 +460,13 @@ def islandize(
     config: LocatorConfig | None = None,
     *,
     store=None,
-    max_workers: int | None = None,
 ) -> IslandizationResult:
     """Convenience wrapper: run the Island Locator on ``graph``.
 
     With ``config.partitions > 1`` the run is dispatched to the
     partition-parallel, out-of-core locator
     (:func:`repro.core.islandizer_partitioned.islandize_partitioned`);
-    ``store`` and ``max_workers`` only apply there.  ``partitions == 1``
+    ``store`` only applies there.  ``partitions == 1``
     runs monolithically in-process — no shard files, no worker fleet —
     which is also exactly what the partitioned path's single-shard
     oracle contract reproduces.
@@ -476,7 +475,5 @@ def islandize(
     if config.partitions > 1:
         from repro.core.islandizer_partitioned import islandize_partitioned
 
-        return islandize_partitioned(
-            graph, config, store=store, max_workers=max_workers
-        )
+        return islandize_partitioned(graph, config, store=store)
     return IslandLocator(config).run(graph)

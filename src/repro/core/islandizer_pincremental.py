@@ -69,7 +69,7 @@ from repro.graph.partition import (
     partition_graph,
     route_edits,
 )
-from repro.serialize import config_digest, read_npz, write_npz
+from repro.serialize import read_npz, write_npz
 
 __all__ = [
     "PartitionedIncrementalState",
@@ -679,23 +679,14 @@ def _undirected(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 # Transient-fleet wrappers (the dispatch targets)
 # ----------------------------------------------------------------------
 def record_islandization_partitioned(
-    graph: CSRGraph,
-    config: LocatorConfig | None = None,
-    *,
-    fleet: ShardFleet | None = None,
-    max_workers: int | None = None,
+    graph: CSRGraph, config: LocatorConfig | None = None
 ) -> tuple[IslandizationResult, PartitionedIncrementalState]:
     """Record a partitioned islandization with its routing state.
 
-    ``record_islandization`` dispatches here for ``partitions > 1``.
-    Pass a :class:`ShardFleet` to keep the worker pool warm across
-    calls; without one, a transient fleet lives for this call only.
+    ``record_islandization`` dispatches here for ``partitions > 1``; a
+    transient :class:`ShardFleet` lives for this call only.
     """
-    config = config or LocatorConfig()
-    if fleet is not None:
-        _check_fleet(fleet, config)
-        return fleet.record(graph)
-    with ShardFleet(config, max_workers=max_workers) as transient:
+    with ShardFleet(config or LocatorConfig()) as transient:
         return transient.record(graph)
 
 
@@ -708,29 +699,15 @@ def update_islandization_partitioned(
     *,
     max_dirty_fraction: float = 0.5,
     applied=None,
-    fleet: ShardFleet | None = None,
 ) -> PartitionedIncrementalUpdate:
     """Maintain a partitioned islandization under an edge delta.
 
-    ``update_islandization`` dispatches here for ``partitions > 1``;
-    see :meth:`ShardFleet.update` for the routing contract.
+    ``update_islandization`` dispatches here for ``partitions > 1``; a
+    transient :class:`ShardFleet` lives for this call only (see
+    :meth:`ShardFleet.update` for the routing contract).
     """
-    config = config or LocatorConfig()
-    if fleet is not None:
-        _check_fleet(fleet, config)
-        return fleet.update(
-            old_graph, cached, state, delta,
-            max_dirty_fraction=max_dirty_fraction, applied=applied,
-        )
-    with ShardFleet(config) as transient:
+    with ShardFleet(config or LocatorConfig()) as transient:
         return transient.update(
             old_graph, cached, state, delta,
             max_dirty_fraction=max_dirty_fraction, applied=applied,
-        )
-
-
-def _check_fleet(fleet: ShardFleet, config: LocatorConfig) -> None:
-    if config_digest(fleet.config) != config_digest(config):
-        raise ConfigError(
-            "fleet was built for a different locator config"
         )

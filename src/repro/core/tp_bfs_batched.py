@@ -44,11 +44,9 @@ Hence, per round:
    run sequentially.  A task whose seed repeats an earlier such task's
    seed dies with zero work (the earlier task stamped that seed, or
    found it stamped), so one first-occurrence pass drops those in
-   bulk.  The rest walk one by one: through :func:`run_task_levelwise`
-   for large caps — level-vectorized, with the exact abort position
-   recovered from per-level cumulative counts — and otherwise through
-   a per-edge walker that reads the CSR arrays through zero-copy
-   memoryviews.
+   bulk.  The rest walk one by one, edge by edge, through
+   :func:`_run_walk_edgewise`, which reads the CSR arrays through
+   zero-copy memoryviews and the round's state through a bytearray.
 
 Classification uses one ``int8`` state array per round instead of the
 scalar path's three stamp arrays, so each BFS level costs a single
@@ -60,18 +58,17 @@ state value            meaning
 ``STATE_FREE``    0    unclassified non-hub, not yet visited
 ``STATE_HUB``     1    hub (this round's threshold or older)
 ``STATE_VISITED`` 2    in ``v_global`` (some finished task)
-``STATE_OWN``     3    in the *running* task's ``v_local``
-``STATE_OWN_HUB`` 4    hub already recorded by the running task
+``3``                  in the *running* walk's ``v_local``
+``4``                  hub already recorded by the running walk
 ====================  =====================================
 
-Codes 3/4 are task-local and are folded back to 2/1 when the task
-ends, so the next task sees only global state.
+Codes 3/4 exist only inside an over-``c_max`` walk, which folds them
+back to 2/1 when it ends, so the next task sees only global state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -86,8 +83,6 @@ __all__ = [
     "STATE_FREE",
     "STATE_HUB",
     "STATE_VISITED",
-    "STATE_OWN",
-    "STATE_OWN_HUB",
     "TASK_ISLAND",
     "TASK_SEED_HUB",
     "TASK_VISITED",
@@ -95,19 +90,16 @@ __all__ = [
     "TASK_OUTCOME_CODES",
     "RoundOutcome",
     "dedup_interhub_keys",
-    "run_task_levelwise",
     "execute_round_batched",
 ]
 
 STATE_FREE = np.int8(0)
 STATE_HUB = np.int8(1)
 STATE_VISITED = np.int8(2)
-STATE_OWN = np.int8(3)
-STATE_OWN_HUB = np.int8(4)
 
 #: Per-task outcome codes of ``RoundOutcome.task_outcomes``
 #: (compact int8 encoding of :class:`~repro.core.tp_bfs.TaskOutcome`).
-#: Plain ints, so the sequential walkers return and compare them at
+#: Plain ints, so the over-c_max walker returns and compares them at
 #: Python-int speed.
 TASK_ISLAND = 0
 TASK_SEED_HUB = 1
@@ -122,11 +114,6 @@ TASK_OUTCOME_CODES: dict[TaskOutcome, int] = {
 }
 
 _EMPTY = np.zeros(0, dtype=np.int64)
-
-#: Island-size cap above which over-c_max walks use the level-wise
-#: kernel; below it, carving walks are short enough that the per-edge
-#: walker's lower constant wins.
-_LEVELWISE_CMAX = 512
 
 
 @dataclass
@@ -208,127 +195,6 @@ def dedup_interhub_keys(
     return keys
 
 
-def run_task_levelwise(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    state: np.ndarray,
-    scratch: np.ndarray,
-    c_max: int,
-    seed_hub: int,
-    a0: int,
-) -> tuple[int, np.ndarray | None, np.ndarray | None, int, int, int]:
-    """Execute one TP-BFS task with level-vectorized frontier expansion.
-
-    Exact counterpart of :func:`repro.core.tp_bfs.run_bfs_task` for a
-    seed that already passed the hub/visited checks: the frontier
-    expands level by level with one CSR gather + one state gather, and
-    the three break conditions are detected per level.  On an abort the
-    scalar path's mid-scan position is recovered exactly — ``scans``
-    counts entries up to and including the aborting one, fetches/bytes
-    cover the rows popped up to that entry, and the cap-tripping member
-    is still stamped into ``v_global`` (the scalar loop stamps before
-    it checks the cap).
-
-    Returns ``(code, members, hubs, scans, fetches, bytes)``, where
-    ``code`` is the task's ``TASK_*`` outcome code; members/hubs are
-    ``None`` unless the code is ``TASK_ISLAND``.
-    """
-    state[a0] = STATE_OWN
-    state[seed_hub] = STATE_OWN_HUB
-    member_chunks: list[np.ndarray] = [np.asarray([a0], dtype=np.int64)]
-    hub_chunks: list[np.ndarray] = [np.asarray([seed_hub], dtype=np.int64)]
-    count = 1
-    scans = 0
-    fetches = 0
-    nbytes = 0
-    frontier = member_chunks[0]
-    aborted: int | None = None
-
-    while frontier.size and aborted is None:
-        if frontier.size == 1:
-            # Single-node frontier (every task's first level, and every
-            # level of chain-like walks): the row is a direct CSR slice
-            # with unique sorted entries — no flat gather, no dedup.
-            node = frontier[0]
-            start, end = indptr[node], indptr[node + 1]
-            nbrs = indices[start:end]
-            total = int(end - start)
-            row_counts = None
-        else:
-            flat, row_counts = csr_gather(indptr, frontier)
-            total = len(flat)
-            nbrs = indices[flat]
-        s = state[nbrs]
-        free = s == STATE_FREE
-        collision = s == STATE_VISITED
-        if row_counts is None:
-            first = None             # single CSR row: entries are unique
-            new_mask = free
-        else:
-            first = _first_occurrence(nbrs, scratch)
-            new_mask = free & first
-        new_count = int(np.count_nonzero(new_mask))
-        collided = bool(collision.any())
-
-        if collided or count + new_count > c_max:
-            # First flat position where the member count would exceed
-            # c_max: the new-member cumsum is non-decreasing, so
-            # searchsorted finds it.
-            if count + new_count > c_max:
-                first_cmax = int(
-                    np.searchsorted(np.cumsum(new_mask), c_max - count + 1)
-                )
-            else:
-                first_cmax = total
-            first_coll = int(np.argmax(collision)) if collided else total
-            if first_coll < first_cmax:
-                pos, aborted = first_coll, TASK_VISITED
-                stamp_end = pos          # the colliding entry is not stamped
-            else:
-                pos, aborted = first_cmax, TASK_CMAX
-                stamp_end = pos + 1      # the cap-tripping member is stamped
-            stamped = nbrs[:stamp_end][new_mask[:stamp_end]]
-            state[stamped] = STATE_VISITED
-            if row_counts is None:
-                row_end = total
-                row = 0
-            else:
-                row_ends = np.cumsum(row_counts)
-                row = int(np.searchsorted(row_ends, pos, side="right"))
-                row_end = int(row_ends[row])
-            scans += pos + 1
-            fetches += row + 1
-            nbytes += row_end * 4
-            break
-
-        scans += total
-        fetches += len(frontier)
-        nbytes += total * 4
-        hub_contact = s == STATE_HUB
-        if hub_contact.any():
-            if first is not None:
-                hub_contact &= first
-            new_hubs = nbrs[hub_contact]
-            state[new_hubs] = STATE_OWN_HUB
-            hub_chunks.append(new_hubs)
-        new_nodes = nbrs[new_mask]
-        state[new_nodes] = STATE_OWN
-        count += len(new_nodes)
-        member_chunks.append(new_nodes)
-        frontier = new_nodes
-
-    members = np.concatenate(member_chunks)
-    hubs = np.concatenate(hub_chunks)
-    # Fold task-local codes back to global state: every touched member
-    # stays in v_global (the paper keeps stamps on aborts so sibling
-    # engines skip the region), recorded hubs go back to plain hubs.
-    state[members] = STATE_VISITED
-    state[hubs] = STATE_HUB
-    if aborted is not None:
-        return aborted, None, None, scans, fetches, nbytes
-    return TASK_ISLAND, members, hubs, scans, fetches, nbytes
-
-
 def _int64_view(array: np.ndarray) -> memoryview:
     """Zero-copy memoryview of a C-contiguous int64 array.
 
@@ -348,21 +214,28 @@ def _run_walk_edgewise(
     seed_hub: int,
     a0: int,
 ) -> tuple[int, np.ndarray | None, np.ndarray | None, int, int, int]:
-    """Per-edge TP-BFS walk on a bytearray state (short-walk fast path).
+    """Execute one over-``c_max`` TP-BFS task, edge by edge.
 
-    Same contract and semantics as :func:`run_task_levelwise`, mirroring
-    the oracle loop of :func:`repro.core.tp_bfs.run_bfs_task` (the state
-    codes are mutually exclusive, so the branch order is immaterial).
-    Collision walks into partially stamped regions die after a handful
-    of edge scans on typical graphs, where even per-level array dispatch
-    costs more than it saves — so this walker runs on plain-Python data
-    (memoryviews of the CSR arrays from :func:`_int64_view`, bytearray
-    state) with ~40 ns per touch.  :func:`execute_round_batched` picks
-    the level-wise kernel instead when ``c_max`` is large enough for
-    carving walks to amortise vectorization.
+    Exact counterpart of :func:`repro.core.tp_bfs.run_bfs_task` for a
+    seed that already passed the hub and visited checks, mirroring its
+    loop (the state codes are mutually exclusive, so the branch order
+    is immaterial).  The walk stops at the first collision with
+    ``v_global`` or when the island grows past ``c_max``: ``scans``
+    then counts entries up to and including the aborting one,
+    fetches/bytes cover the rows popped up to it, and the cap-tripping
+    member stays stamped into ``v_global`` (the oracle stamps before it
+    checks the cap).  Most walks collide with a stamped region after a
+    handful of edge scans, and per-level array dispatch measured slower
+    even for the long carving walks of caps in the thousands, so the
+    walker runs on plain-Python data (memoryviews of the CSR arrays
+    from :func:`_int64_view`, bytearray state) with ~40 ns per touch.
+
+    Returns ``(code, members, hubs, scans, fetches, bytes)``, where
+    ``code`` is the task's ``TASK_*`` outcome code; members/hubs are
+    ``None`` unless the code is ``TASK_ISLAND``.
     """
-    state[a0] = 3          # STATE_OWN
-    state[seed_hub] = 4    # STATE_OWN_HUB
+    state[a0] = 3          # in this walk's v_local
+    state[seed_hub] = 4    # hub recorded by this walk
     members = [a0]
     hubs = [seed_hub]
     count = 1
@@ -626,8 +499,7 @@ def execute_round_batched(
     # --- large components: exact sequential walks ---------------------
     # The first walk into a fresh over-c_max region carves up to c_max
     # members; later walks collide with the stamped zone after a few
-    # edge scans.  Level-vectorized expansion only pays off when the
-    # carve is long, so small caps use the per-edge bytearray walker.
+    # edge scans.
     big_pos = np.flatnonzero(~small)
     if len(big_pos):
         # A task whose seed repeats an earlier walk task's seed dies
@@ -639,20 +511,11 @@ def execute_round_batched(
         fresh = _first_occurrence(walk_seeds, scratch)
         walk_idx = walk_idx[fresh]
         walk_seeds = walk_seeds[fresh]
-        if c_max >= _LEVELWISE_CMAX:
-            wstate = state
-            walk = partial(
-                run_task_levelwise, graph.indptr, graph.indices, state,
-                scratch, c_max,
-            )
-        else:
-            # The walk phase is the round's last consumer of the state,
-            # so the bytearray snapshot never needs to be written back.
-            wstate = bytearray(state)
-            walk = partial(
-                _run_walk_edgewise, _int64_view(graph.indptr),
-                _int64_view(graph.indices), wstate, c_max,
-            )
+        # The walk phase is the round's last consumer of the state, so
+        # the bytearray snapshot never needs to be written back.
+        wstate = bytearray(state)
+        indptr = _int64_view(graph.indptr)
+        indices = _int64_view(graph.indices)
         # Per-walk results go to Python lists and reach the task
         # arrays in one scatter per round.
         walked: list[int] = []
@@ -666,7 +529,9 @@ def execute_round_batched(
         ):
             if wstate[a0] == 2:          # STATE_VISITED: instant death
                 continue
-            code, members, hubs, scans, fetches, nbytes = walk(seed_hub, a0)
+            code, members, hubs, scans, fetches, nbytes = _run_walk_edgewise(
+                indptr, indices, wstate, c_max, seed_hub, a0
+            )
             walked.append(pos)
             w_scans.append(scans)
             w_fetches.append(fetches)
@@ -674,7 +539,7 @@ def execute_round_batched(
             w_codes.append(code)
             if code == TASK_ISLAND:
                 # Unreachable for components larger than c_max, but the
-                # kernels are general; keep the result rather than assume.
+                # walker is general; keep the result rather than assume.
                 out.islands.append((members, hubs))
         task_scans[walked] = w_scans
         task_fetches[walked] = w_fetches

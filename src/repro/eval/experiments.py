@@ -4,7 +4,8 @@ Each ``experiment_*`` function reproduces one published result and
 returns an :class:`ExperimentResult` holding structured rows (for
 assertions) plus rendered text (for logs).  The paper's numbers are
 kept alongside as ``paper_*`` columns so every output is a direct
-paper-vs-measured comparison; EXPERIMENTS.md is generated from these.
+paper-vs-measured comparison; ``python -m repro experiments`` prints
+them all.
 
 The functions are deliberately deterministic (fixed dataset seeds) and
 share one process-wide runtime :class:`~repro.runtime.Engine`, so the
@@ -210,8 +211,9 @@ def experiment_table2() -> ExperimentResult:
         rows=rows,
         text=(
             "note: nell/reddit run at reduced surrogate scale "
-            "(see DESIGN.md §4), so absolute µs are per-scale; speedup "
-            "ratios are the comparable quantity."
+            "(see docs/architecture.md#dataset-surrogates-and-scale), so "
+            "absolute µs are per-scale; speedup ratios are the comparable "
+            "quantity."
         ),
     )
 

@@ -6,7 +6,8 @@ driven by modularity gain, then assigns contiguous ids within the
 resulting community hierarchy.
 
 This is a from-scratch, single-threaded reimplementation of the core
-idea (DESIGN.md §4 records the substitution):
+idea (docs/architecture.md#rabbit-order-substitute records the
+substitution):
 
 1. *Incremental aggregation* — scan edges from low-degree endpoints
    upward; merge the endpoint communities (union-find) whenever the

@@ -13,7 +13,8 @@ Calibration notes
   GCN-algo latency: ~1.4 MMACs / 4096 / 330 MHz = 1.04 µs ideal vs
   1.3 µs reported.
 * ``total_power_w`` back-solved from Table 2's energy efficiency:
-  EE[Graph/kJ] = 1000 / (P × latency) gives ≈ 105-115 W for I-GCN.
+  EE[Graph/kJ] = 1000 / (P × latency) gives 95-142 W for I-GCN across
+  the five datasets, 108 W on Cora (docs/architecture.md#energy-back-solve).
 * Off-chip bandwidth 76.8 GB/s = 4-channel DDR4-2400, the Stratix 10 SX
   dev-kit configuration.
 """

@@ -7,9 +7,10 @@ dram_bytes * e_dram``
 
 with the board-level term ``P_total * latency`` dominating, matching
 what Table 2 implies (back-solving the paper's EE against its latency
-gives a near-constant ~110 W power draw for both I-GCN and AWB-GCN;
-DESIGN.md §6).  Energy efficiency is then ``graphs / kJ = 1000 / E_J``
-per single-graph inference.
+gives 95-142 W for I-GCN and 132-152 W for AWB-GCN; the models use one
+constant per platform, 110 W and 135 W;
+docs/architecture.md#energy-back-solve).  Energy efficiency is then
+``graphs / kJ = 1000 / E_J`` per single-graph inference.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ from repro.core.islandizer_pincremental import (
     PartitionedIncrementalState,
     PartitionedIncrementalUpdate,
     ShardFleet,
-    update_islandization_partitioned,
 )
 from repro.core.types import IslandizationResult
 from repro.errors import ConfigError, SimulationError
@@ -402,10 +401,9 @@ class Engine:
         cached, state = self.islandization_state(clean, config)
         applied = clean.apply_delta(delta, with_changes=True)
         if isinstance(state, PartitionedIncrementalState):
-            upd = update_islandization_partitioned(
-                clean, cached, state, delta, config,
+            upd = self._fleet(config).update(
+                clean, cached, state, delta,
                 max_dirty_fraction=max_dirty_fraction, applied=applied,
-                fleet=self._fleet(config),
             )
         else:
             upd = update_islandization(

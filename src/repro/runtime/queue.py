@@ -12,9 +12,9 @@ module turns the grid into a *persistent* queue à la py_experimenter:
   attempt count, error text and a result-summary column.  The grid is
   defined once (:meth:`ExperimentQueue.submit`, idempotent); any number
   of worker processes — on any host sharing the disk artifact store —
-  claim cells via one atomic ``UPDATE … RETURNING`` transaction,
-  heartbeat their lease while computing, and write the summary row
-  back.
+  claim cells in one ``BEGIN IMMEDIATE`` transaction (select the next
+  runnable cell, then mark it claimed), heartbeat their lease while
+  computing, and write the summary row back.
 * Crash recovery — a claim whose lease expires (worker SIGKILLed,
   wedged, or partitioned away) is *reaped*: the cell returns to
   ``pending`` with its attempt count bumped and an exponential backoff,
@@ -115,12 +115,6 @@ CREATE TABLE IF NOT EXISTS cells (
 CREATE INDEX IF NOT EXISTS idx_cells_claim
     ON cells (status, not_before, ordinal);
 """
-
-#: Whether this interpreter's SQLite speaks ``UPDATE … RETURNING``
-#: (3.35+, 2021).  Older libraries fall back to a select-then-update
-#: inside the same immediate transaction — equally atomic, two steps.
-_HAS_RETURNING = sqlite3.sqlite_version_info >= (3, 35, 0)
-
 
 def default_queue_path() -> str:
     """The conventional queue location.
@@ -415,45 +409,31 @@ class ExperimentQueue:
         Expired leases are reaped first (every claimant doubles as the
         reaper, so a SIGKILLed worker's cell is retried by whoever
         claims next — no dedicated daemon required).  The claim itself
-        is a single ``UPDATE … RETURNING`` against the oldest
-        ``pending`` cell whose backoff has elapsed; concurrent
-        claimants racing one cell serialize on SQLite's write lock and
+        selects the oldest ``pending`` cell whose backoff has elapsed
+        and marks it claimed inside one ``BEGIN IMMEDIATE``
+        transaction, which takes SQLite's write lock up front:
+        concurrent claimants racing one cell serialize on it and
         exactly one wins.
         """
         now = time.time() if now is None else now
         lease = self.lease_s if lease_s is None else float(lease_s)
         self.reap(now=now)
-        fields = ("id, ordinal, dataset, model, platform, scale, seed,"
-                  " variant, config_digest, attempts, lease_deadline")
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                if _HAS_RETURNING:
-                    row = self._conn.execute(
+                row = self._conn.execute(
+                    "SELECT id, ordinal, dataset, model, platform, scale,"
+                    " seed, variant, config_digest, attempts FROM cells"
+                    " WHERE status='pending' AND not_before<=?"
+                    " ORDER BY ordinal LIMIT 1",
+                    (now,),
+                ).fetchone()
+                if row is not None:
+                    self._conn.execute(
                         "UPDATE cells SET status='claimed', owner=?,"
-                        " lease_deadline=?, updated_at=?"
-                        " WHERE id = (SELECT id FROM cells WHERE"
-                        "  status='pending' AND not_before<=?"
-                        "  ORDER BY ordinal LIMIT 1)"
-                        f" RETURNING {fields}",
-                        (owner, now + lease, now, now),
-                    ).fetchone()
-                else:  # pragma: no cover - SQLite < 3.35
-                    row = self._conn.execute(
-                        "SELECT id FROM cells WHERE status='pending' AND"
-                        " not_before<=? ORDER BY ordinal LIMIT 1",
-                        (now,),
-                    ).fetchone()
-                    if row is not None:
-                        self._conn.execute(
-                            "UPDATE cells SET status='claimed', owner=?,"
-                            " lease_deadline=?, updated_at=? WHERE id=?",
-                            (owner, now + lease, now, row["id"]),
-                        )
-                        row = self._conn.execute(
-                            f"SELECT {fields} FROM cells WHERE id=?",
-                            (row["id"],),
-                        ).fetchone()
+                        " lease_deadline=?, updated_at=? WHERE id=?",
+                        (owner, now + lease, now, row["id"]),
+                    )
             except BaseException:
                 self._conn.execute("ROLLBACK")
                 raise
@@ -471,7 +451,7 @@ class ExperimentQueue:
             variant=row["variant"],
             config_digest=row["config_digest"],
             attempts=int(row["attempts"]),
-            lease_deadline=float(row["lease_deadline"]),
+            lease_deadline=now + lease,
         )
 
     def heartbeat(

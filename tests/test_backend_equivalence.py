@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IslandLocator, LocatorConfig, islandize, tp_bfs_batched
+from repro.core import IslandLocator, LocatorConfig, islandize
 from repro.errors import ConfigError
 from repro.graph import CSRGraph, GraphBuilder, erdos_renyi, hub_island_graph
 from repro.graph.generators import CommunityProfile, barabasi_albert
@@ -180,21 +180,18 @@ class TestDegenerateGraphs:
 class TestConfigSweep:
     @pytest.mark.parametrize("c_max", [1, 2, 8, 64, 600, 100000])
     def test_cmax_extremes(self, c_max):
-        # Small caps send this graph's tasks through the per-edge
-        # over-cap walker.  No component of 300 nodes exceeds 600, so
-        # the two large caps never walk: test_levelwise_walks covers
-        # the level-wise kernel.
+        # Small caps send this graph's tasks through the over-cap
+        # walker.  No component of 300 nodes exceeds 600, so the two
+        # large caps never walk: test_large_cap_walks covers walks at
+        # a large cap.
         graph = erdos_renyi(300, 5.0, seed=2).without_self_loops()
         assert_equivalent(graph, c_max=c_max)
 
-    def test_levelwise_walks(self):
-        # c_max >= _LEVELWISE_CMAX routes over-cap walks through the
-        # level-wise kernel.  At 3,000 nodes the active subgraph has a
-        # component over the cap, so walks run and some abort on it.
-        c_max = 600
-        assert c_max >= tp_bfs_batched._LEVELWISE_CMAX
+    def test_large_cap_walks(self):
+        # At 3,000 nodes the active subgraph has a component over a
+        # cap of 600, so walks run and some abort on it.
         graph = erdos_renyi(3000, 5.0, seed=2).without_self_loops()
-        result = assert_equivalent(graph, c_max=c_max)
+        result = assert_equivalent(graph, c_max=600)
         assert any(r.tasks_dropped_cmax > 0 for r in result.rounds)
 
     @pytest.mark.parametrize("decay", [0.3, 0.5, 0.9])

@@ -121,8 +121,9 @@ class TestCalibration:
 
         The profiles are tuned to land Figure 10's pruning rates (the
         paper's headline), which pushes average degree up to ~2-3x the
-        published value on the sparsest graphs; DESIGN.md §6 records
-        this.  Guard the band so future retunes do not drift further.
+        published value on the sparsest graphs;
+        docs/architecture.md#surrogate-average-degree-band records this.
+        Guard the band so future retunes do not drift further.
         """
         ds = load_dataset(name)
         measured = ds.graph.avg_degree

@@ -2,7 +2,8 @@
 
 Runs the same checks CI's docs-check job runs, inside the tier-1
 suite: every local markdown link across README/ROADMAP/docs resolves,
-and the link checker itself behaves (catches a planted broken link).
+every markdown file that code cites exists, and both checkers behave
+(they catch a planted broken link and a planted bad citation).
 The generated-CLI-reference freshness check lives in
 ``tests/test_cli.py`` next to the parser it mirrors.
 """
@@ -21,6 +22,27 @@ import check_docs  # noqa: E402  (path set up above)
 def test_repo_docs_have_no_broken_links():
     paths = [REPO_ROOT / name for name in check_docs.DEFAULT_DOCS]
     assert check_docs.check(paths) == []
+
+
+def test_code_citations_resolve():
+    assert check_docs.check_citations() == []
+
+
+def test_checker_catches_planted_citation(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "notes.md").write_text("# section\n")
+    (tmp_path / "GUIDE.md").write_text("hi\n")
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "# see GUIDE.md, docs/notes.md#section and notes.md\n"
+        "# see NOWHERE.md §2\n"
+    )
+    # The link checker's own fixture names are exempt.
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_docs.py").write_text("# missing.md\n")
+    problems = check_docs.check_citations(tmp_path)
+    assert problems == ["src/pkg/mod.py:2: cites missing NOWHERE.md"]
 
 
 def test_docs_directory_is_checked():

@@ -152,15 +152,14 @@ class TestRandomEditChains:
             result, state = upd.result, upd.state
 
     @pytest.mark.parametrize("backend", ["batched", "scalar"])
-    def test_levelwise_walks_in_updates(self, backend, monkeypatch):
-        # c_max >= 512 sends the batched backend's over-c_max walks
-        # through the level-wise walker; the graph's giant component is
-        # far above the cap, so every update's sub-run walks.
+    def test_large_cap_walks_in_updates(self, backend, monkeypatch):
+        # The graph's giant component is far above a cap of 600, so
+        # every update's sub-run sends the batched backend's tasks
+        # through the over-c_max walker.
         from repro.core import islandizer_incremental, tp_bfs_batched
 
-        assert 600 >= tp_bfs_batched._LEVELWISE_CMAX
         walks = {"all": 0, "update": 0}
-        real_walk = tp_bfs_batched.run_task_levelwise
+        real_walk = tp_bfs_batched._run_walk_edgewise
         real_sub = islandizer_incremental._run_sub
 
         def counting_walk(*args):
@@ -173,7 +172,7 @@ class TestRandomEditChains:
             walks["update"] += walks["all"] - before
             return rounds
 
-        monkeypatch.setattr(tp_bfs_batched, "run_task_levelwise", counting_walk)
+        monkeypatch.setattr(tp_bfs_batched, "_run_walk_edgewise", counting_walk)
         monkeypatch.setattr(islandizer_incremental, "_run_sub", counting_sub)
         rng = np.random.default_rng(3)
         graph = random_graph(rng, 3000, 3)

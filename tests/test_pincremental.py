@@ -28,9 +28,8 @@ from repro.core.islandizer_pincremental import (
     PartitionedIncrementalState,
     ShardFleet,
     load_ilstate,
-    update_islandization_partitioned,
 )
-from repro.errors import ConfigError, IslandizationError
+from repro.errors import IslandizationError
 from repro.graph import CSRGraph
 from repro.graph.csr import GraphDelta
 from repro.graph.partition import ROUTE_CROSS, route_edits
@@ -353,17 +352,6 @@ class TestFallbacks:
             assert upd.state.part_of[cu] == -1  # evolved before fallback
             assert upd.state.part_of[cv] == -1
             assert_exact(fleet, state, graph, delta, upd)
-
-    def test_wrong_fleet_config_rejected(self, fleet, recorded):
-        graph, result, state = recorded
-        other = LocatorConfig(th0=9, partitions=3, incremental=True)
-        delta = GraphDelta.from_edges(
-            deletions=interior_edges(graph, state, 0)[:1]
-        )
-        with pytest.raises(ConfigError, match="different locator config"):
-            update_islandization_partitioned(
-                graph, result, state, delta, other, fleet=fleet
-            )
 
 
 # ----------------------------------------------------------------------
