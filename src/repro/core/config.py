@@ -39,7 +39,11 @@ class LocatorConfig:
         Multiplicative threshold decay per round (0 < decay < 1).
     th_min:
         Smallest threshold; at ``th_min`` every remaining node with a
-        degree ≥ th_min becomes a hub, which guarantees termination.
+        degree ≥ th_min becomes a hub.  Only ``th_min = 1`` guarantees
+        termination: above it, a node whose degree stays below
+        ``th_min`` and that no hub's task reaches is never classified,
+        and the locator raises ``IslandizationError`` at the first
+        round that can make no progress.
     c_max:
         Maximum members per island (TP-BFS break condition B).
     backend:

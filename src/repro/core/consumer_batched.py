@@ -63,6 +63,7 @@ from scipy import sparse
 
 from repro.core.preagg import ScanCounts, classify_windows, group_layout_batch
 from repro.errors import SimulationError
+from repro.hw.ring import RingNetwork, RingStats
 from repro.nputil import csr_gather, cumsum0 as _cumsum0, sorted_unique
 
 __all__ = [
@@ -115,6 +116,21 @@ class _ScanTerms:
 
 
 @dataclass
+class _Routing:
+    """Cached routing of a :class:`TaskBatch`'s hub emissions.
+
+    ``pes`` is each task's source PE, ``ring`` the counters
+    :meth:`RingNetwork.send_batches <repro.hw.ring.RingNetwork.send_batches>`
+    adds for the batch, and ``prc_banks`` the per-bank DHUB-PRC update
+    counts of ``hub_nodes`` (one bank per PE).
+    """
+
+    pes: np.ndarray
+    ring: RingStats
+    prc_banks: np.ndarray
+
+
+@dataclass
 class TaskBatch:
     """All island tasks of one islandization, packed for bulk execution.
 
@@ -142,6 +158,9 @@ class TaskBatch:
         default_factory=dict, repr=False
     )
     _term_cache: dict[int, _ScanTerms] = field(
+        default_factory=dict, repr=False
+    )
+    _route_cache: dict[tuple[int, int], _Routing] = field(
         default_factory=dict, repr=False
     )
 
@@ -416,6 +435,34 @@ class TaskBatch:
         )
 
     # ------------------------------------------------------------------
+    # Hub routing (shared across layers and models)
+    # ------------------------------------------------------------------
+    def routing(self, ring: RingNetwork, task_offset: int) -> _Routing:
+        """Ring and DHUB-PRC routing of the batch at ``task_offset``.
+
+        Task ``t`` emits from PE ``(task_offset + t) % ring.num_pes``.
+        The routing depends on nothing else, so it is cached per
+        ``(task_offset, num_pes)``: every layer, and every model that
+        shares the batch through a task memo, routes it once.
+        """
+        num_pes = ring.num_pes
+        key = (task_offset, num_pes)
+        cached = self._route_cache.get(key)
+        if cached is None:
+            pes = (
+                task_offset + np.arange(self.num_tasks, dtype=np.int64)
+            ) % num_pes
+            cached = _Routing(
+                pes=pes,
+                ring=ring.batch_stats(pes, self.hub_nodes, self.hub_offsets),
+                prc_banks=np.bincount(
+                    self.hub_nodes % num_pes, minlength=num_pes
+                ),
+            )
+            self._route_cache[key] = cached
+        return cached
+
+    # ------------------------------------------------------------------
     # Functional scan terms (shared across layers)
     # ------------------------------------------------------------------
     def scan_terms(self, k: int) -> _ScanTerms:
@@ -553,7 +600,9 @@ def run_island_chunk(
     batched: every counter is additive, so one bulk call per structure
     reproduces the scalar loop's totals, and the cache helpers round
     spills per call — a sequence of chunk calls therefore charges the
-    meter byte-identically to one whole-batch call.
+    meter byte-identically to one whole-batch call.  The ring and
+    DHUB-PRC routing comes from the batch's cache
+    (:meth:`TaskBatch.routing`).
     """
     config = consumer.config
     classes = batch.scan_classes(config.preagg_k)
@@ -561,11 +610,11 @@ def run_island_chunk(
 
     state.xw_cache.access_batch(batch.num_hubs, meter)
     if batch.num_tasks:
-        pes = (
-            task_offset + np.arange(batch.num_tasks, dtype=np.int64)
-        ) % config.num_pes
-        consumer.ring.send_batches(pes, batch.hub_nodes, batch.hub_offsets)
-        state.prc.update_many(batch.hub_nodes, meter)
+        routing = batch.routing(consumer.ring, task_offset)
+        consumer.ring.send_batches(
+            routing.pes, batch.hub_nodes, batch.hub_offsets, routing.ring
+        )
+        state.prc.update_banked(routing.prc_banks, meter)
 
     if state.functional and batch.num_tasks:
         pair_pos = state.hub_pos[batch.hub_nodes]
@@ -585,19 +634,22 @@ def run_interhub_batched(state, interhub, meter) -> None:
     functional-only check was a bug: counts mode silently accounted
     ops for plans referencing non-hub targets).  The functional
     contribution order — inter-hub edges, then hub self-loops, after
-    every island task — is exactly the scalar loop's sequence.
+    every island task — is exactly the scalar loop's sequence.  The
+    plan's bank counts are cached on it, so only the first layer
+    counts them.
     """
     counts = state.counts
     counts.interhub_ops = interhub.num_ops
     interhub.validate_targets(state.hub_pos)
 
+    edge_banks, self_banks = interhub.target_bank_counts(state.prc.num_banks)
     num_edges = len(interhub.directed_edges)
     if num_edges:
         state.xw_cache.access_repeat(num_edges, meter)
-        state.prc.update_many(interhub.directed_edges[:, 0], meter)
+        state.prc.update_banked(edge_banks, meter)
     num_self = len(interhub.self_loop_hubs)
     if num_self:
-        state.prc.update_many(interhub.self_loop_hubs, meter)
+        state.prc.update_banked(self_banks, meter)
 
     if state.functional and num_edges + num_self:
         targets = np.concatenate(

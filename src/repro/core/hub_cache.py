@@ -129,11 +129,31 @@ class HubPartialResultCache:
         ids = np.asarray(hub_ids, dtype=np.int64)
         if len(ids) == 0:
             return 0.0
-        per_bank = np.bincount(ids % self.num_banks, minlength=self.num_banks)
+        return self.update_banked(
+            np.bincount(ids % self.num_banks, minlength=self.num_banks), meter
+        )
+
+    def update_banked(self, per_bank, meter: TrafficMeter) -> float:
+        """Record one batch of updates given its per-bank counts.
+
+        ``per_bank[b]`` is the number of updated ids whose home bank is
+        ``b``.  Counter- and byte-identical to :meth:`update_many` on
+        those ids, so a caller that routes a fixed id list every layer
+        counts its banks once and replays them here.
+        """
+        per_bank = np.asarray(per_bank, dtype=np.int64)
+        if per_bank.shape != (self.num_banks,):
+            raise ValueError(
+                f"per_bank must hold {self.num_banks} counts, got shape "
+                f"{per_bank.shape}"
+            )
+        total = int(per_bank.sum())
+        if total == 0:
+            return 0.0
         for bank in np.flatnonzero(per_bank):
             self.bank_updates[bank] += int(per_bank[bank])
         return self._cache.access_uniform(
-            len(ids),
+            total,
             bytes_per_access=2 * self.row_bytes,
             meter=meter,
             category="dhub-prc-spill",

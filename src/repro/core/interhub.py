@@ -12,7 +12,7 @@ also carried here (member diagonals live in the island bitmaps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,9 @@ class InterHubPlan:
 
     directed_edges: np.ndarray   # (E, 2) rows of (target, source)
     self_loop_hubs: np.ndarray   # hub ids receiving a diagonal term
+    _bank_cache: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def num_ops(self) -> int:
@@ -37,6 +40,26 @@ class InterHubPlan:
     def macs(self, out_dim: int) -> int:
         """MACs at a given feature width."""
         return self.num_ops * out_dim
+
+    def target_bank_counts(self, num_banks: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-bank update counts of the edge targets and self-loop hubs.
+
+        Bank ``b`` counts the ids with ``id % num_banks == b`` (the
+        DHUB-PRC home bank), for the edge targets and the self-loop
+        hubs separately.  The plan is fixed, so each ``num_banks`` is
+        counted once and every later layer reads the cache.
+        """
+        cached = self._bank_cache.get(num_banks)
+        if cached is None:
+            cached = tuple(
+                np.bincount(
+                    np.asarray(ids, dtype=np.int64) % num_banks,
+                    minlength=num_banks,
+                )
+                for ids in (self.directed_edges[:, 0], self.self_loop_hubs)
+            )
+            self._bank_cache[num_banks] = cached
+        return cached
 
     def validate_targets(self, hub_pos: np.ndarray) -> None:
         """Raise unless every aggregation target of this plan is a hub.
@@ -57,15 +80,16 @@ class InterHubPlan:
     @staticmethod
     def _check_hubs(ids: np.ndarray, hub_pos: np.ndarray, what: str) -> None:
         n = len(hub_pos)
-        pos = np.full(len(ids), -1, dtype=np.int64)
-        in_range = (ids >= 0) & (ids < n)
-        if in_range.any():
-            pos[in_range] = hub_pos[ids[in_range]]
-        if pos.min() < 0:
-            raise SimulationError(
-                f"inter-hub plan references a node outside hub_ids: "
-                f"{what} {int(ids[int(pos.argmin())])} is not a hub"
-            )
+        # One bounds test and one gather; only a failure pays for
+        # finding the first offending id.
+        if ids.min() >= 0 and ids.max() < n and hub_pos[ids].min() >= 0:
+            return
+        bad = (ids < 0) | (ids >= n)
+        bad[~bad] = hub_pos[ids[~bad]] < 0
+        raise SimulationError(
+            f"inter-hub plan references a node outside hub_ids: "
+            f"{what} {int(ids[int(bad.argmax())])} is not a hub"
+        )
 
 
 def build_interhub_plan(
@@ -81,10 +105,16 @@ def build_interhub_plan(
     hub fold both consume it.
     """
     edges = np.asarray(result.interhub_edges, dtype=np.int64).reshape(-1, 2)
-    # (E, 2, 2): pair then mirror; boolean indexing keeps C order.
-    both = np.stack([edges, edges[:, ::-1]], axis=1)
-    emit = np.stack([np.ones(len(edges), dtype=bool), edges[:, 0] != edges[:, 1]], axis=1)
+    # Pairs on the even rows, mirrors on the odd ones.
+    directed = np.empty((2 * len(edges), 2), dtype=np.int64)
+    directed[0::2] = edges
+    directed[1::2] = edges[:, ::-1]
+    diagonal = edges[:, 0] == edges[:, 1]
+    if diagonal.any():
+        keep = np.ones(len(directed), dtype=bool)
+        keep[1::2] = ~diagonal
+        directed = directed[keep]
     self_hubs = (
         result.hub_ids.copy() if add_self_loops else np.zeros(0, dtype=np.int64)
     )
-    return InterHubPlan(directed_edges=both[emit], self_loop_hubs=self_hubs)
+    return InterHubPlan(directed_edges=directed, self_loop_hubs=self_hubs)

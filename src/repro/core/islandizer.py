@@ -36,7 +36,10 @@ inter-hub edges, round statistics and work counters — which
 Termination: the threshold decays geometrically to ``th_min``; at
 ``th_min = 1`` every remaining node with an edge becomes a hub and
 degree-0 nodes are swept into singleton islands, so the node list
-always empties (docs/architecture.md#locator-termination-guard).
+always empties (docs/architecture.md#locator-termination-guard).  A
+larger ``th_min`` can leave nodes no round classifies; the loop raises
+:class:`~repro.errors.IslandizationError` at the first round at the
+floor that makes no progress.
 """
 
 from __future__ import annotations
@@ -122,7 +125,6 @@ class _LocatedRound:
     task_hubs: np.ndarray       # the Th2 queue, in task order
     task_seeds: np.ndarray
     outcome: RoundOutcome       # the Th3 result, either backend
-    interhub_keys: np.ndarray   # sorted keys of every inter-hub edge so far
     stats: dict[str, int]       # RoundStats' 12 additive fields
 
 
@@ -152,22 +154,20 @@ def _locate_rounds(
       merged into the generated queue in ``(hub, seed)`` order.  They
       add their 4-byte queue entries to the round's bytes but not
       their hub's adjacency fetch.
+
+    A round at the ``th_min`` floor that finds no new hub and no
+    isolated node, and has no imported task, changes nothing, so every
+    later round would repeat it: the loop raises
+    :class:`IslandizationError` there instead of spinning to
+    ``_MAX_ROUNDS``.  At ``th_min = 1`` that cannot happen.
     """
     batched = config.backend == "batched"
     n = graph.num_nodes
     is_hub = is_hub.copy()
     classified = is_hub.copy()
     num_classified = int(classified.sum())
-    # Scalar backend: persistent v_global stamp array.  Batched
-    # backend: per-entry CSR source ids shared by every round's
-    # component labelling (built once: the graph is immutable).
+    # Scalar backend: persistent v_global stamp array.
     visited_round = None if batched else np.zeros(n, dtype=np.int64)
-    csr_rows = (
-        np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-        if batched
-        else None
-    )
-    interhub_keys = _EMPTY
     round_id = 1
     while num_classified < n:
         if round_id > _MAX_ROUNDS:
@@ -177,6 +177,16 @@ def _locate_rounds(
         detection = detect_new_hubs(degrees, classified, threshold)
         new_hubs = detection.new_hubs
         isolated = detection.isolated
+        if (
+            not len(new_hubs) and not len(isolated)
+            and not (round_id == 1 and len(imported_hubs))
+            and config.next_threshold(threshold) == threshold
+        ):
+            raise IslandizationError(
+                f"locator stalled at th_min={config.th_min}: "
+                f"{n - num_classified} unclassified nodes have degrees "
+                f"below it and no new hub reaches them"
+            )
         is_hub[new_hubs] = True
         classified[new_hubs] = True
         classified[isolated] = True
@@ -199,26 +209,18 @@ def _locate_rounds(
         # --- Th3: TP-BFS over the task queue.
         if batched:
             outcome = execute_round_batched(
-                graph, csr_rows, is_hub, classified, config.c_max,
-                task_hubs, task_seeds, interhub_keys,
+                graph, is_hub, classified, config.c_max,
+                task_hubs, task_seeds, new_hubs,
             )
         else:
             outcome = _run_round_scalar(
                 graph, degrees, threshold, config.c_max, round_id,
-                visited_round, task_hubs, task_seeds, interhub_keys,
+                visited_round, task_hubs, task_seeds, new_hubs,
             )
         if outcome.islands:
             members = np.concatenate([m for m, _ in outcome.islands])
             classified[members] = True
             num_classified += len(members)
-        if len(outcome.new_interhub_keys):
-            # New keys are sorted and disjoint from the known set; a
-            # stable sort of the concatenation is a near-linear merge
-            # (np.union1d re-uniques instead).
-            interhub_keys = np.sort(
-                np.concatenate([interhub_keys, outcome.new_interhub_keys]),
-                kind="stable",
-            )
         yield _LocatedRound(
             threshold=threshold,
             isolated=isolated,
@@ -226,7 +228,6 @@ def _locate_rounds(
             task_hubs=task_hubs,
             task_seeds=task_seeds,
             outcome=outcome,
-            interhub_keys=interhub_keys,
             stats={
                 "nodes_remaining": detection.detect_items,
                 "hubs_found": len(new_hubs),
@@ -255,7 +256,7 @@ def _run_round_scalar(
     visited_round: np.ndarray,
     task_hubs: np.ndarray,
     task_seeds: np.ndarray,
-    interhub_keys: np.ndarray,
+    new_hubs: np.ndarray,
 ) -> RoundOutcome:
     """One round of Th3 through the per-edge oracle loop.
 
@@ -263,7 +264,7 @@ def _run_round_scalar(
     order and fills the :class:`RoundOutcome` the batched kernel
     returns: islands in append order, each task's counters and outcome
     code by task index, and the round's new inter-hub keys through the
-    same sorted-key dedup.
+    same sorted-key dedup (``new_hubs`` are the round's new hubs).
     """
     state = BFSRoundState.create(
         graph, degrees, threshold, c_max, round_id, visited_round
@@ -292,7 +293,7 @@ def _run_round_scalar(
         islands=islands,
         new_interhub_keys=dedup_interhub_keys(
             task_hubs[seed_is_hub], task_seeds[seed_is_hub],
-            graph.num_nodes, interhub_keys,
+            graph.num_nodes, new_hubs,
         ),
         dropped_classified=codes.count(TASK_SEED_HUB),
         dropped_visited=codes.count(TASK_VISITED),
@@ -387,7 +388,7 @@ class IslandLocator:
         rounds: list[RoundStats] = []
         dispatch = _GreedyEngineDispatch(config.p2)
         total_scans = 0
-        interhub_keys = _EMPTY
+        key_parts: list[np.ndarray] = [_EMPTY]
         records = _locate_rounds(
             graph, degrees, np.zeros(n, dtype=bool), config,
             config.initial_threshold(degrees), _EMPTY, _EMPTY,
@@ -421,7 +422,7 @@ class IslandLocator:
             rounds.append(stats)
             dispatch.add(outcome.task_scans)
             total_scans += outcome.scans
-            interhub_keys = rec.interhub_keys
+            key_parts.append(outcome.new_interhub_keys)
             if tap is not None:
                 tap(
                     round_id, rec.task_hubs, rec.task_seeds,
@@ -442,6 +443,9 @@ class IslandLocator:
             total_bfs_scans=total_scans,
             per_engine_scans=dispatch.loads(),
         )
+        # Rounds find disjoint key sets (see dedup_interhub_keys), so
+        # one sort of their concatenation is the sorted union.
+        interhub_keys = np.sort(np.concatenate(key_parts))
         return IslandizationResult(
             graph=graph,
             islands=islands,

@@ -260,9 +260,7 @@ def _winning_hubs(
 
 def _round1_labels(graph: CSRGraph, th0: int) -> np.ndarray:
     """Component labels of the graph minus its TH0 hubs (-1 on hubs)."""
-    degrees = graph.degrees.astype(np.int64)
-    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), degrees)
-    labels, _, _ = _component_labels(graph, rows, degrees < th0)
+    labels, _ = _component_labels(graph, graph.degrees < th0)
     return labels
 
 
@@ -1203,10 +1201,7 @@ def update_islandization(
     if m:
         offset = int(new_labels.max()) + 1
         new_labels[dn_mask] = -1
-        sub_rows = np.repeat(np.arange(m, dtype=np.int64), sub_new.degrees)
-        sub_labels, _, _ = _component_labels(
-            sub_new, sub_rows, deg_new[region] < th0
-        )
+        sub_labels, _ = _component_labels(sub_new, deg_new[region] < th0)
         sel = sub_labels >= 0
         new_labels[region[sel]] = sub_labels[sel] + offset
         for r, sr in enumerate(new_rounds, 1):

@@ -28,17 +28,22 @@ of the **active subgraph** (unclassified non-hub nodes):
 
 Hence, per round:
 
-1. **Seed-is-hub tasks** are classified in bulk against the hub mask;
-   their canonical inter-hub edges dedup through one sorted key array
-   (:func:`dedup_interhub_keys`, which the scalar round calls too).
+1. **Seed-is-hub tasks** are classified in bulk against the hub mask.
+   Their canonical inter-hub edges go through one sorted key array
+   (:func:`dedup_interhub_keys`, which the scalar round calls too).  A
+   task whose seed is a new hub of this round with a smaller id than
+   its own hub is the mirror of that seed's task and is dropped before
+   the sort.  No earlier round can hold a key found here, since every
+   key has an endpoint that became a hub this round.
 2. **Small components** (``size <= c_max``): the first task whose seed
    lands in the component wins and islands the *entire* component —
    no collision or cap abort is reachable — and every later task in
    the same component dies on the seed-visited check with zero work.
-   Winners are found with one scatter; all winning BFS walks then run
-   together as one **multi-source level-synchronous expansion**
-   (vectorized CSR gathers; per-task member order equals each task's
-   solo BFS order because components are disjoint).
+   Components are labelled over the gathered rows of the active nodes
+   only.  Winners are found with one scatter; all winning BFS walks
+   then run together as one **multi-source level-synchronous
+   expansion** (vectorized CSR gathers; per-task member order equals
+   each task's solo BFS order because components are disjoint).
 3. **Large components** (``size > c_max``): tasks can abort mid-edge
    on the cap or on a collision with a previous partial walk, so they
    run sequentially.  A task whose seed repeats an earlier such task's
@@ -47,6 +52,8 @@ Hence, per round:
    bulk.  The rest walk one by one, edge by edge, through
    :func:`_run_walk_edgewise`, which reads the CSR arrays through
    zero-copy memoryviews and the round's state through a bytearray.
+   Such a walk ends only on the cap or on a collision, never on a
+   closed island, so it keeps no hub list.
 
 Classification uses one ``int8`` state array per round instead of the
 scalar path's three stamp arrays, so each BFS level costs a single
@@ -59,11 +66,10 @@ state value            meaning
 ``STATE_HUB``     1    hub (this round's threshold or older)
 ``STATE_VISITED`` 2    in ``v_global`` (some finished task)
 ``3``                  in the *running* walk's ``v_local``
-``4``                  hub already recorded by the running walk
 ====================  =====================================
 
-Codes 3/4 exist only inside an over-``c_max`` walk, which folds them
-back to 2/1 when it ends, so the next task sees only global state.
+Code 3 exists only inside an over-``c_max`` walk, which folds it back
+to 2 when it ends, so the next task sees only global state.
 """
 
 from __future__ import annotations
@@ -174,25 +180,31 @@ def _first_occurrence(nbrs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def dedup_interhub_keys(
-    hubs: np.ndarray, seeds: np.ndarray, num_nodes: int, known: np.ndarray
+    hubs: np.ndarray, seeds: np.ndarray, num_nodes: int, new_hubs: np.ndarray
 ) -> np.ndarray:
-    """Sorted canonical keys of the new inter-hub edges among ``(hub, seed)``.
+    """Sorted canonical keys of the inter-hub edges among ``(hub, seed)``.
 
-    Each pair's key is ``min * num_nodes + max``, so both orientations
-    of an edge share one key.  Repeated keys collapse to one, and keys
-    already in ``known`` (the sorted keys of earlier rounds' edges) are
-    dropped: a sort and one ``searchsorted`` instead of a per-task
-    set lookup.
+    ``(hubs[i], seeds[i])`` are one round's seed-is-hub tasks and
+    ``new_hubs`` the hubs that round detected.  Each pair's key is
+    ``min * num_nodes + max``, so both orientations of an edge share
+    one key, and the result holds every key once.
+
+    Precondition: every task's hub is a new hub of the round or an
+    imported one (a sub-run's round 1), and Th2 gave each new hub one
+    task per neighbour.  A task ``(h, s)`` with ``s < h`` whose seed
+    ``s`` is a new hub then mirrors the task ``(s, h)`` of the same
+    queue, so it is dropped before the one sort; only imported tasks
+    can still repeat a key.  No earlier round's key can recur: each
+    key here has an endpoint that became a hub this round, and a
+    sub-run starts with no keys.
     """
-    keys = sorted_unique(
+    is_new = np.zeros(num_nodes, dtype=bool)
+    is_new[new_hubs] = True
+    keep = ~is_new[seeds] | (seeds > hubs)
+    hubs, seeds = hubs[keep], seeds[keep]
+    return sorted_unique(
         np.minimum(hubs, seeds) * np.int64(num_nodes) + np.maximum(hubs, seeds)
     )
-    if len(known) and len(keys):
-        keys = keys[
-            known[np.minimum(np.searchsorted(known, keys), len(known) - 1)]
-            != keys
-        ]
-    return keys
 
 
 def _int64_view(array: np.ndarray) -> memoryview:
@@ -211,33 +223,35 @@ def _run_walk_edgewise(
     indices: memoryview,
     state: bytearray,
     c_max: int,
-    seed_hub: int,
     a0: int,
-) -> tuple[int, np.ndarray | None, np.ndarray | None, int, int, int]:
+) -> tuple[int, int, int, int]:
     """Execute one over-``c_max`` TP-BFS task, edge by edge.
 
     Exact counterpart of :func:`repro.core.tp_bfs.run_bfs_task` for a
-    seed that already passed the hub and visited checks, mirroring its
-    loop (the state codes are mutually exclusive, so the branch order
-    is immaterial).  The walk stops at the first collision with
-    ``v_global`` or when the island grows past ``c_max``: ``scans``
-    then counts entries up to and including the aborting one,
-    fetches/bytes cover the rows popped up to it, and the cap-tripping
-    member stays stamped into ``v_global`` (the oracle stamps before it
-    checks the cap).  Most walks collide with a stamped region after a
-    handful of edge scans, and per-level array dispatch measured slower
-    even for the long carving walks of caps in the thousands, so the
-    walker runs on plain-Python data (memoryviews of the CSR arrays
-    from :func:`_int64_view`, bytearray state) with ~40 ns per touch.
+    seed in a component larger than ``c_max`` that already passed the
+    hub and visited checks, mirroring its loop (the state codes are
+    mutually exclusive, so the branch order is immaterial).  The walk
+    stops at the first collision with ``v_global`` or when the island
+    grows past ``c_max``: ``scans`` then counts entries up to and
+    including the aborting one, fetches/bytes cover the rows popped up
+    to it, and the cap-tripping member stays stamped into ``v_global``
+    (the oracle stamps before it checks the cap).  One of the two
+    always happens first: the walk either reaches a node an earlier
+    walk stamped or, with none in reach, grows through the whole
+    over-cap component.  So the walk never closes an island and skips
+    the oracle's hub bookkeeping; ending any other way raises
+    :class:`IslandizationError`.  Most walks collide with a stamped
+    region after a handful of edge scans, and per-level array dispatch
+    measured slower even for the long carving walks of caps in the
+    thousands, so the walker runs on plain-Python data (memoryviews of
+    the CSR arrays from :func:`_int64_view`, bytearray state) with
+    ~40 ns per touch.
 
-    Returns ``(code, members, hubs, scans, fetches, bytes)``, where
-    ``code`` is the task's ``TASK_*`` outcome code; members/hubs are
-    ``None`` unless the code is ``TASK_ISLAND``.
+    Returns ``(code, scans, fetches, bytes)``, where ``code`` is
+    ``TASK_CMAX`` or ``TASK_VISITED``.
     """
     state[a0] = 3          # in this walk's v_local
-    state[seed_hub] = 4    # hub recorded by this walk
     members = [a0]
-    hubs = [seed_hub]
     count = 1
     query = 0
     scans = 0
@@ -262,62 +276,56 @@ def _run_walk_edgewise(
             elif s == 2:               # STATE_VISITED: collision
                 aborted = TASK_VISITED
                 break
-            elif s == 1:               # STATE_HUB: first contact
-                hubs.append(nb)
-                state[nb] = 4
-            # 3 / 4: already this task's member or hub — skip.
+            # 1 / 3: a hub or already this walk's member — skip.
         query += 1
-    # Fold task-local codes back to global state (stamps persist).
+    # Fold the walk's codes back to global state (stamps persist).
     for node in members:
         state[node] = 2
-    for node in hubs:
-        state[node] = 1
-    if aborted is not None:
-        return aborted, None, None, scans, fetches, nbytes
-    return (
-        TASK_ISLAND,
-        np.asarray(members, dtype=np.int64),
-        np.asarray(hubs, dtype=np.int64),
-        scans,
-        fetches,
-        nbytes,
-    )
+    if aborted is None:
+        raise IslandizationError(
+            "internal: an over-c_max TP-BFS walk closed an island"
+        )
+    return aborted, scans, fetches, nbytes
 
 
 def _component_labels(
-    graph: CSRGraph, rows: np.ndarray, active: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    graph: CSRGraph, active: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Connected components of the active (unclassified non-hub) subgraph.
 
-    Returns ``(node_to_comp, comp_sizes, active_ids)`` where
-    ``node_to_comp[u]`` is a component label for active ``u`` and -1
-    elsewhere.  ``rows`` is the precomputed per-entry source array of
-    the CSR (``repeat(arange(n), degrees)``), shared across rounds.
+    Returns ``(node_to_comp, comp_sizes)``: ``node_to_comp[u]`` is the
+    component label of active ``u`` and -1 elsewhere.  Labels count
+    from 0 in the order of each component's smallest node, the order
+    in which Tarjan's scan over ascending ids finishes them.  Only the
+    active rows are gathered; an active row may be empty.
     """
     n = graph.num_nodes
-    active_ids = np.flatnonzero(active)
     node_to_comp = np.full(n, -1, dtype=np.int64)
-    if len(active_ids) == 0:
-        return node_to_comp, _EMPTY, active_ids
-    relabel = np.full(n, -1, dtype=np.int64)
-    relabel[active_ids] = np.arange(len(active_ids), dtype=np.int64)
-    # Induced-subgraph CSR built directly (the source CSR is already
-    # row-major, so masking preserves order — no coo sort needed).
-    keep = active[rows] & active[graph.indices]
-    sub_cols = relabel[graph.indices[keep]]
-    per_row = np.bincount(rows[keep], minlength=n)[active_ids]
-    sub_indptr = cumsum0(per_row)
+    active_ids = np.flatnonzero(active)
+    k = len(active_ids)
+    if k == 0:
+        return node_to_comp, _EMPTY
+    flat, counts = csr_gather(graph.indptr, active_ids)
+    nbrs = graph.indices[flat]
+    keep = active[nbrs]
+    # Row i of the induced subgraph keeps the active entries of
+    # gathered row i, so its end is a prefix count of ``keep``.
+    sub_indptr = cumsum0(keep)[cumsum0(counts)]
+    relabel = np.empty(n, dtype=np.int32)
+    relabel[active_ids] = np.arange(k, dtype=np.int32)
+    # int32 indices and float64 data are the types scipy's graph
+    # routines validate to, so nothing is copied on the way in.
     sub = csr_matrix(
-        (np.ones(len(sub_cols), dtype=np.int8), sub_cols, sub_indptr),
-        shape=(len(active_ids), len(active_ids)),
+        (np.ones(int(sub_indptr[-1])), relabel[nbrs[keep]],
+         sub_indptr.astype(np.int32)),
+        shape=(k, k),
     )
     # The adjacency is symmetric, so strong components of the directed
     # view equal undirected components; Tarjan runs straight off the
     # CSR, skipping the G + G^T transpose both other modes build.
     _, labels = connected_components(sub, directed=True, connection="strong")
     node_to_comp[active_ids] = labels
-    comp_sizes = np.bincount(labels).astype(np.int64)
-    return node_to_comp, comp_sizes, active_ids
+    return node_to_comp, np.bincount(labels).astype(np.int64)
 
 
 def _multi_source_bfs(
@@ -407,25 +415,24 @@ def _multi_source_bfs(
 
 def execute_round_batched(
     graph: CSRGraph,
-    rows: np.ndarray,
     is_hub: np.ndarray,
     classified: np.ndarray,
     c_max: int,
     task_hubs: np.ndarray,
     task_seeds: np.ndarray,
-    interhub_keys: np.ndarray,
+    new_hubs: np.ndarray,
 ) -> RoundOutcome:
     """Execute one round's TP-BFS task queue, batched.
 
     Parameters mirror the scalar loop's per-round inputs: ``is_hub``
     and ``classified`` reflect the state *after* this round's hub
     detection, ``task_hubs``/``task_seeds`` are the Th2-generated queue
-    in task order, and ``interhub_keys`` is the sorted canonical key
-    array (``min * n + max``) of all inter-hub edges found in earlier
-    rounds.  The over-``c_max`` walks read ``graph``'s own CSR arrays
-    in place (memory-mapped and read-only ones included), so a run
-    keeps no per-graph cache.  The outcome's per-task scans let the
-    caller replay the greedy engine dispatch in task order.
+    in task order, and ``new_hubs`` are the hubs this round detected
+    (the inter-hub dedup's input, see :func:`dedup_interhub_keys`).
+    The over-``c_max`` walks read ``graph``'s own CSR arrays in place
+    (memory-mapped and read-only ones included), so a run keeps no
+    per-graph cache.  The outcome's per-task scans let the caller
+    replay the greedy engine dispatch in task order.
     """
     n = graph.num_nodes
     num_tasks = len(task_seeds)
@@ -446,8 +453,7 @@ def execute_round_batched(
     if out.dropped_classified:
         task_outcomes[seed_hub_mask] = TASK_SEED_HUB
         out.new_interhub_keys = dedup_interhub_keys(
-            task_hubs[seed_hub_mask], task_seeds[seed_hub_mask], n,
-            interhub_keys,
+            task_hubs[seed_hub_mask], task_seeds[seed_hub_mask], n, new_hubs
         )
 
     bfs_idx = np.flatnonzero(~seed_hub_mask)
@@ -461,7 +467,7 @@ def execute_round_batched(
 
     # --- component routing --------------------------------------------
     active = ~classified & ~is_hub
-    node_to_comp, comp_sizes, _ = _component_labels(graph, rows, active)
+    node_to_comp, comp_sizes = _component_labels(graph, active)
     seed_comp = node_to_comp[bfs_seeds]
     if len(seed_comp) and int(seed_comp.min()) < 0:
         raise IslandizationError(
@@ -523,24 +529,17 @@ def execute_round_batched(
         w_fetches: list[int] = []
         w_bytes: list[int] = []
         w_codes: list[int] = []
-        for pos, a0, seed_hub in zip(
-            walk_idx.tolist(), walk_seeds.tolist(),
-            task_hubs[walk_idx].tolist(),
-        ):
+        for pos, a0 in zip(walk_idx.tolist(), walk_seeds.tolist()):
             if wstate[a0] == 2:          # STATE_VISITED: instant death
                 continue
-            code, members, hubs, scans, fetches, nbytes = _run_walk_edgewise(
-                indptr, indices, wstate, c_max, seed_hub, a0
+            code, scans, fetches, nbytes = _run_walk_edgewise(
+                indptr, indices, wstate, c_max, a0
             )
             walked.append(pos)
             w_scans.append(scans)
             w_fetches.append(fetches)
             w_bytes.append(nbytes)
             w_codes.append(code)
-            if code == TASK_ISLAND:
-                # Unreachable for components larger than c_max, but the
-                # walker is general; keep the result rather than assume.
-                out.islands.append((members, hubs))
         task_scans[walked] = w_scans
         task_fetches[walked] = w_fetches
         task_bytes[walked] = w_bytes

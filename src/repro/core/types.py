@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph
+from repro.nputil import sorted_unique
 from repro.serialize import read_npz, write_npz
 
 __all__ = [
@@ -428,7 +429,12 @@ class IslandizationResult:
             np.repeat(np.arange(num_islands, dtype=np.int64), np.diff(h_off))
             * span + hubs_flat
         )
-        if len(np.intersect1d(member_keys, hub_keys)) != 0:
+        # np.intersect1d takes NumPy 2.x's slow hash-path unique; a key
+        # shared by both sides shows as an adjacent repeat after one sort.
+        both = np.sort(
+            np.concatenate((sorted_unique(member_keys), sorted_unique(hub_keys)))
+        )
+        if (both[1:] == both[:-1]).any():
             raise IslandizationError("a node cannot be both member and hub")
         islands = [
             Island.from_trusted_arrays(

@@ -328,7 +328,14 @@ class CSRGraph:
         )
 
     def has_self_loops(self) -> bool:
-        """True if any diagonal entry is present."""
+        """True if any diagonal entry is present.
+
+        Reads the verdict :meth:`without_self_loops` stored on this
+        graph when there is one.
+        """
+        loop_free = self.__dict__.get("_loop_free")
+        if loop_free is not None:
+            return not loop_free
         rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
         return bool(np.any(rows == self.indices))
 
@@ -360,7 +367,15 @@ class CSRGraph:
         That shortcut needs sorted, duplicate-free rows, so a graph
         whose row-major keys are not strictly increasing raises
         :class:`GraphError`.
+
+        The graph is immutable, so the verdict is stored on the
+        instance, as :meth:`fingerprint` stores its digest: a later
+        call on a loop-free graph returns at once, and
+        :meth:`has_self_loops` reads it.  A stripped result is marked
+        loop-free as it is built.
         """
+        if self.__dict__.get("_loop_free"):
+            return self
         indices = self.indices
         # Row ids never decrease along ``indices``, so the keys rise
         # strictly iff every pair of neighbours within one row does:
@@ -375,11 +390,15 @@ class CSRGraph:
             )
         rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
         loops = rows == indices
-        if not loops.any():
+        has_loops = bool(loops.any())
+        object.__setattr__(self, "_loop_free", not has_loops)
+        if not has_loops:
             return self
         # Entries removed before row u's start = diagonal hits before it.
         indptr = self.indptr - cumsum0(loops)[self.indptr]
-        return CSRGraph(indptr=indptr, indices=indices[~loops], name=self.name)
+        clean = CSRGraph(indptr=indptr, indices=indices[~loops], name=self.name)
+        object.__setattr__(clean, "_loop_free", True)
+        return clean
 
     def permute(self, perm: np.ndarray) -> "CSRGraph":
         """Relabel nodes: new id of old node ``u`` is ``perm[u]``.

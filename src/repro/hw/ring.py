@@ -33,6 +33,13 @@ class RingStats:
     in_network_reductions: int = 0
     bank_updates: int = 0
 
+    def merge(self, other: "RingStats") -> None:
+        """Add another run's counters to these."""
+        self.messages_injected += other.messages_injected
+        self.hops_travelled += other.hops_travelled
+        self.in_network_reductions += other.in_network_reductions
+        self.bank_updates += other.bank_updates
+
     def cycles_estimate(self, num_pes: int) -> float:
         """Approximate cycles: hops divided across the parallel links."""
         if num_pes <= 0:
@@ -106,7 +113,7 @@ class RingNetwork:
         self.stats.bank_updates += len(new_ids)
         return total_hops
 
-    def send_batches(self, src_pes, hub_ids, offsets) -> int:
+    def send_batches(self, src_pes, hub_ids, offsets, counted: RingStats) -> int:
         """Route many per-PE batches, each followed by a drain, in bulk.
 
         Counter-equivalent to ``send_many(src_pes[b],
@@ -115,15 +122,15 @@ class RingNetwork:
         network, nothing carries over between batches, and the final
         in-flight state is empty (post-drain).  Returns total hops.
 
-        The vectorized path requires an empty in-flight state (the
-        invariant the per-island consumer loop maintains); live
-        in-flight entries fall back to the sequential calls so the
-        first batch interacts with them exactly.
+        ``counted`` is :meth:`batch_stats` of the same batches, which a
+        caller that routes them every layer counts once.  The bulk path
+        adds it; it requires an empty in-flight state (the invariant
+        the per-island consumer loop maintains).  Live in-flight
+        entries fall back to the sequential calls so the first batch
+        interacts with them exactly.
         """
-        src_pes = np.asarray(src_pes, dtype=np.int64)
-        hub_ids = np.asarray(hub_ids, dtype=np.int64)
-        offsets = np.asarray(offsets, dtype=np.int64)
         if self._in_flight:
+            hub_ids = np.asarray(hub_ids, dtype=np.int64)
             total = 0
             for b in range(len(src_pes)):
                 total += self.send_many(
@@ -131,26 +138,39 @@ class RingNetwork:
                 )
                 self.drain()
             return total
+        self.stats.merge(counted)
+        return counted.hops_travelled
+
+    def batch_stats(self, src_pes, hub_ids, offsets) -> RingStats:
+        """Counters :meth:`send_batches` adds from an empty in-flight state.
+
+        Pure: the ring is left untouched, so a caller that routes the
+        same batches again (every layer of an inference) counts them
+        once and passes the result to each :meth:`send_batches`.
+        """
+        src_pes = np.asarray(src_pes, dtype=np.int64)
+        hub_ids = np.asarray(hub_ids, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
         if len(src_pes) and not (
             (0 <= src_pes).all() and (src_pes < self.num_pes).all()
         ):
             bad = src_pes[(src_pes < 0) | (src_pes >= self.num_pes)][0]
             raise ValueError(f"src_pe {int(bad)} out of range")
         m = len(hub_ids)
-        self.stats.messages_injected += m
         if m == 0:
-            return 0
+            return RingStats()
         counts = np.diff(offsets)
         batch_of = np.repeat(np.arange(len(src_pes), dtype=np.int64), counts)
         span = int(hub_ids.max()) + 1
         uniq = sorted_unique(batch_of * span + hub_ids)
-        self.stats.in_network_reductions += m - len(uniq)
         src = src_pes[uniq // span]
         hops = (uniq % span % self.num_pes - src) % self.num_pes
-        total_hops = int(hops.sum())
-        self.stats.hops_travelled += total_hops
-        self.stats.bank_updates += len(uniq)
-        return total_hops
+        return RingStats(
+            messages_injected=m,
+            hops_travelled=int(hops.sum()),
+            in_network_reductions=m - len(uniq),
+            bank_updates=len(uniq),
+        )
 
     def drain(self) -> None:
         """Clear in-flight state between islands/batches."""

@@ -1,5 +1,7 @@
 """Unit tests for the Island Consumer and its sub-plans."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,47 @@ class TestInterhubPlan:
     def test_macs_scale_with_out_dim(self, fig7_setup):
         _, _, _, _, plan = fig7_setup
         assert plan.macs(16) == plan.num_ops * 16
+
+    @staticmethod
+    def stack_and_mask(edges):
+        """The former expansion: an (E, 2, 2) stack and a boolean mask."""
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        both = np.stack([edges, edges[:, ::-1]], axis=1)
+        emit = np.stack(
+            [np.ones(len(edges), dtype=bool), edges[:, 0] != edges[:, 1]],
+            axis=1,
+        )
+        return both[emit]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_pass_expansion_matches_stack_and_mask(self, seed):
+        # Random pairs, about a third of them diagonal, and no pairs.
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 50))
+        edges = rng.integers(0, 12, (size, 2))
+        diag = rng.random(size) < 0.3
+        diag[0] = True
+        edges[diag, 1] = edges[diag, 0]
+        hubs = np.arange(12, dtype=np.int64)
+        for case in (edges, np.zeros((0, 2), dtype=np.int64)):
+            result = SimpleNamespace(interhub_edges=case, hub_ids=hubs)
+            plan = build_interhub_plan(result, add_self_loops=False)
+            expected = self.stack_and_mask(case)
+            assert plan.directed_edges.dtype == expected.dtype
+            assert plan.directed_edges.shape == expected.shape
+            assert plan.directed_edges.tobytes() == expected.tobytes()
+
+    def test_bank_counts_cached_per_bank_count(self, fig7_setup):
+        _, _, _, _, plan = fig7_setup
+        first = plan.target_bank_counts(3)
+        assert plan.target_bank_counts(3) is first
+        targets, hubs = first
+        assert targets.tolist() == np.bincount(
+            plan.directed_edges[:, 0] % 3, minlength=3
+        ).tolist()
+        assert hubs.tolist() == np.bincount(
+            plan.self_loop_hubs % 3, minlength=3
+        ).tolist()
 
 
 class TestHubCaches:
@@ -140,6 +183,46 @@ class TestBatchedHubAttachment:
         assert batch.bank_updates == seq.bank_updates
         assert batch.updates == seq.updates
         assert m2.reads == m1.reads
+
+    @pytest.mark.parametrize("capacity", [64, 1 << 20])
+    def test_prc_update_banked_matches_update_many(self, capacity):
+        hubs = np.asarray([0, 5, 9, 5, 14, 7, 7, 7], dtype=np.int64)
+        many = HubPartialResultCache(capacity, 64, num_hubs=16, num_banks=4)
+        banked = HubPartialResultCache(capacity, 64, num_hubs=16, num_banks=4)
+        m1, m2 = TrafficMeter(), TrafficMeter()
+        for part in (hubs[:3], hubs[3:], hubs[:0]):
+            spilled = many.update_many(part, m1)
+            per_bank = np.bincount(part % 4, minlength=4)
+            assert banked.update_banked(per_bank, m2) == spilled
+        assert banked.bank_updates == many.bank_updates
+        assert banked.updates == many.updates
+        assert banked._cache.misses == many._cache.misses
+        assert m2.reads == m1.reads
+        with pytest.raises(ValueError, match="4 counts"):
+            banked.update_banked(np.ones(3, dtype=np.int64), m2)
+
+    def test_ring_send_batches_matches_sequential(self):
+        from repro.hw.ring import RingNetwork
+
+        pes, hubs, offsets = [1, 2, 1], [9, 4, 9, 3, 3, 12], [0, 3, 5, 6]
+        seq, counted = RingNetwork(8), RingNetwork(8)
+        for b, pe in enumerate(pes):
+            seq.send_many(pe, hubs[offsets[b]:offsets[b + 1]])
+            seq.drain()
+        stats = counted.batch_stats(pes, hubs, offsets)
+        assert counted.stats.messages_injected == 0  # counting is pure
+        hops = counted.send_batches(pes, hubs, offsets, stats)
+        assert counted.stats == seq.stats
+        assert hops == seq.stats.hops_travelled
+        # Updates in flight: the counted stats are ignored and the
+        # sequential fallback interacts with the live entry.
+        seq.send(1, 9)
+        counted.send(1, 9)
+        for b, pe in enumerate(pes):
+            seq.send_many(pe, hubs[offsets[b]:offsets[b + 1]])
+            seq.drain()
+        counted.send_batches(pes, hubs, offsets, stats)
+        assert counted.stats == seq.stats
 
 
 class TestLayerCounts:

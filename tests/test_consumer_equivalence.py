@@ -12,6 +12,8 @@ sweeps, spilling on-chip caches (per-call byte rounding), degenerate
 random graphs.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from repro.graph import CSRGraph, GraphBuilder, erdos_renyi, hub_island_graph
 from repro.graph.generators import CommunityProfile, barabasi_albert
 from repro.hw import IGCN_DEFAULT, TrafficMeter
 from repro.hw.config import HardwareConfig
+from repro.hw.ring import RingNetwork
 from repro.models import LayerSpec, normalization_for
 
 _LAYERS = (
@@ -260,6 +263,71 @@ class TestSpillingCaches:
     def test_spilling_star(self, star):
         tiny = HardwareConfig(hub_xw_cache_bytes=16, hub_prc_bytes=16)
         assert_equivalent(graph=star, hw=tiny, locator_kwargs={"th0": 3})
+
+
+class TestSharedRoutingCaches:
+    """One set of batched chunks and one plan serve every layer and config.
+
+    The batch caches its ring and DHUB-PRC routing per (task offset,
+    num_pes) and the plan its target bank counts per bank count, so
+    the second layer and the second config read cached counters; each
+    must still equal the scalar loop, layer by layer.
+    """
+
+    def test_layers_and_configs_match_scalar(self, community_graph, monkeypatch):
+        graph, _ = community_graph
+        clean = graph.without_self_loops()
+        result = islandize(clean, LocatorConfig(c_max=8))
+        norm = normalization_for(clean, "gcn-sym")
+        tiny = HardwareConfig(hub_xw_cache_bytes=96, hub_prc_bytes=128)
+        rounds = list(result.iter_rounds())
+        batched_prep = IslandConsumer(ConsumerConfig(backend="batched"))
+        chunks = [
+            batched_prep.prepare_chunk(clean, r.islands, add_self_loops=True)
+            for r in rounds
+        ]
+        plan = build_interhub_plan(result, add_self_loops=True)
+        routed = []
+        real_stats = RingNetwork.batch_stats
+
+        def counting_stats(ring, *args):
+            routed.append(ring.num_pes)
+            return real_stats(ring, *args)
+
+        monkeypatch.setattr(RingNetwork, "batch_stats", counting_stats)
+        for num_pes in (8, 5):
+            runs = {}
+            for backend in ("scalar", "batched"):
+                consumer = IslandConsumer(
+                    ConsumerConfig(num_pes=num_pes, backend=backend), tiny
+                )
+                if backend == "scalar":
+                    layer_chunks = [
+                        consumer.prepare_chunk(clean, r.islands, add_self_loops=True)
+                        for r in rounds
+                    ]
+                    layer_plan = build_interhub_plan(result, add_self_loops=True)
+                else:
+                    layer_chunks, layer_plan = chunks, plan
+                per_layer = []
+                for idx, layer in enumerate(_LAYERS):
+                    meter = TrafficMeter()
+                    execution = consumer.run_layer_chunked(
+                        result, layer_chunks, layer_plan, norm, layer,
+                        layer_index=idx, meter=meter,
+                    )
+                    per_layer.append((
+                        execution.counts, execution.prc_updates,
+                        execution.prc_bank_updates, meter.reads, meter.writes,
+                        dataclasses.replace(consumer.ring.stats),
+                    ))
+                runs[backend] = per_layer
+            assert runs["batched"] == runs["scalar"]
+        assert runs["batched"][0][3].get("dhub-prc-spill", 0) > 0
+        # Each non-empty chunk was routed once per config, not per layer.
+        busy = sum(1 for chunk in chunks if chunk.num_tasks)
+        assert routed == [8] * busy + [5] * busy
+        assert sorted(plan._bank_cache) == [5, 8]
 
 
 class TestDegenerateGraphs:

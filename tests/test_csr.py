@@ -148,6 +148,22 @@ class TestSelfLoops:
     def test_plain_graph_has_no_self_loops(self, fig2):
         assert not fig2.has_self_loops()
 
+    def test_verdict_is_stored_per_graph(self, triangle):
+        looped = triangle.with_self_loops()
+        clean = looped.without_self_loops()
+        # Each graph object keeps its own verdict: the looped input
+        # still reports its diagonal, the stripped result and a
+        # loop-free input are marked loop-free and returned as is.
+        assert looped.__dict__["_loop_free"] is False
+        assert clean.__dict__["_loop_free"] is True
+        assert looped.has_self_loops()
+        assert not clean.has_self_loops()
+        assert clean.without_self_loops() is clean
+        assert looped.without_self_loops().indices.tobytes() == clean.indices.tobytes()
+        assert triangle.without_self_loops() is triangle
+        assert triangle.__dict__["_loop_free"] is True
+        assert not triangle.has_self_loops()
+
 
 class TestPermute:
     def test_permute_preserves_structure(self, fig2):

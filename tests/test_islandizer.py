@@ -8,10 +8,19 @@ from hypothesis import strategies as st
 from repro.core import LocatorConfig, islandize
 from repro.core.hub_detector import detect_new_hubs
 from repro.core.islandizer import _GreedyEngineDispatch
-from repro.core.tp_bfs_batched import dedup_interhub_keys
+from repro.core.tp_bfs_batched import (
+    TASK_CMAX,
+    TASK_VISITED,
+    _component_labels,
+    _int64_view,
+    _run_walk_edgewise,
+    dedup_interhub_keys,
+)
 from repro.errors import ConfigError, IslandizationError
 from repro.graph import CSRGraph, GraphBuilder, erdos_renyi, hub_island_graph
 from repro.graph.generators import CommunityProfile
+
+_EMPTY_IDS = np.zeros(0, dtype=np.int64)
 
 
 class TestLocatorConfig:
@@ -201,6 +210,21 @@ class TestTermination:
         res = islandize(b.build())
         res.validate()
 
+    @pytest.mark.parametrize("backend", ["batched", "scalar"])
+    def test_stall_above_unit_th_min_fails_fast(self, backend):
+        # Path degrees are 1 and 2, so at th_min=3 no round finds a hub
+        # and the state never changes; the loop must stop at the first
+        # round at the floor (round 2), not spin to the round cap.
+        g = GraphBuilder(10).add_path(range(10)).build()
+        for th_min in (1, 2):
+            config = LocatorConfig(th_min=th_min, backend=backend)
+            assert islandize(g, config).num_rounds == 2
+        with pytest.raises(
+            IslandizationError,
+            match=r"stalled at th_min=3: 10 unclassified nodes",
+        ):
+            islandize(g, LocatorConfig(th_min=3, backend=backend))
+
 
 class TestWorkTracking:
     def test_adjacency_fetches_positive(self, community_graph):
@@ -251,24 +275,127 @@ class TestEngineDispatch:
 
 
 class TestInterhubDedup:
-    """The sorted-key inter-hub dedup against a Python set of pairs."""
+    """The sorted-key inter-hub dedup on Th2-shaped task queues."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_set_reference(self, seed):
+        # Built as the round loop builds a queue: older hubs, this
+        # round's new hubs and non-hubs on a random symmetric graph;
+        # one task per neighbour of each new hub, plus imported tasks
+        # from older hubs (a sub-run's round 1), merged in (hub, seed)
+        # order.  Only the seed-is-hub tasks reach the dedup.
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 40))
-        hubs = rng.integers(0, n, 40)
-        seeds = rng.integers(0, n, 40)
-        keep = hubs != seeds
-        hubs, seeds = hubs[keep], seeds[keep]
-        # Each pair again reversed and again as drawn: both orientations
-        # and repeats, on top of the repeats a small ``n`` draws.
-        hubs, seeds = (
-            np.concatenate([hubs, seeds, hubs]),
-            np.concatenate([seeds, hubs, seeds]),
+        n = int(rng.integers(2, 60))
+        k = int(rng.integers(0, 4 * n))
+        rows, cols = rng.integers(0, n, k), rng.integers(0, n, k)
+        keep = rows != cols
+        graph = CSRGraph.from_edges(n, rows[keep], cols[keep])
+        role = rng.integers(0, 3, n)        # 0 non-hub, 1 older, 2 new
+        new_hubs = np.flatnonzero(role == 2)
+        hubs = [np.repeat(new_hubs, graph.degrees[new_hubs])]
+        seeds = [graph.neighbors(int(h)) for h in new_hubs]
+        for h in np.flatnonzero(role == 1):
+            row = graph.neighbors(int(h))
+            row = row[(role[row] != 1) & (rng.random(len(row)) < 0.5)]
+            hubs.append(np.full(len(row), h))
+            seeds.append(row)
+        hubs = np.concatenate(hubs).astype(np.int64)
+        seeds = np.concatenate([_EMPTY_IDS, *seeds]).astype(np.int64)
+        order = np.lexsort((seeds, hubs))
+        hubs, seeds = hubs[order], seeds[order]
+        seed_is_hub = role[seeds] > 0
+        hubs, seeds = hubs[seed_is_hub], seeds[seed_is_hub]
+        expected = sorted({
+            min(u, v) * n + max(u, v)
+            for u, v in zip(hubs.tolist(), seeds.tolist())
+        })
+        assert dedup_interhub_keys(hubs, seeds, n, new_hubs).tolist() == expected
+
+
+class TestOverCapWalker:
+    """The over-c_max walker's two endings, and its guard on a third."""
+
+    @staticmethod
+    def walk(graph, state, c_max, seed):
+        return _run_walk_edgewise(
+            _int64_view(graph.indptr), _int64_view(graph.indices),
+            state, c_max, seed,
         )
-        pairs = {(min(u, v), max(u, v)) for u, v in zip(hubs.tolist(), seeds.tolist())}
-        known_pairs = set(sorted(pairs)[::3])
-        known = np.asarray(sorted(u * n + v for u, v in known_pairs), dtype=np.int64)
-        expected = sorted(u * n + v for u, v in pairs - known_pairs)
-        assert dedup_interhub_keys(hubs, seeds, n, known).tolist() == expected
+
+    def test_cap_and_collision(self):
+        graph = GraphBuilder(4).add_path(range(4)).build()
+        state = bytearray(4)
+        # Node 0's row [1] adds a second member past c_max = 1.
+        assert self.walk(graph, state, 1, 0) == (TASK_CMAX, 1, 1, 4)
+        assert list(state) == [2, 2, 0, 0]
+        # From node 3: row [2] adds 2, row [1, 3] collides on 1.
+        assert self.walk(graph, state, 8, 3) == (TASK_VISITED, 2, 2, 12)
+        assert list(state) == [2, 2, 2, 2]
+
+    def test_closing_an_island_is_an_internal_error(self):
+        # A component within the cap and no stamped node would close
+        # an island, which the round never sends to this walker.
+        graph = GraphBuilder(3).add_path(range(3)).build()
+        with pytest.raises(IslandizationError, match="internal: an over-c_max"):
+            self.walk(graph, bytearray(3), 64, 0)
+
+
+class TestComponentLabels:
+    """Active-row component labelling against an induced-subgraph Tarjan."""
+
+    @staticmethod
+    def reference(graph, active):
+        # Tarjan over the induced subgraph on the active ids, relabelled
+        # 0..k-1 in id order: the labelling the round loop stores.
+        ids = np.flatnonzero(active)
+        labels = np.full(graph.num_nodes, -1, dtype=np.int64)
+        if len(ids) == 0:
+            return labels, _EMPTY_IDS
+        local = {int(u): i for i, u in enumerate(ids)}
+        comp = [-1] * len(ids)
+        count = 0
+        for start in range(len(ids)):
+            if comp[start] >= 0:
+                continue
+            comp[start] = count
+            stack = [start]
+            while stack:
+                u = int(ids[stack.pop()])
+                for v in graph.neighbors(u).tolist():
+                    j = local.get(v)
+                    if j is not None and comp[j] < 0:
+                        comp[j] = count
+                        stack.append(j)
+            count += 1
+        labels[ids] = comp
+        return labels, np.bincount(comp).astype(np.int64)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        k = int(rng.integers(0, 2 * n))
+        rows, cols = rng.integers(0, n, k), rng.integers(0, n, k)
+        keep = rows != cols
+        graph = CSRGraph.from_edges(n, rows[keep], cols[keep])
+        active = rng.random(n) < 0.7
+        labels, sizes = _component_labels(graph, active)
+        ref_labels, ref_sizes = self.reference(graph, active)
+        assert labels.tolist() == ref_labels.tolist()
+        assert sizes.tolist() == ref_sizes.tolist()
+
+    def test_degree_zero_active_rows(self):
+        # Degree-0 active rows in the middle and as the very last row,
+        # and an active row whose neighbours are all inactive.
+        graph = CSRGraph.from_edges(7, np.array([0, 1, 3]), np.array([1, 2, 4]))
+        active = np.array([True, True, False, True, True, True, True])
+        labels, sizes = _component_labels(graph, active)
+        ref_labels, ref_sizes = self.reference(graph, active)
+        assert labels.tolist() == ref_labels.tolist() == [0, 0, -1, 1, 1, 2, 3]
+        assert sizes.tolist() == ref_sizes.tolist() == [2, 2, 1, 1]
+
+    def test_nothing_active(self):
+        graph = CSRGraph.from_edges(3, np.array([0]), np.array([1]))
+        labels, sizes = _component_labels(graph, np.zeros(3, dtype=bool))
+        assert labels.tolist() == [-1, -1, -1]
+        assert len(sizes) == 0

@@ -15,6 +15,7 @@ import pytest
 from repro.core import LocatorConfig
 from repro.core.islandizer import islandize
 from repro.core.types import ROUND_FIELDS, Island, IslandizationResult, LocatorWork, RoundStats
+from repro.errors import IslandizationError
 from repro.graph import CSRGraph, load_dataset
 from repro.graph.datasets import Dataset
 from repro.models import build_workload, gcn_model
@@ -153,6 +154,25 @@ class TestRoundTrips:
         np.testing.assert_array_equal(
             restored.island_permutation(), islandization.island_permutation()
         )
+
+    def test_islandization_rejects_member_listed_as_hub(self, islandization):
+        buf = io.BytesIO()
+        islandization.to_npz(buf)
+        buf.seek(0)
+        arrays, meta = read_npz(buf)
+        # Overwrite the first hub of an island that has hubs with one
+        # of that island's own members.
+        idx = next(i for i, isl in enumerate(islandization.islands) if isl.num_hubs)
+        hubs_flat = arrays["island_hubs_flat"].copy()
+        hubs_flat[arrays["island_hub_offsets"][idx]] = (
+            islandization.islands[idx].members[0]
+        )
+        arrays["island_hubs_flat"] = hubs_flat
+        corrupt = io.BytesIO()
+        write_npz(corrupt, arrays, meta)
+        corrupt.seek(0)
+        with pytest.raises(IslandizationError, match="both member and hub"):
+            IslandizationResult.from_npz(corrupt)
 
     def test_round_fields_cover_roundstats(self, islandization):
         row = islandization.rounds[0].as_row()
