@@ -180,12 +180,20 @@ class TaskMemo:
     :class:`~repro.core.consumer_batched.TaskBatch`'s cached window
     classification, instead of assembling them again.
 
+    Batched chunks also serve the other self-loop mode: the two
+    variants differ only in the member diagonal, so a run whose mode
+    differs from the entry's derives its chunks with
+    :meth:`TaskBatch.with_self_loops
+    <repro.core.consumer_batched.TaskBatch.with_self_loops>`, which
+    replaces the entry and counts as a hit.  Scalar task lists are
+    keyed by self-loop mode.
+
     The memo holds one entry: a run that misses drops it before it
     assembles, so at most one islandization's chunks outlive a run.
-    ``stats`` counts runs that reused the entry (``hits``) and runs
-    that assembled (``misses``); it may be any object with integer
-    ``hits`` and ``misses`` attributes, such as the Engine's ``tasks``
-    :class:`~repro.runtime.store.CacheStats`.
+    ``stats`` counts runs that reused or derived the entry (``hits``)
+    and runs that assembled (``misses``); it may be any object with
+    integer ``hits`` and ``misses`` attributes, such as the Engine's
+    ``tasks`` :class:`~repro.runtime.store.CacheStats`.
     """
 
     def __init__(self, stats: Any = None) -> None:
@@ -197,12 +205,15 @@ class TaskMemo:
     ) -> list | None:
         """The entry's chunks on a hit; on a miss, drop the entry."""
         entry = self._entry
-        if (
-            entry is not None and entry[0] is result
-            and entry[1:3] == (backend, add_self_loops)
-        ):
-            self.stats.hits += 1
-            return entry[3]
+        if entry is not None and entry[0] is result and entry[1] == backend:
+            if entry[2] != add_self_loops and backend == "batched":
+                self.store(result, backend, add_self_loops, [
+                    chunk.with_self_loops(add_self_loops) for chunk in entry[3]
+                ])
+                entry = self._entry
+            if entry[2] == add_self_loops:
+                self.stats.hits += 1
+                return entry[3]
         self._entry = None
         self.stats.misses += 1
         return None

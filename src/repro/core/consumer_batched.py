@@ -12,7 +12,13 @@ consumer:
   of bitmap entries, assembled in a *single* vectorized pass over the
   global CSR (one adjacency gather for every member row at once, one
   sorted-key join for the member→hub columns) instead of per-member
-  ``searchsorted`` calls.
+  ``searchsorted`` calls.  The entries stay in the order assembly
+  produces them: a window's non-zero count does not depend on entry
+  order, so counting never sorts them, and the task/row/col-sorted COO
+  is built on the first read of ``entry_task/row/col`` (the functional
+  scan terms, and tests).  Entries are unique without a dedup pass
+  because the CSR rows are sorted, duplicate-free and loop-free and no
+  node is a member twice; assembly checks both.
 * :func:`run_island_chunk` — evaluates the 1×k window scan for *all*
   island tasks of a batch in bulk: per-(task, group, row) non-zero
   counts come from one ``bincount`` over the COO entries, window
@@ -57,6 +63,7 @@ reorder the entries, and with them the folds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -64,7 +71,7 @@ from scipy import sparse
 from repro.core.preagg import ScanCounts, classify_windows, group_layout_batch
 from repro.errors import SimulationError
 from repro.hw.ring import RingNetwork, RingStats
-from repro.nputil import csr_gather, cumsum0 as _cumsum0, sorted_unique
+from repro.nputil import csr_gather, cumsum0 as _cumsum0
 
 __all__ = [
     "TaskBatch",
@@ -74,6 +81,59 @@ __all__ = [
 
 def _empty() -> np.ndarray:
     return np.zeros(0, dtype=np.int64)
+
+
+def _member_rows(
+    num_hubs: np.ndarray, num_locals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Task and local row of every member, task-major, in local order.
+
+    They are also the coordinates of the member diagonal.
+    """
+    num_members = num_locals - num_hubs
+    offsets = _cumsum0(num_members)
+    task = np.repeat(np.arange(len(num_hubs), dtype=np.int64), num_members)
+    row = np.arange(int(offsets[-1]), dtype=np.int64) - np.repeat(
+        offsets[:-1] - num_hubs, num_members
+    )
+    return task, row
+
+
+def _row_blocks(
+    graph, members_flat, member_task, member_row, task_of, row_of,
+    hub_keys, hub_cols, span,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The ``(task, row, col)`` entry blocks of every member's CSR row.
+
+    Same-island member entries, member→hub entries, then their hub-row
+    mirrors (the L-shape).  ``task_of``/``row_of`` map a member node to
+    its task and local row; ``hub_keys`` are the sorted ``task * span +
+    hub`` keys and ``hub_cols`` their local columns.  The gathered rows
+    are freed on return, before the caller concatenates the blocks.
+    """
+    # One adjacency gather over every member row of every task.
+    flat, deg = csr_gather(
+        graph.indptr.astype(np.int64, copy=False), members_flat
+    )
+    neigh = graph.indices[flat].astype(np.int64, copy=False)
+    src_task = np.repeat(member_task, deg)
+    src_row = np.repeat(member_row, deg)
+    same = task_of[neigh] == src_task
+    blocks = [(src_task[same], src_row[same], row_of[neigh[same]])]
+    rest = ~same
+    if rest.any() and len(hub_keys):
+        rest_task = src_task[rest]
+        query = rest_task * span + neigh[rest]
+        pos = np.minimum(np.searchsorted(hub_keys, query), len(hub_keys) - 1)
+        # Neighbours that are neither members of this island nor
+        # attached hubs are dropped, as the scalar builder drops them
+        # (a valid islandization produces none).
+        hit = hub_keys[pos] == query
+        hub_task = rest_task[hit]
+        hub_row = src_row[rest][hit]
+        hub_col = hub_cols[pos[hit]]
+        blocks += [(hub_task, hub_row, hub_col), (hub_task, hub_col, hub_row)]
+    return blocks
 
 
 @dataclass
@@ -135,12 +195,26 @@ class TaskBatch:
     """All island tasks of one islandization, packed for bulk execution.
 
     ``local_nodes`` concatenates every task's ``[hubs..., members...]``
-    local order; ``entry_task/row/col`` is the COO of every task's
-    bitmap (deduplicated, sorted task-major then row-major), from which
-    both the window scan and — when functional mode needs them — the
-    signed term matrices are derived.  ``nnz`` is precomputed once
-    per task (the scalar :class:`~repro.core.bitmap.IslandTask`
-    recomputed it per access until it grew a cache).
+    local order.  The bitmap entries are one ``(task, row, col)`` COO
+    triple in local coordinates, kept in the order assembly produced
+    them: same-island member entries, member→hub entries, their hub-row
+    mirrors, then (with ``self_loops``) the member diagonal.  The window
+    scan counts them in that order.  The first read of
+    :attr:`entry_task`, :attr:`entry_row` or :attr:`entry_col` sorts
+    them task-major, then by row, then by column, and the sorted arrays
+    *replace* the assembly-order ones, so a batch never holds two
+    copies.  ``nnz`` is each task's entry count, which no order changes.
+
+    Assembly does not deduplicate.  Entries are unique when the CSR
+    rows are sorted, duplicate-free and loop-free (member→member
+    entries then come from distinct row entries, the member→hub block
+    has ``col < num_hubs`` and its mirror ``row < num_hubs``, and the
+    diagonal exists only with ``self_loops``) and when no node is a
+    member twice.  :meth:`from_islands` checks both.
+
+    ``self_loops`` says whether the member diagonal is among the
+    entries (``None`` for a batch packed from prebuilt bitmaps);
+    :meth:`with_self_loops` derives the other variant.
     """
 
     num_hubs: np.ndarray         # (T,)
@@ -149,11 +223,10 @@ class TaskBatch:
     local_offsets: np.ndarray    # (T+1,)
     hub_nodes: np.ndarray        # flat attached-hub ids per task
     hub_offsets: np.ndarray      # (T+1,)
-    entry_task: np.ndarray       # COO bitmap entries (local coordinates)
-    entry_row: np.ndarray
-    entry_col: np.ndarray
-    entry_offsets: np.ndarray    # (T+1,) per-task COO slices
-    nnz: np.ndarray              # (T,) directed entries per task
+    self_loops: bool | None
+    #: The (task, row, col) entries, in assembly order until sorted.
+    _entries: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    _sorted: bool = field(default=False, repr=False)
     _scan_cache: dict[int, _ScanClasses] = field(
         default_factory=dict, repr=False
     )
@@ -168,6 +241,28 @@ class TaskBatch:
     def num_tasks(self) -> int:
         """Number of island tasks in the batch."""
         return len(self.num_hubs)
+
+    @cached_property
+    def nnz(self) -> np.ndarray:
+        """Directed entries per task, ``(T,)``."""
+        return np.bincount(
+            self._entries[0], minlength=self.num_tasks
+        ).astype(np.int64, copy=False)
+
+    @property
+    def entry_task(self) -> np.ndarray:
+        """Task of every bitmap entry, sorted (task, row, col)-major."""
+        return self._sorted_entries()[0]
+
+    @property
+    def entry_row(self) -> np.ndarray:
+        """Local row of every bitmap entry, in :attr:`entry_task` order."""
+        return self._sorted_entries()[1]
+
+    @property
+    def entry_col(self) -> np.ndarray:
+        """Local column of every bitmap entry, in :attr:`entry_task` order."""
+        return self._sorted_entries()[2]
 
     # ------------------------------------------------------------------
     # Construction
@@ -185,6 +280,14 @@ class TaskBatch:
         island-local, so a per-round slice holds exactly the entries
         those tasks have in the monolithic full-result batch.
 
+        ``graph`` must be loop-free with sorted, duplicate-free rows:
+        :meth:`~repro.graph.csr.CSRGraph.without_self_loops` raises
+        :class:`~repro.errors.GraphError` on a malformed row, and a
+        graph it would strip raises :class:`SimulationError`.  The
+        verdict is stored on the graph, so the check is free after the
+        first call.  A node listed as a member twice raises
+        :class:`SimulationError` too.
+
         ``scratch`` (optional) is a dict the caller keeps across calls
         to reuse the two O(num_nodes) member-lookup maps instead of
         allocating them per call — the streamed pipeline passes one
@@ -193,6 +296,11 @@ class TaskBatch:
         clean state (written positions reset) before returning, which
         keeps reuse exact for any island subset.
         """
+        if graph.without_self_loops() is not graph:
+            raise SimulationError(
+                f"graph {graph.name!r} has self-loops; island tasks are "
+                "assembled on graph.without_self_loops()"
+            )
         islands = list(islands)
         num_tasks = len(islands)
         n = graph.num_nodes
@@ -205,9 +313,7 @@ class TaskBatch:
         num_locals = num_hubs + num_members
         local_offsets = _cumsum0(num_locals)
         hub_offsets = _cumsum0(num_hubs)
-        member_offsets = _cumsum0(num_members)
         total_hubs = int(hub_offsets[-1])
-        total_members = int(member_offsets[-1])
         if num_tasks:
             hubs_flat = np.concatenate(
                 [i.hubs for i in islands]
@@ -227,30 +333,29 @@ class TaskBatch:
         local_nodes[np.repeat(local_offsets[:-1], num_hubs) + hub_rank] = (
             hubs_flat
         )
-        mem_rank = (
-            np.arange(total_members, dtype=np.int64)
-            - np.repeat(member_offsets[:-1], num_members)
-        )
-        local_nodes[
-            np.repeat(local_offsets[:-1] + num_hubs, num_members) + mem_rank
-        ] = members_flat
+        member_task, member_row = _member_rows(num_hubs, num_locals)
+        local_nodes[local_offsets[member_task] + member_row] = members_flat
 
         # Members belong to exactly one island: global row maps
         # (allocated fresh, or reused from the caller's scratch dict —
         # kept clean between calls by the reset below).
         if scratch is not None and len(scratch.get("member_task", ())) == n:
-            member_task = scratch["member_task"]
-            member_local = scratch["member_local"]
+            task_of = scratch["member_task"]
+            row_of = scratch["member_local"]
         else:
-            member_task = np.full(n, -1, dtype=np.int64)
-            member_local = np.full(n, -1, dtype=np.int64)
+            task_of = np.full(n, -1, dtype=np.int64)
+            row_of = np.full(n, -1, dtype=np.int64)
             if scratch is not None:
-                scratch["member_task"] = member_task
-                scratch["member_local"] = member_local
-        member_task[members_flat] = np.repeat(
-            np.arange(num_tasks, dtype=np.int64), num_members
+                scratch["member_task"] = task_of
+                scratch["member_local"] = row_of
+        task_of[members_flat] = member_task
+        row_of[members_flat] = member_row
+        # A node listed twice keeps only one (task, row): the other
+        # listing reads back another one.
+        duplicate = not (
+            np.array_equal(task_of[members_flat], member_task)
+            and np.array_equal(row_of[members_flat], member_row)
         )
-        member_local[members_flat] = np.repeat(num_hubs, num_members) + mem_rank
 
         # Hubs attach to many islands: a sorted (task, hub) → local
         # column table answers every member→hub edge in one join.
@@ -260,53 +365,25 @@ class TaskBatch:
             + hubs_flat
         )
         key_order = np.argsort(pair_keys)
-        sorted_keys = pair_keys[key_order]
-        sorted_local = hub_rank[key_order]
-
-        # One adjacency gather over every member row of every task.
-        flat, deg = csr_gather(
-            graph.indptr.astype(np.int64, copy=False), members_flat
+        blocks = _row_blocks(
+            graph, members_flat, member_task, member_row, task_of, row_of,
+            pair_keys[key_order], hub_rank[key_order], span,
         )
-        neigh = graph.indices[flat].astype(np.int64, copy=False)
-        src_task = np.repeat(member_task[members_flat], deg)
-        src_row = np.repeat(member_local[members_flat], deg)
-
-        same = member_task[neigh] == src_task
-        parts_task = [src_task[same]]
-        parts_row = [src_row[same]]
-        parts_col = [member_local[neigh[same]]]
-        rest = ~same
-        if rest.any() and len(sorted_keys):
-            query = src_task[rest] * span + neigh[rest]
-            pos = np.searchsorted(sorted_keys, query)
-            pos = np.minimum(pos, len(sorted_keys) - 1)
-            # Neighbours that are neither members of this island nor
-            # attached hubs are dropped, as the scalar builder drops
-            # them (a valid islandization produces none).
-            hit = sorted_keys[pos] == query
-            hub_task = src_task[rest][hit]
-            hub_row = src_row[rest][hit]
-            hub_col = sorted_local[pos[hit]]
-            parts_task += [hub_task, hub_task]
-            parts_row += [hub_row, hub_col]     # mirrored L-shape rows
-            parts_col += [hub_col, hub_row]
-        if add_self_loops and total_members:
-            diag_task = member_task[members_flat]
-            diag_row = member_local[members_flat]
-            parts_task.append(diag_task)
-            parts_row.append(diag_row)
-            parts_col.append(diag_row)
-        entry_task = np.concatenate(parts_task)
-        entry_row = np.concatenate(parts_row)
-        entry_col = np.concatenate(parts_col)
+        if add_self_loops:
+            blocks.append((member_task, member_row, member_row))
         if scratch is not None:
             # Restore the clean all(-1) state so the next call starts
             # from scratch regardless of which islands this one held.
-            member_task[members_flat] = -1
-            member_local[members_flat] = -1
-        return cls._from_entries(
-            num_hubs, num_locals, local_nodes, local_offsets,
-            hubs_flat, hub_offsets, entry_task, entry_row, entry_col,
+            task_of[members_flat] = -1
+            row_of[members_flat] = -1
+        if duplicate:
+            raise SimulationError("a node is listed as a member twice")
+        return cls(
+            num_hubs=num_hubs, num_locals=num_locals,
+            local_nodes=local_nodes, local_offsets=local_offsets,
+            hub_nodes=hubs_flat, hub_offsets=hub_offsets,
+            self_loops=add_self_loops,
+            _entries=tuple(np.concatenate(part) for part in zip(*blocks)),
         )
 
     @classmethod
@@ -319,8 +396,6 @@ class TaskBatch:
         num_locals = np.fromiter(
             (t.num_locals for t in tasks), dtype=np.int64, count=num_tasks
         )
-        local_offsets = _cumsum0(num_locals)
-        hub_offsets = _cumsum0(num_hubs)
         if num_tasks:
             local_nodes = np.concatenate(
                 [t.local_nodes for t in tasks]
@@ -330,46 +405,98 @@ class TaskBatch:
             ).astype(np.int64, copy=False)
         else:
             local_nodes, hub_nodes = _empty(), _empty()
+        # ``np.nonzero`` lists each bitmap's entries row-major, once.
         parts_task, parts_row, parts_col = [_empty()], [_empty()], [_empty()]
         for i, task in enumerate(tasks):
             rows, cols = np.nonzero(task.bitmap)
             parts_task.append(np.full(len(rows), i, dtype=np.int64))
             parts_row.append(rows.astype(np.int64, copy=False))
             parts_col.append(cols.astype(np.int64, copy=False))
-        return cls._from_entries(
-            num_hubs, num_locals, local_nodes, local_offsets,
-            hub_nodes, hub_offsets,
-            np.concatenate(parts_task), np.concatenate(parts_row),
-            np.concatenate(parts_col),
-        )
-
-    @classmethod
-    def _from_entries(
-        cls, num_hubs, num_locals, local_nodes, local_offsets,
-        hub_nodes, hub_offsets, entry_task, entry_row, entry_col,
-    ) -> "TaskBatch":
-        """Canonicalise COO entries (dedup + task/row-major sort)."""
-        cell_base = _cumsum0(num_locals * num_locals)
-        cell = (
-            cell_base[entry_task]
-            + entry_row * num_locals[entry_task]
-            + entry_col
-        )
-        cell = sorted_unique(cell)
-        entry_task = np.searchsorted(cell_base, cell, side="right") - 1
-        remainder = cell - cell_base[entry_task]
-        entry_row = remainder // num_locals[entry_task]
-        entry_col = remainder % num_locals[entry_task]
-        nnz = np.bincount(entry_task, minlength=len(num_locals)).astype(
-            np.int64, copy=False
-        )
         return cls(
             num_hubs=num_hubs, num_locals=num_locals,
-            local_nodes=local_nodes, local_offsets=local_offsets,
-            hub_nodes=hub_nodes, hub_offsets=hub_offsets,
-            entry_task=entry_task, entry_row=entry_row, entry_col=entry_col,
-            entry_offsets=_cumsum0(nnz), nnz=nnz,
+            local_nodes=local_nodes, local_offsets=_cumsum0(num_locals),
+            hub_nodes=hub_nodes, hub_offsets=_cumsum0(num_hubs),
+            self_loops=None,
+            _entries=(
+                np.concatenate(parts_task), np.concatenate(parts_row),
+                np.concatenate(parts_col),
+            ),
+            _sorted=True,
         )
+
+    def with_self_loops(self, add_self_loops: bool) -> "TaskBatch":
+        """This batch with the member diagonal added or dropped.
+
+        Only member diagonals have ``row == col``: the graph is
+        loop-free, the hub×hub block is empty and hub rows hold only
+        member columns.  Dropping them is one mask, which keeps sorted
+        entries sorted; adding them appends the diagonal block, as
+        assembly does.  Every other array and the routing cache (which
+        reads only ``hub_nodes``) are shared with this batch; window
+        classes and scan terms are not, since they depend on the
+        entries.
+        """
+        if self.self_loops is None:
+            raise SimulationError(
+                "a batch packed from prebuilt bitmaps has no known "
+                "self-loop mode"
+            )
+        if add_self_loops == self.self_loops:
+            return self
+        task, row, col = self._entries
+        if add_self_loops:
+            diag_task, diag_row = _member_rows(
+                self.num_hubs, self.num_locals
+            )
+            entries = (
+                np.concatenate((task, diag_task)),
+                np.concatenate((row, diag_row)),
+                np.concatenate((col, diag_row)),
+            )
+        else:
+            keep = row != col
+            entries = (task[keep], row[keep], col[keep])
+        return TaskBatch(
+            num_hubs=self.num_hubs, num_locals=self.num_locals,
+            local_nodes=self.local_nodes, local_offsets=self.local_offsets,
+            hub_nodes=self.hub_nodes, hub_offsets=self.hub_offsets,
+            self_loops=add_self_loops, _entries=entries,
+            _sorted=self._sorted and not add_self_loops,
+            _route_cache=self._route_cache,
+        )
+
+    def _sorted_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries sorted task-major, then by row, then by column.
+
+        The first call sorts one int64 key per entry,
+        ``(local_offsets[task] + row) * width + col`` with ``width`` the
+        widest task, and replaces the assembly-order arrays with the
+        decoded ones.  Rows decode with one division by ``width`` and
+        tasks from the per-task counts.
+        """
+        if self._sorted:
+            return self._entries
+        width = max(int(self.num_locals.max(initial=0)), 1)
+        if int(self.local_offsets[-1]) * width > np.iinfo(np.int64).max:
+            raise SimulationError("task batch too large for an int64 entry key")
+        nnz = self.nnz
+        task, row, col = self._entries
+        self._entries = None    # drop the assembly order before sorting
+        key = self.local_offsets[task]
+        del task
+        key += row
+        del row
+        key *= width
+        key += col
+        del col
+        key.sort()
+        rows = key // width
+        key -= rows * width     # the columns
+        task = np.repeat(np.arange(self.num_tasks, dtype=np.int64), nnz)
+        rows -= np.repeat(self.local_offsets[:-1], nnz)
+        self._entries = (task, rows, key)
+        self._sorted = True
+        return self._entries
 
     # ------------------------------------------------------------------
     # Window classification (shared across layers)
@@ -392,8 +519,9 @@ class TaskBatch:
         cell_offsets = _cumsum0(cells_per_task)
         total_cells = int(cell_offsets[-1])
 
-        # Per-window non-zero counts from the COO entries: each entry
-        # lands in its column's group; empty windows stay zero.
+        # Per-window non-zero counts from the COO entries, in whatever
+        # order they are held: each entry lands in its column's group;
+        # empty windows stay zero.
         z = np.bincount(
             self._entry_cells(k, cell_offsets), minlength=total_cells
         ).astype(np.int64, copy=False)
@@ -420,19 +548,15 @@ class TaskBatch:
         return classes
 
     def _entry_cells(self, k: int, cell_offsets: np.ndarray) -> np.ndarray:
-        """The (task, group, row) window cell of every COO entry."""
-        task = self.entry_task
-        hub_group_count = (self.num_hubs + k - 1) // k
-        in_hub = self.entry_col < self.num_hubs[task]
+        """The (task, group, row) window cell of every held COO entry."""
+        task, row, col = self._entries
+        hubs = self.num_hubs[task]
         group_of = np.where(
-            in_hub,
-            self.entry_col // k,
-            hub_group_count[task] + (self.entry_col - self.num_hubs[task]) // k,
+            col < hubs,
+            col // k,
+            ((self.num_hubs + k - 1) // k)[task] + (col - hubs) // k,
         )
-        return (
-            cell_offsets[task] + group_of * self.num_locals[task]
-            + self.entry_row
-        )
+        return cell_offsets[task] + group_of * self.num_locals[task] + row
 
     # ------------------------------------------------------------------
     # Hub routing (shared across layers and models)
@@ -480,6 +604,7 @@ class TaskBatch:
             return cached
         if self.num_tasks == 0:
             raise SimulationError("a batch without tasks has no scan terms")
+        entry_task, entry_row, entry_col = self._sorted_entries()
         classes = self.scan_classes(k)
         locals_n = self.num_locals
         total_rows = int(self.local_offsets[-1])
@@ -511,9 +636,9 @@ class TaskBatch:
             - np.repeat(_cumsum0(widths)[:-1], widths)
         )
         cand_base = np.repeat(self.local_offsets[cell_task[is_sub]], widths)
-        entry_row = self.local_offsets[self.entry_task] + self.entry_row
+        entry_row = self.local_offsets[entry_task] + entry_row
         key_span = int(locals_n.max())
-        entry_key = entry_row * key_span + self.entry_col
+        entry_key = entry_row * key_span + entry_col
         cand_key = cand_row * key_span + cand_col
         hit = np.minimum(
             np.searchsorted(entry_key, cand_key), len(entry_key) - 1
@@ -527,7 +652,7 @@ class TaskBatch:
         is_dir = classes.direct[self._entry_cells(k, classes.cell_offsets)]
         dir_row = entry_row[is_dir]
         dir_col = self.local_nodes[
-            self.local_offsets[self.entry_task[is_dir]] + self.entry_col[is_dir]
+            self.local_offsets[entry_task[is_dir]] + entry_col[is_dir]
         ]
 
         # Rows: every member row (task-major), then every hub row (the

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph
-from repro.nputil import sorted_unique
 from repro.serialize import read_npz, write_npz
 
 __all__ = [
@@ -417,23 +416,30 @@ class IslandizationResult:
         # feel at a few hundred thousand islands).
         if (np.diff(m_off) < 1).any():
             raise IslandizationError("an island must have at least one member")
+        n = graph.num_nodes
+        for kind, flat in (("member", members_flat), ("hub", hubs_flat)):
+            if len(flat) and (flat.min() < 0 or flat.max() >= n):
+                raise IslandizationError(f"an island {kind} is not a node id")
+        # Task assembly does not deduplicate bitmap entries, so a node
+        # listed as a member twice, in one island or in two, must not
+        # decode: one bincount finds it.
+        if len(members_flat) and np.bincount(members_flat).max() > 1:
+            raise IslandizationError("a node is listed as a member more than once")
         num_islands = len(m_off) - 1
-        span = int(
-            max(members_flat.max(initial=-1), hubs_flat.max(initial=-1))
-        ) + 1
+        span = max(n, 1)
         member_keys = (
             np.repeat(np.arange(num_islands, dtype=np.int64), np.diff(m_off))
             * span + members_flat
         )
-        hub_keys = (
+        hub_keys = np.sort(
             np.repeat(np.arange(num_islands, dtype=np.int64), np.diff(h_off))
             * span + hubs_flat
         )
+        if (hub_keys[1:] == hub_keys[:-1]).any():
+            raise IslandizationError("an island lists a hub more than once")
         # np.intersect1d takes NumPy 2.x's slow hash-path unique; a key
         # shared by both sides shows as an adjacent repeat after one sort.
-        both = np.sort(
-            np.concatenate((sorted_unique(member_keys), sorted_unique(hub_keys)))
-        )
+        both = np.sort(np.concatenate((member_keys, hub_keys)))
         if (both[1:] == both[:-1]).any():
             raise IslandizationError("a node cannot be both member and hub")
         islands = [

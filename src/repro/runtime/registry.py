@@ -78,8 +78,8 @@ class IGCNSimulator:
     simulations of the same graph — different models, variants, or
     sweep cells — islandize exactly once, and the run shares the
     engine's :class:`~repro.core.accelerator.TaskMemo`, so consecutive
-    models over that islandization assemble its island tasks once per
-    self-loop mode.
+    models over that islandization assemble its island tasks once (once
+    per self-loop mode with the scalar consumer).
     """
 
     name = "igcn"

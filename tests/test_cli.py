@@ -288,14 +288,14 @@ class TestCommands:
 
     def test_sweep_reports_task_chunk_reuse(self, capsys, monkeypatch):
         # gcn and graphsage aggregate over A+I and share one assembly;
-        # gin aggregates over A and assembles its own.
+        # gin aggregates over A and derives its chunks from it.
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         code = main(["sweep", "--datasets", "cora", "--scale", "0.1",
                      "--models", "gcn", "graphsage", "gin",
                      "--platforms", "igcn"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "summary rows reused 0 of 3; task chunks assembled 2, reused 1" in out
+        assert "summary rows reused 0 of 3; task chunks assembled 1, reused 2" in out
 
     def test_compare(self, capsys):
         code = main(["compare", "--dataset", "cora", "--scale", "0.1"])

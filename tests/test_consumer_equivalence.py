@@ -28,9 +28,11 @@ from repro.core import (
     islandize,
     prepare_tasks,
 )
+from repro.core.bitmap import build_island_task
 from repro.core.consumer import execution_mismatch
 from repro.core.interhub import InterHubPlan
-from repro.errors import ConfigError, SimulationError
+from repro.core.types import Island
+from repro.errors import ConfigError, GraphError, SimulationError
 from repro.graph import CSRGraph, GraphBuilder, erdos_renyi, hub_island_graph
 from repro.graph.generators import CommunityProfile, barabasi_albert
 from repro.hw import IGCN_DEFAULT, TrafficMeter
@@ -41,6 +43,12 @@ from repro.models import LayerSpec, normalization_for
 _LAYERS = (
     LayerSpec(12, 16, activation="relu"),
     LayerSpec(16, 5, activation="none"),
+)
+
+#: Every public array of a :class:`TaskBatch`.
+_BATCH_ARRAYS = (
+    "num_hubs", "num_locals", "local_nodes", "local_offsets", "hub_nodes",
+    "hub_offsets", "entry_task", "entry_row", "entry_col", "nnz",
 )
 
 
@@ -430,15 +438,197 @@ class TestBackendConfig:
             batch = consumer.prepare(result, add_self_loops=add_self_loops)
             ref = TaskBatch.from_tasks(tasks)
             assert batch.num_tasks == len(tasks)
-            for name in ("num_hubs", "num_locals", "local_nodes",
-                         "local_offsets", "hub_nodes", "hub_offsets",
-                         "entry_task", "entry_row", "entry_col", "nnz"):
+            for name in _BATCH_ARRAYS:
                 assert np.array_equal(
                     getattr(batch, name), getattr(ref, name)
                 ), name
             assert np.array_equal(
                 batch.nnz, np.asarray([t.nnz for t in tasks], dtype=np.int64)
             )
+
+
+def _entry_graph(family: str, num_nodes: int, seed: int) -> CSRGraph:
+    """A loop-free Erdős–Rényi or hub-island graph."""
+    if family == "er":
+        graph = erdos_renyi(num_nodes, 4.0, seed=seed)
+    else:
+        graph, _ = hub_island_graph(
+            num_nodes,
+            CommunityProfile(hub_fraction=0.05, background_fraction=0.02),
+            seed=seed,
+        )
+    return graph.without_self_loops()
+
+
+def _assert_same_classes(a, b) -> None:
+    assert a.counts == b.counts
+    for name in ("group_offsets", "group_starts", "group_widths",
+                 "cell_offsets", "full", "subtract", "direct"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _layer_counts(result, batch, add_self_loops: bool):
+    """Counts, meter and ring statistics of two counting layers."""
+    clean = result.graph
+    norm = normalization_for(clean, "gcn-sym" if add_self_loops else "gin-sum")
+    plan = build_interhub_plan(result, add_self_loops=add_self_loops)
+    consumer = IslandConsumer(ConsumerConfig(num_pes=5, backend="batched"))
+    runs = []
+    for idx, layer in enumerate(_LAYERS):
+        meter = TrafficMeter()
+        execution = consumer.run_layer(
+            result, batch, plan, norm, layer, layer_index=idx, meter=meter,
+            final_layer=idx == len(_LAYERS) - 1,
+        )
+        runs.append((execution.counts, meter.reads, meter.writes,
+                     execution.hub_xw_accesses, execution.prc_updates,
+                     execution.prc_bank_updates))
+    return runs, consumer.ring.stats
+
+
+class TestTaskBatchEntries:
+    """Entries in assembly order, sorted on first read, no dedup.
+
+    ``from_islands`` keeps its bitmap entries in the order it builds
+    them and counts windows from that order; the first read of
+    ``entry_task/row/col`` sorts them.  ``with_self_loops`` derives the
+    other self-loop variant.  Each must equal a fresh, sorted assembly.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        family=st.sampled_from(["er", "hub"]),
+        num_nodes=st.integers(min_value=4, max_value=250),
+        seed=st.integers(min_value=0, max_value=2**16),
+        c_max=st.sampled_from([1, 3, 16, 600]),
+        add_self_loops=st.booleans(),
+    )
+    def test_entries_classes_and_derived_variants(
+        self, family, num_nodes, seed, c_max, add_self_loops
+    ):
+        clean = _entry_graph(family, num_nodes, seed)
+        result = islandize(clean, LocatorConfig(c_max=c_max))
+
+        def fresh(loops):
+            return TaskBatch.from_islands(
+                clean, result.islands, add_self_loops=loops
+            )
+
+        # Window classes counted in assembly order equal those counted
+        # after the first sorted read.
+        for k in (2, 6):
+            unsorted, read = fresh(add_self_loops), fresh(add_self_loops)
+            classes = unsorted.scan_classes(k)
+            read.entry_task
+            _assert_same_classes(classes, read.scan_classes(k))
+
+        # The sorted entries equal each island's dense bitmap, offset
+        # by task.
+        batch = fresh(add_self_loops)
+        parts = [(np.zeros(0, dtype=np.int64),) * 3]
+        for task, island in enumerate(result.islands):
+            bitmap = build_island_task(
+                clean, island, add_self_loops=add_self_loops
+            ).bitmap
+            rows, cols = np.nonzero(bitmap)
+            parts.append((np.full(len(rows), task), rows, cols))
+        for name, oracle in zip(("entry_task", "entry_row", "entry_col"),
+                                zip(*parts)):
+            got = getattr(batch, name)
+            assert got.dtype == np.int64, name
+            assert np.array_equal(got, np.concatenate(oracle)), name
+        assert np.array_equal(
+            batch.nnz,
+            np.bincount(batch.entry_task, minlength=batch.num_tasks),
+        )
+
+        # Both directions, from an unsorted and from a sorted batch.
+        ring = RingNetwork(5)
+        expected = fresh(not add_self_loops)
+        expected_layers = _layer_counts(result, expected, not add_self_loops)
+        for sort_first in (False, True):
+            base = fresh(add_self_loops)
+            if sort_first:
+                base.entry_task
+            derived = base.with_self_loops(not add_self_loops)
+            assert derived.self_loops is (not add_self_loops)
+            assert base.with_self_loops(add_self_loops) is base
+            assert derived.routing(ring, 3) is base.routing(ring, 3)
+            reference = fresh(not add_self_loops)
+            _assert_same_classes(
+                derived.scan_classes(6), reference.scan_classes(6)
+            )
+            ours, theirs = derived.routing(ring, 3), reference.routing(ring, 3)
+            assert ours.ring == theirs.ring
+            assert np.array_equal(ours.pes, theirs.pes)
+            assert np.array_equal(ours.prc_banks, theirs.prc_banks)
+            assert _layer_counts(result, derived, not add_self_loops) == (
+                expected_layers
+            )
+            for name in _BATCH_ARRAYS:
+                got, want = getattr(derived, name), getattr(expected, name)
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+
+    def test_self_loop_graph_is_rejected(self, community_graph):
+        graph, _ = community_graph
+        clean = graph.without_self_loops()
+        result = islandize(clean)
+        with pytest.raises(SimulationError, match="self-loops"):
+            TaskBatch.from_islands(
+                clean.with_self_loops(), result.islands, add_self_loops=True
+            )
+
+    def test_duplicate_row_entry_is_rejected(self):
+        # Row 0 lists node 1 twice.
+        graph = CSRGraph(
+            indptr=np.array([0, 2, 3, 3]), indices=np.array([1, 1, 0])
+        )
+        with pytest.raises(GraphError, match="duplicate"):
+            TaskBatch.from_islands(
+                graph, [Island(0, members=[0, 1], hubs=[])],
+                add_self_loops=False,
+            )
+
+    @pytest.mark.parametrize("islands", [
+        [Island(0, members=[0, 1, 0], hubs=[])],
+        [Island(0, members=[0, 1], hubs=[]), Island(0, members=[2, 1], hubs=[])],
+    ], ids=["one-island", "two-islands"])
+    def test_member_listed_twice_is_rejected(self, islands):
+        graph = GraphBuilder(3).add_edge(0, 1).add_edge(1, 2).build()
+        scratch: dict = {}
+        with pytest.raises(SimulationError, match="member twice"):
+            TaskBatch.from_islands(
+                graph, islands, add_self_loops=True, scratch=scratch
+            )
+        # The scratch maps are left clean for the next call.
+        assert (scratch["member_task"] == -1).all()
+        assert (scratch["member_local"] == -1).all()
+
+    def test_assembly_order_is_dropped_on_first_read(self, community_graph):
+        import gc
+        import weakref
+
+        graph, _ = community_graph
+        clean = graph.without_self_loops()
+        result = islandize(clean)
+        batch = TaskBatch.from_islands(
+            clean, result.islands, add_self_loops=True
+        )
+        batch.scan_classes(6)
+        # The batch's only copy of its entries, in assembly order.
+        held = [weakref.ref(array) for array in batch._entries]
+        sorted_task = batch.entry_task
+        gc.collect()
+        assert all(ref() is None for ref in held)
+        assert batch.entry_task is sorted_task
+
+    def test_bitmap_batch_has_no_self_loop_mode(self, community_graph):
+        graph, _ = community_graph
+        result = islandize(graph.without_self_loops())
+        batch = TaskBatch.from_tasks(prepare_tasks(result, add_self_loops=True))
+        with pytest.raises(SimulationError, match="self-loop mode"):
+            batch.with_self_loops(False)
 
 
 class TestInterhubValidation:

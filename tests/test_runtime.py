@@ -199,8 +199,9 @@ class TestEngineCaching:
                 family, small_cora.num_features, small_cora.num_classes
             )
             engine.simulate("igcn", small_cora, model)
-        # graphsage reuses gcn's A+I chunks; gin (over A) assembles.
-        assert (view["tasks"].hits, view["tasks"].misses) == (1, 2)
+        # graphsage reuses gcn's A+I chunks; gin (over A) derives its
+        # chunks from them by dropping the member diagonal.
+        assert (view["tasks"].hits, view["tasks"].misses) == (2, 1)
         assert made
         engine.clear()
         assert view["tasks"].total == 0

@@ -155,24 +155,84 @@ class TestRoundTrips:
             restored.island_permutation(), islandization.island_permutation()
         )
 
-    def test_islandization_rejects_member_listed_as_hub(self, islandization):
+    @staticmethod
+    def _decode_edited(islandization, edit):
+        """Decode ``islandization``'s npz after ``edit(arrays)`` changed it."""
         buf = io.BytesIO()
         islandization.to_npz(buf)
         buf.seek(0)
         arrays, meta = read_npz(buf)
-        # Overwrite the first hub of an island that has hubs with one
-        # of that island's own members.
-        idx = next(i for i, isl in enumerate(islandization.islands) if isl.num_hubs)
-        hubs_flat = arrays["island_hubs_flat"].copy()
-        hubs_flat[arrays["island_hub_offsets"][idx]] = (
-            islandization.islands[idx].members[0]
-        )
-        arrays["island_hubs_flat"] = hubs_flat
+        arrays = {name: value.copy() for name, value in arrays.items()}
+        edit(arrays)
         corrupt = io.BytesIO()
         write_npz(corrupt, arrays, meta)
         corrupt.seek(0)
+        return IslandizationResult.from_npz(corrupt)
+
+    @staticmethod
+    def _island(islandization, *, members=1, hubs=0):
+        """Index of the first island with at least that many of each."""
+        return next(
+            i for i, isl in enumerate(islandization.islands)
+            if isl.num_members >= members and isl.num_hubs >= hubs
+        )
+
+    def test_islandization_rejects_member_listed_as_hub(self, islandization):
+        # Overwrite the first hub of an island that has hubs with one
+        # of that island's own members.
+        idx = self._island(islandization, hubs=1)
+
+        def edit(arrays):
+            arrays["island_hubs_flat"][arrays["island_hub_offsets"][idx]] = (
+                islandization.islands[idx].members[0]
+            )
+
         with pytest.raises(IslandizationError, match="both member and hub"):
-            IslandizationResult.from_npz(corrupt)
+            self._decode_edited(islandization, edit)
+
+    def test_islandization_rejects_member_of_two_islands(self, islandization):
+        first = self._island(islandization)
+        second = first + 1
+
+        def edit(arrays):
+            offsets = arrays["island_member_offsets"]
+            members = arrays["island_members_flat"]
+            members[offsets[second]] = members[offsets[first]]
+
+        with pytest.raises(IslandizationError, match="member more than once"):
+            self._decode_edited(islandization, edit)
+
+    def test_islandization_rejects_member_listed_twice(self, islandization):
+        idx = self._island(islandization, members=2)
+
+        def edit(arrays):
+            start = arrays["island_member_offsets"][idx]
+            members = arrays["island_members_flat"]
+            members[start + 1] = members[start]
+
+        with pytest.raises(IslandizationError, match="member more than once"):
+            self._decode_edited(islandization, edit)
+
+    def test_islandization_rejects_hub_listed_twice(self, islandization):
+        idx = self._island(islandization, hubs=2)
+
+        def edit(arrays):
+            start = arrays["island_hub_offsets"][idx]
+            hubs = arrays["island_hubs_flat"]
+            hubs[start + 1] = hubs[start]
+
+        with pytest.raises(IslandizationError, match="hub more than once"):
+            self._decode_edited(islandization, edit)
+
+    @pytest.mark.parametrize("bogus", [-1, 10**9])
+    def test_islandization_rejects_member_outside_the_graph(
+        self, islandization, bogus
+    ):
+        def edit(arrays):
+            arrays["island_members_flat"][0] = bogus
+
+        with pytest.raises(IslandizationError, match="not a node id"):
+            self._decode_edited(islandization, edit)
 
     def test_round_fields_cover_roundstats(self, islandization):
         row = islandization.rounds[0].as_row()

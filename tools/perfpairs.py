@@ -6,7 +6,7 @@ judges every end-to-end metric by the pairs rule of the
 choosing-metrics guide (section 8)::
 
     python tools/perfpairs.py --parent DIR --change DIR --workload NAME \\
-        [--pairs 10] [--seed 7]
+        [--pairs 10] [--seed 7] [--trace]
 
 Each checkout runs its own benchmark files, in its own directory.  The
 side that runs first alternates: the parent in even pairs, the change
@@ -24,11 +24,19 @@ quartiles, how many pairs the change won, and a verdict:
   every parent run;
 * ``no regression`` — otherwise.
 
+With ``--trace``, each side then runs once more with ``--trace 1``, and
+the tool prints every ``per_layer`` metric of ``BENCHMARK.json`` side
+by side, so a reader sees which stage a saving came from.  A metric in
+a count unit (``count``) is exact, so one that differs between the
+sides is marked ``DIFFERS``: the change altered what the program does,
+not how fast.  One traced run per side judges no timing; it only
+locates one.
+
 Exit code 1 when the change has more failed ops or more incorrect runs
-than the parent (a run that prints no result counts as incorrect), 2
-on bad arguments, 0 otherwise.  The verdicts themselves never fail the
-command: a reader decides what a ``regression`` or ``unresolved`` row
-means for the change.
+than the parent in the pairs (a run that prints no result counts as
+incorrect), 2 on bad arguments, 0 otherwise.  The verdicts and the
+traced runs never fail the command: a reader decides what a
+``regression``, ``unresolved`` or ``DIFFERS`` row means for the change.
 """
 
 from __future__ import annotations
@@ -43,6 +51,9 @@ from pathlib import Path
 
 #: Share of pairs the change must win before a gain is claimed.
 GAIN_SHARE = 0.9
+#: Per-layer units that count events: equal on both sides unless the
+#: change altered what the program does.
+EXACT_UNITS = ("count",)
 
 
 @dataclass
@@ -93,10 +104,10 @@ def verdict(parent: list[float], change: list[float], *, better: str,
 
 
 def run_once(checkout: Path, command: list[str], workload: str,
-             seed: int) -> dict | None:
+             seed: int, *extra: str) -> dict | None:
     """One benchmark run in ``checkout``: its result JSON, or ``None``."""
     proc = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed)],
+        [*command, "--workload", workload, "--seed", str(seed), *extra],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
     lines = proc.stdout.strip().splitlines()
@@ -158,6 +169,30 @@ def report(spec: list[dict], parent: Side, change: Side) -> list[str]:
     return lines
 
 
+def trace_report(spec: list[dict], parent: dict | None,
+                 change: dict | None) -> list[str]:
+    """One line per per-layer metric: the two traced runs side by side."""
+    lines = [
+        f"{label}: the traced run printed no result"
+        for label, result in (("parent", parent), ("change", change))
+        if result is None
+    ]
+    for metric in spec:
+        name, unit = metric["name"], metric["unit"]
+        exact = unit in EXACT_UNITS
+        values = [
+            (result or {}).get("metrics", {}).get(name, {}).get("value")
+            for result in (parent, change)
+        ]
+        p, c = (
+            "-" if v is None else repr(v) if exact else f"{v:.4g}"
+            for v in values
+        )
+        mark = "  DIFFERS" if exact and values[0] != values[1] else ""
+        lines.append(f"{name} ({unit}): parent {p} -> change {c}{mark}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Alternating parent/change benchmark pairs."
@@ -167,6 +202,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--trace", action="store_true",
+        help="after the pairs, run each side once with --trace 1 and "
+             "print the per-layer metrics side by side",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -198,6 +238,16 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr, flush=True)
     for line in report(spec, sides["parent"], sides["change"]):
         print(line)
+    if args.trace:
+        traced = {
+            label: run_once(dirs[label], bench["command"], args.workload,
+                            args.seed, "--trace", "1")
+            for label in ("parent", "change")
+        }
+        print("per-layer metrics, one --trace 1 run per side:")
+        for line in trace_report(bench.get("per_layer", []),
+                                 traced["parent"], traced["change"]):
+            print(line)
     parent, change = sides["parent"], sides["change"]
     worse = (change.failed_ops > parent.failed_ops
              or change.incorrect_runs > parent.incorrect_runs)
