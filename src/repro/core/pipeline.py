@@ -40,6 +40,7 @@ node-count shares or any other analytic proxy.
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 __all__ = ["pipelined_makespan", "streamed_schedule"]
@@ -98,7 +99,9 @@ def streamed_schedule(
         releases.append(cumulative)
         cumulative += float(cycles)
     total_work = float(sum(round_work))
-    if total_work > 0.0:
+    # A subnormal total is no measurable work: consumer_cycles * w can
+    # underflow to 0 there, and the chunks would not sum to it.
+    if total_work >= sys.float_info.min:
         chunks = [
             float(consumer_cycles) * float(w) / total_work for w in round_work
         ]

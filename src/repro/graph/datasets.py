@@ -63,7 +63,6 @@ class DatasetSpec:
     feature_density: float
     profile: CommunityProfile
     default_scale: float = 1.0
-    degree_follows_scale: bool = False  # Reddit: shrink degree with scale too
     description: str = ""
 
     @property
@@ -187,7 +186,6 @@ DATASETS: dict[str, DatasetSpec] = {
             interhub_avg_degree=8.0,
         ),
         default_scale=0.03,
-        degree_follows_scale=True,
         description=(
             "social network; huge and dense with weak community structure "
             "(paper: smallest islandization benefit)"
@@ -323,11 +321,21 @@ class Dataset:
 
     @classmethod
     def from_npz(cls, file: str | IO[bytes]) -> "Dataset":
-        """Restore a dataset written by :meth:`to_npz`."""
+        """Restore a dataset written by :meth:`to_npz`.
+
+        The stored profile is validated as a constructed one is
+        (:class:`~repro.graph.generators.CommunityProfile` raises
+        ``GraphError``).  ``degree_follows_scale``, a spec field that
+        nothing read, is dropped from archives that still carry it.
+        """
         arrays, meta = read_npz(file)
         spec_fields = dict(meta["spec"])
-        profile = CommunityProfile(**spec_fields.pop("profile"))
-        spec = DatasetSpec(profile=profile, **spec_fields)
+        spec_fields.pop("degree_follows_scale", None)
+        try:
+            profile = CommunityProfile(**spec_fields.pop("profile"))
+            spec = DatasetSpec(profile=profile, **spec_fields)
+        except (KeyError, TypeError) as exc:
+            raise DatasetError(f"stored dataset spec is malformed: {exc!r}") from None
         graph = CSRGraph(
             indptr=arrays["graph_indptr"],
             indices=arrays["graph_indices"],

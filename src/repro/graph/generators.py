@@ -17,6 +17,8 @@ All generators are deterministic given ``seed``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +65,10 @@ class CommunityProfile:
         Real scale-free graphs route cross-community links through
         popular nodes; near-zero bias instead produces a uniform random
         overlay that merges communities into one giant blob.
+    hub_popularity_exponent:
+        Hub ``r`` (1-based popularity rank) is chosen with weight
+        ``r ** -hub_popularity_exponent``; 0 makes every hub equally
+        popular.
     interhub_avg_degree:
         Average number of hub-hub edges per hub.
     """
@@ -80,14 +86,28 @@ class CommunityProfile:
     interhub_avg_degree: float = 2.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.hub_fraction < 1.0:
-            raise GraphError("hub_fraction must be in (0, 1)")
-        if self.island_size_mean < 1.0:
-            raise GraphError("island_size_mean must be >= 1")
-        if not 0.0 <= self.island_density <= 1.0:
-            raise GraphError("island_density must be in [0, 1]")
-        if not 0.0 <= self.background_fraction < 1.0:
-            raise GraphError("background_fraction must be in [0, 1)")
+        def need(field: str, integral: bool, ok, bounds: str) -> None:
+            value = getattr(self, field)
+            kind = numbers.Integral if integral else numbers.Real
+            if not (
+                isinstance(value, kind)
+                and not isinstance(value, bool)
+                and (integral or math.isfinite(value))
+                and ok(value)
+            ):
+                raise GraphError(f"{field} must be {bounds}, got {value!r}")
+
+        need("hub_fraction", False, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+        need("island_size_mean", False, lambda v: v >= 1.0, "a finite number >= 1")
+        need("island_size_min", True, lambda v: v >= 1, "an integer >= 1")
+        need("island_size_max", True, lambda v: v >= 1, "an integer >= 1")
+        need("island_density", False, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        need("hub_attach_prob", False, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        need("hubs_per_island", True, lambda v: v >= 0, "an integer >= 0")
+        need("background_fraction", False, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+        need("background_hub_bias", False, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        need("hub_popularity_exponent", False, lambda v: v >= 0.0, "a finite number >= 0")
+        need("interhub_avg_degree", False, lambda v: v >= 0.0, "a finite number >= 0")
 
 
 def hub_island_graph(
@@ -98,6 +118,28 @@ def hub_island_graph(
     name: str = "hub-island",
 ) -> tuple[CSRGraph, np.ndarray]:
     """Generate a hub-and-island graph.
+
+    Draw order: one ``rng.shuffle`` of the non-hub nodes, one
+    ``rng.geometric`` per island size, then per island of ``m``
+    members, from ``rng.random``:
+
+    1. ``m(m-1)/2`` edge draws in ``np.triu_indices(m, 1)`` order (an
+       edge is kept when its draw is below ``island_density``);
+    2. ``k = min(hubs_per_island, num_hubs)`` hub draws, as
+       ``rng.choice(hubs, size=k, replace=False, p=popularity)`` takes
+       them: each draw is looked up in the popularity CDF, and while a
+       pick repeats an earlier one, ``k - found`` more draws are looked
+       up in the CDF renormalised over the hubs not found yet;
+    3. ``m`` attach draws per chosen hub, in pick order (a member
+       attaches when its draw is below ``hub_attach_prob``; a hub that
+       no member attached to takes the island's first member, so every
+       island stays reachable).
+
+    The inter-hub and background draws follow.  The island phase reads
+    all its draws from one block with array ops; its ``indptr``,
+    ``indices`` and ``community`` are byte-identical to a per-island
+    loop making these calls in this order (``tests/test_generators.py``
+    holds that loop as the oracle and pins golden fingerprints).
 
     Returns
     -------
@@ -127,15 +169,12 @@ def hub_island_graph(
         size = int(min(size, profile.island_size_max, remaining))
         sizes.append(max(size, 1))
         remaining -= sizes[-1]
-    islands: list[np.ndarray] = []
-    offset = 0
-    for size in sizes:
-        islands.append(rest[offset : offset + size])
-        offset += size
+    island_sizes = np.asarray(sizes, dtype=np.int64)
 
     community = -np.ones(num_nodes, dtype=np.int64)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
+    community[rest] = np.repeat(
+        np.arange(len(island_sizes), dtype=np.int64), island_sizes
+    )
 
     # Power-law hub popularity so the degree distribution is skewed;
     # the exponent trades skew against the minimum hub degree (too much
@@ -144,24 +183,20 @@ def hub_island_graph(
     ranks = np.arange(1, num_hubs + 1, dtype=np.float64)
     hub_weights = np.power(ranks, -profile.hub_popularity_exponent)
     hub_weights /= hub_weights.sum()
+    k = min(profile.hubs_per_island, num_hubs)
+    popular = np.count_nonzero(hub_weights)
+    if popular < k:
+        raise GraphError(
+            f"hub_popularity_exponent {profile.hub_popularity_exponent} "
+            f"leaves {popular} hubs with a nonzero weight; islands pick {k}"
+        )
 
-    for island_id, members in enumerate(islands):
-        community[members] = island_id
-        m = len(members)
-        if m >= 2:
-            iu, iv = np.triu_indices(m, k=1)
-            keep = rng.random(len(iu)) < profile.island_density
-            rows.append(members[iu[keep]])
-            cols.append(members[iv[keep]])
-        # Attach the island to a few hubs.
-        k = min(profile.hubs_per_island, num_hubs)
-        chosen = rng.choice(hubs, size=k, replace=False, p=hub_weights)
-        for hub in chosen:
-            attach = members[rng.random(m) < profile.hub_attach_prob]
-            if len(attach) == 0 and m > 0:
-                attach = members[:1]  # keep every island reachable
-            rows.append(np.full(len(attach), hub, dtype=np.int64))
-            cols.append(attach)
+    island_rows, island_cols = _island_edges(
+        rng, rest, island_sizes, hub_weights, profile, k
+    )
+    rows: list[np.ndarray] = [island_rows]
+    cols: list[np.ndarray] = [island_cols]
+    del island_rows, island_cols
 
     # Hub-hub edges.
     n_interhub = int(round(num_hubs * profile.interhub_avg_degree / 2.0))
@@ -192,10 +227,148 @@ def hub_island_graph(
         rows.append(bu[keep])
         cols.append(bv[keep])
 
-    all_rows = np.concatenate(rows) if rows else np.zeros(0, np.int64)
-    all_cols = np.concatenate(cols) if cols else np.zeros(0, np.int64)
+    all_rows = np.concatenate(rows)
+    all_cols = np.concatenate(cols)
+    del rows, cols  # from_edges' own peak comes on top of what is alive
     graph = CSRGraph.from_edges(num_nodes, all_rows, all_cols, name=name)
     return graph, community
+
+
+class _Uniforms:
+    """The island phase's ``rng.random`` draws, in one buffer.
+
+    It holds exactly the draws the phase is sure to read: the islands'
+    fixed counts up front, then each hub redraw as it is made, so the
+    generator's state afterwards is the per-island loop's.
+    """
+
+    def __init__(self, rng: np.random.Generator, count: int) -> None:
+        self._rng = rng
+        self.values = np.empty(count + max(64, count >> 8))
+        rng.random(out=self.values[:count])
+        self.count = count
+
+    def extend(self, count: int) -> None:
+        """Append ``count`` further draws."""
+        end = self.count + count
+        if end > len(self.values):
+            grown = np.empty(2 * end)
+            grown[: self.count] = self.values[: self.count]
+            self.values = grown
+        self._rng.random(out=self.values[self.count : end])
+        self.count = end
+
+
+#: Islands whose first hub draws are checked for a repeat at once.
+_HUB_WINDOW = 512
+
+
+def _choose_hubs(
+    draws: _Uniforms, hub_at: np.ndarray, k: int, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every island's ``k`` hubs in pick order, and its redraw count.
+
+    ``hub_at[i]`` is where island ``i``'s first hub draw would sit if no
+    earlier island redrew.  A window of islands is looked up at once; the
+    first island in it whose picks repeat a hub redraws as
+    ``Generator.choice`` does, which shifts every later island's draws,
+    so the next window starts after it.
+    """
+    n = len(hub_at)
+    chosen = np.empty((n, k), dtype=np.int64)
+    redraws = np.zeros(n, dtype=np.int64)
+    if k == 0:
+        return chosen, redraws
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    slots = np.arange(k)
+    shift = 0
+    i = 0
+    while i < n:
+        j = min(i + _HUB_WINDOW, n)
+        picks = cdf.searchsorted(
+            draws.values[hub_at[i:j, None] + shift + slots], side="right"
+        )
+        ordered = np.sort(picks, axis=1)
+        repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        stop = j if len(repeats) == 0 else i + int(repeats[0])
+        chosen[i:stop] = picks[: stop - i]
+        if stop == j:
+            i = j
+            continue
+        # Generator.choice's loop: zero the found hubs, renormalise, and
+        # draw one value per hub still missing.
+        found = list(dict.fromkeys(picks[stop - i].tolist()))
+        remaining_weights = weights.copy()
+        at = start = int(hub_at[stop]) + shift + k
+        while len(found) < k:
+            need = k - len(found)
+            draws.extend(need)
+            remaining_weights[found] = 0
+            redraw_cdf = np.cumsum(remaining_weights)
+            redraw_cdf /= redraw_cdf[-1]
+            new = redraw_cdf.searchsorted(draws.values[at : at + need], side="right")
+            found.extend(dict.fromkeys(new.tolist()))
+            at += need
+        chosen[stop] = found
+        redraws[stop] = at - start
+        shift += at - start
+        i = stop + 1
+    return chosen, redraws
+
+
+def _island_edges(
+    rng: np.random.Generator,
+    rest: np.ndarray,
+    sizes: np.ndarray,
+    hub_weights: np.ndarray,
+    profile: CommunityProfile,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Internal edges and hub attachments of every island, as ``(rows, cols)``.
+
+    Islands are consecutive runs of ``rest`` with the given ``sizes``;
+    the draws follow :func:`hub_island_graph`'s per-island order.
+    Islands of one size are handled together as a matrix.
+    """
+    pairs = sizes * (sizes - 1) // 2
+    first = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(pairs + k + k * sizes, out=first[1:])
+    draws = _Uniforms(rng, int(first[-1]))
+    chosen, redraws = _choose_hubs(draws, first[:-1] + pairs, k, hub_weights)
+    # Each island's first draw, after the redraws of the islands before it.
+    first = first[:-1]
+    first[1:] += np.cumsum(redraws[:-1])
+    member_at = np.zeros(len(sizes), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=member_at[1:])
+
+    values = draws.values[: draws.count]
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        ids = np.flatnonzero(sizes == size)
+        members = rest[member_at[ids, None] + np.arange(size)]
+        n_pairs = size * (size - 1) // 2
+        if n_pairs:
+            iu, iv = np.triu_indices(size, k=1)
+            keep = (
+                values[first[ids, None] + np.arange(n_pairs)]
+                < profile.island_density
+            )
+            rows.append(members[:, iu][keep])
+            cols.append(members[:, iv][keep])
+        if k:
+            attach_at = first[ids] + n_pairs + k + redraws[ids]
+            keep = (
+                values[attach_at[:, None] + np.arange(k * size)]
+                < profile.hub_attach_prob
+            ).reshape(len(ids), k, size)
+            keep[:, :, 0] |= ~keep.any(axis=2)
+            rows.append(np.broadcast_to(chosen[ids, :, None], keep.shape)[keep])
+            cols.append(np.broadcast_to(members[:, None, :], keep.shape)[keep])
+    if not rows:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def erdos_renyi(

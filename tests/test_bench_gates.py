@@ -120,6 +120,10 @@ CLAUSES = [
                  id="event-p99_us"),
     pytest.param("event", "streamed_s", _row(-1, streamed_s=2.6),
                  id="event-streamed_s"),
+    pytest.param("event", "generate_s", _row(-1, generate_s=1.1),
+                 id="event-generate_s"),
+    pytest.param("event", "generate_s", _row(0, generate_s=None),
+                 id="event-generate_s-missing"),
     pytest.param("partition", "equal_p1", _row(0, equal_p1=False),
                  id="partition-equal_p1"),
     pytest.param("partition", "classified_edge_ratio", _bad_quality,
@@ -160,7 +164,9 @@ def test_each_clause_fails_alone(suite, field, mutate):
 
 def _event_partial(record):
     del record["tiers"][0]
-    record["tiers"][-1].update(overlap_win=1.0, p99_us=None, streamed_s=9.0)
+    record["tiers"][-1].update(
+        overlap_win=1.0, p99_us=None, streamed_s=9.0, generate_s=9.0
+    )
 
 
 def _partition_capped_slower(record):

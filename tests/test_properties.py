@@ -261,6 +261,7 @@ class TestPipelineProperties:
         ),
         consumer_cycles=st.floats(0, 1e6),
     )
+    @example(data=[(0.0, 5e-324)], consumer_cycles=0.5)
     @settings(max_examples=80, deadline=None)
     def test_streamed_schedule_conserves_work(self, data, consumer_cycles):
         """Measured schedules distribute exactly the consumer's cycles.

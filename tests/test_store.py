@@ -15,7 +15,7 @@ import pytest
 from repro.core import LocatorConfig
 from repro.core.islandizer import islandize
 from repro.core.types import ROUND_FIELDS, Island, IslandizationResult, LocatorWork, RoundStats
-from repro.errors import IslandizationError
+from repro.errors import DatasetError, GraphError, IslandizationError
 from repro.graph import CSRGraph, load_dataset
 from repro.graph.datasets import Dataset
 from repro.models import build_workload, gcn_model
@@ -263,6 +263,41 @@ class TestRoundTrips:
         restored = Dataset.from_npz(path)
         assert restored.features is None and restored.labels is None
         assert restored.graph.fingerprint() == small_cora.graph.fingerprint()
+
+    @staticmethod
+    def _dataset_edited(dataset, edit):
+        """Decode ``dataset``'s npz after ``edit(spec)`` changed its stored spec."""
+        buf = io.BytesIO()
+        dataset.to_npz(buf)
+        buf.seek(0)
+        arrays, meta = read_npz(buf)
+        edit(meta["spec"])
+        edited = io.BytesIO()
+        write_npz(edited, arrays, meta)
+        edited.seek(0)
+        return Dataset.from_npz(edited)
+
+    def test_dataset_drops_degree_follows_scale(self, small_cora):
+        def edit(spec):
+            spec["degree_follows_scale"] = True
+
+        restored = self._dataset_edited(small_cora, edit)
+        assert restored.spec == small_cora.spec
+        assert restored.graph.fingerprint() == small_cora.graph.fingerprint()
+
+    def test_dataset_rejects_invalid_profile(self, small_cora):
+        def edit(spec):
+            spec["profile"]["hubs_per_island"] = -1
+
+        with pytest.raises(GraphError, match="hubs_per_island"):
+            self._dataset_edited(small_cora, edit)
+
+    def test_dataset_rejects_unknown_spec_field(self, small_cora):
+        def edit(spec):
+            spec["profile"]["hub_count"] = 3
+
+        with pytest.raises(DatasetError, match="hub_count"):
+            self._dataset_edited(small_cora, edit)
 
     def test_workload(self, small_cora, tmp_path):
         model = gcn_model(small_cora.num_features, small_cora.num_classes)
