@@ -25,7 +25,7 @@ def main() -> None:
     weights = init_weights(model, seed=42)
 
     print(f"running functional inference on {ds.name} "
-          f"({ds.num_nodes} nodes, {ds.features.nnz} feature nnz)")
+          f"({ds.num_nodes} nodes, {ds.feature_nnz} feature nnz)")
     report = IGCNAccelerator().run(
         ds.graph,
         model,

@@ -39,7 +39,9 @@ columns, plus its direct windows' present columns, each in column
 order), and each hub row folds its island contributions in task order,
 then its inter-hub edges, then its self loop.  The combination
 ``X @ W`` is shared code: a CSR that stores every entry is multiplied
-as its zero-copy dense view (:func:`_dense_view`).
+as its zero-copy dense view (:func:`_dense_view`), its MACs count the
+input's nonzeros whether it is dense or sparse, and without a self
+term the source scale is applied to ``XW`` in place.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from repro.hw.memory import TrafficMeter
 from repro.hw.ring import RingNetwork
 from repro.models.configs import LayerSpec
 from repro.models.reference import NormalizationSpec
+from repro.nputil import full_csr_dense, nonzero_count
 
 __all__ = [
     "LayerCounts",
@@ -93,18 +96,16 @@ def prepare_tasks(
 def _dense_view(x) -> np.ndarray | None:
     """A CSR that stores every entry, as its row-major dense matrix.
 
-    When ``x`` is a canonical CSR (sorted, duplicate-free rows) holding
-    all ``rows * cols`` entries, ``x.data`` already is the dense matrix
-    in row-major order, and BLAS multiplies that view without a copy.
+    When every row of ``x`` holds all its columns in order, ``x.data``
+    already is the dense matrix in row-major order, and BLAS multiplies
+    that view without a copy (:func:`~repro.nputil.full_csr_dense`).
     Any other input returns ``None`` and keeps its own product, so an
-    unsorted or duplicated index can never be reshaped into a number.
+    unsorted, duplicated or missing index can never be reshaped into a
+    number.
     """
     if not (sparse.issparse(x) and x.format == "csr"):
         return None
-    rows, cols = x.shape
-    if x.nnz != rows * cols or not x.has_canonical_format:
-        return None
-    return x.data.reshape(rows, cols)
+    return full_csr_dense(x.data, x.indices, x.indptr, x.shape)
 
 
 @dataclass
@@ -442,9 +443,7 @@ class IslandConsumer:
             dense = _dense_view(x)
             xw = np.asarray((x if dense is None else dense) @ w,
                             dtype=np.float64)
-            input_nnz = (
-                int(x.nnz) if sparse.issparse(x) else int(np.count_nonzero(x))
-            )
+            input_nnz = nonzero_count(x)
         else:
             xw = None
             input_nnz = int(round(n * layer.in_dim * feature_density))
@@ -453,10 +452,15 @@ class IslandConsumer:
         scale_source = not np.allclose(norm.source_scale, 1.0)
         if scale_source:
             counts.scale_macs += n * layer.out_dim
-        xw_scaled = (
-            norm.source_scale[:, None] * xw if functional and scale_source
-            else xw
-        )
+        xw_scaled = xw
+        if functional and scale_source:
+            # Only the self term reads the unscaled XW, so without one
+            # the product is scaled in place: the layer holds one n x d
+            # array.  ``xw * a`` and ``a * xw`` round alike.
+            if norm.self_weight == 0.0:
+                xw *= norm.source_scale[:, None]
+            else:
+                xw_scaled = norm.source_scale[:, None] * xw
 
         # DRAM: features in (once), weights (once).
         if feature_density < 1.0 and layer_index == 0:

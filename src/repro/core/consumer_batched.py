@@ -49,11 +49,16 @@ order is pinned by two left folds:
   x`` is exact, so each row equals the scalar oracle's fold bit for
   bit.
 * **The hub fold.**  Hub partial sums receive contributions from many
-  islands.  :func:`_ordered_hub_fold` is one CSR product whose row per
-  touched hub holds the running accumulator, then the hub's
-  contributions in arrival order — the scalar loop's ``+=`` sequence.
-  Seeding with the accumulator costs nothing: ``+0.0 + acc == acc``
-  bitwise, since a fold seeded at ``+0.0`` never yields ``-0.0``.
+  islands.  One CSR product (:class:`_HubFold`) has a row per touched
+  hub that holds the running accumulator, then the hub's contributions
+  in arrival order — the scalar loop's ``+=`` sequence.  Seeding with
+  the accumulator costs nothing: ``+0.0 + acc == acc`` bitwise, since
+  a fold seeded at ``+0.0`` never yields ``-0.0``.  For the same
+  reason an island chunk's accumulators come out of its hub-row
+  product: the hub term matrix opens with one ``1.0`` seed row per
+  touched hub, whose column selects that hub's accumulator stacked
+  under the scan operand, so the fold multiplies the product as it is
+  and no second copy of the chunk's hub rows is made.
 
 The scipy matrices are built directly from ``(data, indices,
 indptr)``: ``tocsr``, ``sum_duplicates`` and ``sort_indices`` would
@@ -71,7 +76,7 @@ from scipy import sparse
 from repro.core.preagg import ScanCounts, classify_windows, group_layout_batch
 from repro.errors import SimulationError
 from repro.hw.ring import RingNetwork, RingStats
-from repro.nputil import csr_gather, cumsum0 as _cumsum0
+from repro.nputil import csr_gather, cumsum0 as _cumsum0, sorted_unique
 
 __all__ = [
     "TaskBatch",
@@ -160,18 +165,21 @@ class _ScanClasses:
 class _ScanTerms:
     """Cached per-k signed term matrices of a whole :class:`TaskBatch`.
 
-    Columns ``[0, span)`` are global node ids and ``span + j`` is the
-    batch's flat group ``j``; ``groups @ xw[:span]`` yields the group
+    Columns ``[0, span)`` are global node ids, ``span + j`` is the
+    batch's flat group ``j`` and ``span + G + i`` is the accumulator of
+    the ``i``-th touched hub; ``groups @ xw[:span]`` yields the group
     pre-sums.  ``members`` has one row per member row of every task
-    (task-major, writing ``member_nodes``), ``hubs`` one per attached
-    hub (in ``hub_nodes`` order).  Each row's entries are stored in the
+    (task-major, writing ``member_nodes``).  ``hubs`` opens with one
+    seed row per touched hub (a single ``1.0`` in that hub's
+    accumulator column), then has one row per attached hub (in
+    ``hub_nodes`` order).  Each row's entries are stored in the
     accumulation order, never canonicalised.
     """
 
     span: int
     groups: sparse.csr_matrix    # (G, span) group pre-sum folds
-    members: sparse.csr_matrix   # (M, span + G)
-    hubs: sparse.csr_matrix      # (H, span + G)
+    members: sparse.csr_matrix   # (M, span + G + T)
+    hubs: sparse.csr_matrix      # (T + H, span + G + T)
     member_nodes: np.ndarray     # (M,) global id of each member row
 
 
@@ -188,6 +196,49 @@ class _Routing:
     pes: np.ndarray
     ring: RingStats
     prc_banks: np.ndarray
+
+
+@dataclass
+class _HubFold:
+    """The ordered fold of contributions into a layer's hub accumulators.
+
+    Contribution ``i`` goes to ``hub_acc`` row ``positions[i]``.
+    ``touched`` lists the rows that receive any, ascending, and
+    ``matrix`` has one row per touched hub: the hub's seed (column
+    ``j`` for ``touched[j]``), then its contributions in arrival order
+    (column ``len(touched) + i`` for contribution ``i``; the stable
+    sort keeps each hub's segment in arrival order).
+    """
+
+    positions: np.ndarray
+    touched: np.ndarray
+    matrix: sparse.csr_matrix
+
+    @classmethod
+    def of(cls, positions: np.ndarray, num_rows: int,
+           sources: np.ndarray | None = None) -> "_HubFold":
+        """The fold of ``positions`` over ``num_rows`` contribution rows.
+
+        Contribution ``i`` reads row ``sources[i]`` if ``sources`` is
+        given, else row ``i``.
+        """
+        order = np.argsort(positions, kind="stable")
+        counts = np.bincount(positions)
+        touched = np.flatnonzero(counts)
+        indptr = _cumsum0(counts[touched] + 1)
+        heads = indptr[:-1]
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        indices[heads] = np.arange(len(touched), dtype=np.int64)
+        tail = np.ones(len(indices), dtype=bool)
+        tail[heads] = False
+        indices[tail] = len(touched) + (
+            order if sources is None else sources[order]
+        )
+        matrix = sparse.csr_matrix(
+            (np.ones(len(indices)), indices, indptr),
+            shape=(len(touched), len(touched) + num_rows),
+        )
+        return cls(positions=positions, touched=touched, matrix=matrix)
 
 
 @dataclass
@@ -215,6 +266,9 @@ class TaskBatch:
     ``self_loops`` says whether the member diagonal is among the
     entries (``None`` for a batch packed from prebuilt bitmaps);
     :meth:`with_self_loops` derives the other variant.
+
+    Window classes, scan terms, routing and the hub fold are cached on
+    the batch, so only the first layer of an inference builds them.
     """
 
     num_hubs: np.ndarray         # (T,)
@@ -236,6 +290,8 @@ class TaskBatch:
     _route_cache: dict[tuple[int, int], _Routing] = field(
         default_factory=dict, repr=False
     )
+    #: The last :meth:`hub_fold`, if any (one hub order per inference).
+    _fold_cache: list[_HubFold] = field(default_factory=list, repr=False)
 
     @property
     def num_tasks(self) -> int:
@@ -431,10 +487,10 @@ class TaskBatch:
         loop-free, the hub×hub block is empty and hub rows hold only
         member columns.  Dropping them is one mask, which keeps sorted
         entries sorted; adding them appends the diagonal block, as
-        assembly does.  Every other array and the routing cache (which
-        reads only ``hub_nodes``) are shared with this batch; window
-        classes and scan terms are not, since they depend on the
-        entries.
+        assembly does.  Every other array and the routing and hub-fold
+        caches (which read only ``hub_nodes``) are shared with this
+        batch; window classes and scan terms are not, since they depend
+        on the entries.
         """
         if self.self_loops is None:
             raise SimulationError(
@@ -462,7 +518,7 @@ class TaskBatch:
             hub_nodes=self.hub_nodes, hub_offsets=self.hub_offsets,
             self_loops=add_self_loops, _entries=entries,
             _sorted=self._sorted and not add_self_loops,
-            _route_cache=self._route_cache,
+            _route_cache=self._route_cache, _fold_cache=self._fold_cache,
         )
 
     def _sorted_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -586,6 +642,28 @@ class TaskBatch:
             self._route_cache[key] = cached
         return cached
 
+    def hub_fold(self, hub_pos: np.ndarray) -> _HubFold:
+        """The ordered fold of the batch's hub rows into ``hub_acc``.
+
+        ``hub_pos`` maps a node to its ``hub_acc`` row (``-1`` for a
+        non-hub).  The fold depends only on the rows of ``hub_nodes``,
+        which are compared in full with the cached fold's, so every
+        layer with the same hub order, and every model that shares the
+        batch through a task memo, builds it once.
+        """
+        positions = hub_pos[self.hub_nodes]
+        if len(positions) and positions.min() < 0:
+            raise SimulationError(
+                f"island task references unknown hub "
+                f"{int(self.hub_nodes[int(positions.argmin())])}"
+            )
+        for fold in self._fold_cache:
+            if np.array_equal(fold.positions, positions):
+                return fold
+        fold = _HubFold.of(positions, len(positions))
+        self._fold_cache[:] = [fold]
+        return fold
+
     # ------------------------------------------------------------------
     # Functional scan terms (shared across layers)
     # ------------------------------------------------------------------
@@ -598,6 +676,8 @@ class TaskBatch:
         lists below is sorted by local row, and within a row in its
         fold order, so a term's slot is its row's start, plus the
         row's terms of earlier lists, plus its rank in its own list.
+        The seed rows sit between the member rows and the hub rows, so
+        both matrices are slices of one set of arrays.
         """
         cached = self._term_cache.get(k)
         if cached is not None:
@@ -655,14 +735,16 @@ class TaskBatch:
             self.local_offsets[entry_task[is_dir]] + entry_col[is_dir]
         ]
 
-        # Rows: every member row (task-major), then every hub row (the
-        # hub_nodes pair order).
+        # Rows: every member row (task-major), one seed row per touched
+        # hub, then every hub row (the hub_nodes pair order).
         row_task = np.repeat(
             np.arange(self.num_tasks, dtype=np.int64), locals_n
         )
         rank = np.arange(total_rows, dtype=np.int64) - self.local_offsets[row_task]
         is_hub = rank < self.num_hubs[row_task]
         member_rows = np.flatnonzero(~is_hub)
+        num_members = len(member_rows)
+        num_seeds = len(sorted_unique(self.hub_nodes))
         row_order = np.concatenate((member_rows, np.flatnonzero(is_hub)))
         lists = (
             (pre_row, span + pre_group, 1.0),
@@ -671,11 +753,23 @@ class TaskBatch:
         )
         per_list = [np.bincount(rows, minlength=total_rows)
                     for rows, _, _ in lists]
-        indptr = _cumsum0(sum(per_list)[row_order])
+        row_counts = sum(per_list)[row_order]
+        indptr = _cumsum0(np.concatenate((
+            row_counts[:num_members],
+            np.ones(num_seeds, dtype=np.int64),
+            row_counts[num_members:],
+        )))
+        split = int(indptr[num_members])
         row_start = np.empty(total_rows, dtype=np.int64)
-        row_start[row_order] = indptr[:-1]
+        row_start[row_order] = np.concatenate(
+            (indptr[:num_members], indptr[num_members + num_seeds:-1])
+        )
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
         data = np.empty(int(indptr[-1]), dtype=np.float64)
+        indices[split:split + num_seeds] = span + total_groups + np.arange(
+            num_seeds, dtype=np.int64
+        )
+        data[split:split + num_seeds] = 1.0
         for (rows, cols, sign), counts in zip(lists, per_list):
             slots = (
                 row_start[rows]
@@ -686,8 +780,7 @@ class TaskBatch:
             data[slots] = sign
             row_start += counts
 
-        split = int(indptr[len(member_rows)])
-        width = span + total_groups
+        width = span + total_groups + num_seeds
         terms = _ScanTerms(
             span=span,
             groups=sparse.csr_matrix(
@@ -696,14 +789,12 @@ class TaskBatch:
                 shape=(total_groups, span),
             ),
             members=sparse.csr_matrix(
-                (data[:split], indices[:split],
-                 indptr[:len(member_rows) + 1]),
-                shape=(len(member_rows), width),
+                (data[:split], indices[:split], indptr[:num_members + 1]),
+                shape=(num_members, width),
             ),
             hubs=sparse.csr_matrix(
-                (data[split:], indices[split:],
-                 indptr[len(member_rows):] - split),
-                shape=(total_rows - len(member_rows), width),
+                (data[split:], indices[split:], indptr[num_members:] - split),
+                shape=(num_seeds + total_rows - num_members, width),
             ),
             member_nodes=self.local_nodes[member_rows],
         )
@@ -742,14 +833,7 @@ def run_island_chunk(
         state.prc.update_banked(routing.prc_banks, meter)
 
     if state.functional and batch.num_tasks:
-        pair_pos = state.hub_pos[batch.hub_nodes]
-        if len(pair_pos) and pair_pos.min() < 0:
-            raise SimulationError(
-                f"island task references unknown hub "
-                f"{int(batch.hub_nodes[int(pair_pos.argmin())])}"
-            )
-        contrib = _island_scans(state, batch, config.preagg_k)
-        _ordered_hub_fold(state, pair_pos, contrib)
+        _island_scans(state, batch, config.preagg_k)
 
 
 def run_interhub_batched(state, interhub, meter) -> None:
@@ -788,17 +872,28 @@ def run_interhub_batched(state, interhub, meter) -> None:
         )
 
 
-def _island_scans(state, batch: TaskBatch, k: int) -> np.ndarray:
-    """Every island's add-vs-subtract scan as three sparse products.
+def _island_scans(state, batch: TaskBatch, k: int) -> None:
+    """Every island's add-vs-subtract scan, and the hub fold after it.
 
-    Member rows land in ``out``; the hub rows are returned, one per
-    ``batch.hub_nodes`` pair, for the ordered fold.
+    Three sparse products scan: the group pre-sums, the member rows
+    (written to ``out``) and the hub rows.  The scan operand stacks the
+    scaled XW rows, the group pre-sums and the touched hubs'
+    accumulators, so the hub product yields each touched hub's
+    accumulator (its seed row), then one row per ``batch.hub_nodes``
+    pair, and the fold (cached on the batch, :meth:`TaskBatch.hub_fold`)
+    multiplies that result as it is.
     """
+    fold = batch.hub_fold(state.hub_pos)
     terms = batch.scan_terms(k)
     xw_scaled = state.xw_scaled[:terms.span]
-    operands = np.vstack((xw_scaled, terms.groups @ xw_scaled))
+    hub_acc = state.hub_acc
+    operands = np.vstack(
+        (xw_scaled, terms.groups @ xw_scaled, hub_acc[fold.touched])
+    )
     state.out[terms.member_nodes] = terms.members @ operands
-    return terms.hubs @ operands
+    hub_rows = terms.hubs @ operands
+    del operands    # the fold reads only the hub rows
+    hub_acc[fold.touched] = fold.matrix @ hub_rows
 
 
 def _ordered_hub_fold(state, positions: np.ndarray, rows: np.ndarray,
@@ -809,27 +904,13 @@ def _ordered_hub_fold(state, positions: np.ndarray, rows: np.ndarray,
     ``sources``) to hub row ``positions[i]``.  Additions to *different*
     hubs commute; within one hub the float left-fold order matters.
     One CSR product over ``vstack(hub_acc[touched], rows)`` does every
-    touched hub at once: its row holds the running accumulator, then
-    the hub's contributions in arrival order (the stable sort keeps
-    each hub's segment in arrival order), which is the scalar loop's
+    touched hub at once (:class:`_HubFold`), which is the scalar loop's
     ``+=`` sequence.
     """
-    total = len(positions)
-    if total == 0:
+    if len(positions) == 0:
         return
-    order = np.argsort(positions, kind="stable")
-    counts = np.bincount(positions, minlength=len(state.hub_ids))
-    touched = np.flatnonzero(counts)
-    indptr = _cumsum0(counts[touched] + 1)
-    heads = indptr[:-1]
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    indices[heads] = np.arange(len(touched), dtype=np.int64)
-    tail = np.ones(len(indices), dtype=bool)
-    tail[heads] = False
-    indices[tail] = len(touched) + (order if sources is None else sources[order])
-    fold = sparse.csr_matrix(
-        (np.ones(len(indices)), indices, indptr),
-        shape=(len(touched), len(touched) + len(rows)),
-    )
+    fold = _HubFold.of(positions, len(rows), sources)
     hub_acc = state.hub_acc
-    hub_acc[touched] = fold @ np.vstack((hub_acc[touched], rows))
+    hub_acc[fold.touched] = fold.matrix @ np.vstack(
+        (hub_acc[fold.touched], rows)
+    )

@@ -32,6 +32,7 @@ from repro.errors import DatasetError
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import CommunityProfile, hub_island_graph
+from repro.nputil import full_csr_dense, nonzero_count
 from repro.serialize import read_npz, write_npz
 
 __all__ = [
@@ -201,13 +202,15 @@ class Dataset:
     ``features``/``labels`` are populated only when requested via
     ``load_dataset(..., with_features=True)``; performance-mode
     simulations need only the graph and the feature *statistics*.
+    ``features`` is a scipy CSR matrix below density 1 and a dense
+    C-contiguous float64 array at density 1.
     """
 
     spec: DatasetSpec
     graph: CSRGraph
     scale: float
     community: np.ndarray = field(repr=False)
-    features: object | None = field(default=None, repr=False)  # scipy csr
+    features: object | None = field(default=None, repr=False)
     labels: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -237,37 +240,29 @@ class Dataset:
 
     @property
     def feature_nnz(self) -> int:
-        """nnz of the (estimated or materialised) feature matrix."""
+        """Nonzeros of the materialised feature matrix, else their estimate."""
         if self.features is not None:
-            return int(self.features.nnz)
+            return nonzero_count(self.features)
         return int(round(self.num_nodes * self.num_features * self.feature_density))
 
     def materialize_features(self, *, seed: int = 0) -> None:
-        """Generate the sparse feature matrix and structure-correlated labels.
+        """Generate the feature matrix and structure-correlated labels.
 
         Features are Bernoulli(density) sparse rows (matching the bag-of-
         words character of the citation datasets); labels follow island
         membership with a little noise, so they correlate with structure
         the way real labels do.  At density 1 every entry is a one, so
-        the matrix is built directly: it is byte-identical to the
-        ``scipy.sparse.random`` draw, which it replaces there
-        (``tests/test_datasets.py`` pins this).
+        the matrix is the dense all-ones array: it holds the values of
+        the ``scipy.sparse.random`` draw, which it replaces there
+        (``tests/test_datasets.py`` pins this), without a column index
+        per entry.
         """
-        from scipy import sparse
-
         rng = np.random.default_rng(seed)
         if self.feature_density >= 1.0:
-            n, f = self.num_nodes, self.num_features
-            index_dtype = np.int32 if n * f <= np.iinfo(np.int32).max else np.int64
-            self.features = sparse.csr_matrix(
-                (
-                    np.ones(n * f),
-                    np.tile(np.arange(f, dtype=index_dtype), n),
-                    np.arange(n + 1, dtype=index_dtype) * f,
-                ),
-                shape=(n, f),
-            )
+            self.features = np.ones((self.num_nodes, self.num_features))
         else:
+            from scipy import sparse
+
             self.features = sparse.random(
                 self.num_nodes,
                 self.num_features,
@@ -295,7 +290,7 @@ class Dataset:
         The full :class:`DatasetSpec` — community profile included — is
         embedded in the metadata, so a restored dataset does not depend
         on the loading process's registry contents.  All numpy payloads
-        (graph CSR, community labels, feature CSR) round-trip
+        (graph CSR, community labels, dense or CSR features) round-trip
         byte-identically.
         """
         arrays: dict[str, np.ndarray] = {
@@ -311,7 +306,9 @@ class Dataset:
         }
         if self.labels is not None:
             arrays["labels"] = self.labels
-        if self.features is not None:
+        if isinstance(self.features, np.ndarray):
+            arrays["features"] = np.ascontiguousarray(self.features)
+        elif self.features is not None:
             feats = self.features.tocsr()
             arrays["feat_data"] = feats.data
             arrays["feat_indices"] = feats.indices
@@ -327,6 +324,10 @@ class Dataset:
         (:class:`~repro.graph.generators.CommunityProfile` raises
         ``GraphError``).  ``degree_follows_scale``, a spec field that
         nothing read, is dropped from archives that still carry it.
+        Archives that store density-1 features as a CSR holding every
+        entry load them as the dense array that CSR's data already is
+        (:func:`~repro.nputil.full_csr_dense`); dense features must
+        have one row per node.
         """
         arrays, meta = read_npz(file)
         spec_fields = dict(meta["spec"])
@@ -341,13 +342,23 @@ class Dataset:
             indices=arrays["graph_indices"],
             name=str(meta["graph_name"]),
         )
-        features = None
+        features = arrays.get("features")
         if "feat_shape" in meta:
-            from scipy.sparse import csr_matrix
+            parts = (
+                arrays["feat_data"], arrays["feat_indices"], arrays["feat_indptr"]
+            )
+            shape = tuple(meta["feat_shape"])
+            features = full_csr_dense(*parts, shape)
+            if features is None:
+                from scipy.sparse import csr_matrix
 
-            features = csr_matrix(
-                (arrays["feat_data"], arrays["feat_indices"], arrays["feat_indptr"]),
-                shape=tuple(meta["feat_shape"]),
+                features = csr_matrix(parts, shape=shape)
+        elif features is not None and (
+            features.ndim != 2 or len(features) != graph.num_nodes
+        ):
+            raise DatasetError(
+                f"stored features of shape {features.shape} do not have "
+                f"one row per node ({graph.num_nodes})"
             )
         return cls(
             spec=spec,
@@ -394,7 +405,7 @@ def load_dataset(
     seed:
         Generator seed (graphs are deterministic per (name, scale, seed)).
     with_features:
-        Also materialise the sparse feature matrix and labels.
+        Also materialise the feature matrix and labels.
     """
     key = canonical_name(name)
     spec = DATASETS[key]

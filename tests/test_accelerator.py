@@ -106,6 +106,39 @@ class TestFunctionalEquivalence:
         ]
         assert outputs[0].tobytes() == outputs[1].tobytes()
 
+    @pytest.mark.parametrize("backend", ["batched", "scalar"])
+    def test_stored_zeros_count_as_the_dense_twin(self, community_graph, backend):
+        # Combination MACs count nonzeros, not stored entries.  Integer
+        # features and dyadic weights make XW exact in any summation
+        # order, so the sparse and dense products agree bit for bit.
+        graph, _ = community_graph
+        rng = np.random.default_rng(6)
+        n, m = graph.num_nodes, 12
+        stored = rng.random((n, m)) < 0.6
+        values = rng.integers(-2, 3, size=(n, m)).astype(np.float64) * stored
+        rows, cols = np.nonzero(stored)
+        features = sparse.csr_matrix(
+            (values[rows, cols], cols, np.searchsorted(rows, np.arange(n + 1))),
+            shape=(n, m),
+        )
+        dense = features.toarray()
+        assert features.nnz > np.count_nonzero(dense) > 0
+        model = gcn_model(m, 4)
+        weights = [
+            rng.integers(-8, 9, size=(layer.in_dim, layer.out_dim)) / 8.0
+            for layer in model.layers
+        ]
+        acc = IGCNAccelerator(consumer=ConsumerConfig(backend=backend))
+        sparse_run, dense_run = (
+            acc.run(graph, model, features=x, weights=weights, functional=True)
+            for x in (features, dense)
+        )
+        assert sparse_run.layers == dense_run.layers
+        assert sparse_run.layers[0].combination_macs == (
+            np.count_nonzero(dense) * model.layers[0].out_dim
+        )
+        assert sparse_run.outputs.tobytes() == dense_run.outputs.tobytes()
+
     @pytest.mark.parametrize("defect", ["unsorted", "duplicate"])
     def test_full_count_noncanonical_csr_stays_sparse(
         self, community_graph, defect

@@ -137,6 +137,25 @@ class TestCommands:
         assert code == 0
         assert "islandized - reference" in out
 
+    def test_run_functional_reads_dense_features_back_from_disk(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # Reddit's density-1 features are a dense array; the second run
+        # must take the dataset, features included, from the disk tier.
+        import repro.runtime.engine
+
+        argv = ["run", "--dataset", "reddit", "--scale", "0.01",
+                "--functional", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+
+        def regenerate(*args, **kwargs):
+            raise AssertionError("the dataset was generated again")
+
+        monkeypatch.setattr(repro.runtime.engine, "load_dataset", regenerate)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("islandized - reference") == 2
+
     def test_run_functional_fails_on_reference_mismatch(
         self, capsys, monkeypatch
     ):

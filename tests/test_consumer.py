@@ -17,8 +17,10 @@ from repro.core.consumer import LayerCounts
 from repro.core.hub_cache import HubPartialResultCache, HubXWCache
 from repro.core.preagg import ScanCounts
 from repro.errors import ConfigError, SimulationError
+from repro.graph import hub_island_graph
+from repro.graph.generators import CommunityProfile
 from repro.hw import IGCN_DEFAULT, TrafficMeter
-from repro.models import gcn_model, normalization_for
+from repro.models import LayerSpec, gcn_model, normalization_for
 
 
 @pytest.fixture
@@ -274,8 +276,6 @@ class TestRunLayer:
         graph, result, norm, tasks, plan = fig7_setup
         from repro.models import normalized_adjacency
 
-        from repro.models import LayerSpec
-
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 5))
         w = rng.normal(size=(5, 4))
@@ -300,3 +300,74 @@ class TestRunLayer:
         )
         assert "hidden-results" in meter.writes
         assert "results" not in meter.writes
+
+
+class TestFunctionalMemory:
+    """A functional batched layer holds each of its large arrays once."""
+
+    D = 32
+    SLACK = 64 * 1024
+
+    @pytest.fixture(scope="class")
+    def hub_heavy(self):
+        # Two- and three-node islands with eight hubs each: a chunk's
+        # hub rows outweigh its scan operand.
+        graph, _ = hub_island_graph(
+            2000,
+            CommunityProfile(
+                hub_fraction=0.05, island_size_mean=2.5, island_size_min=2,
+                island_size_max=3, island_density=1.0, hub_attach_prob=1.0,
+                hubs_per_island=8, background_fraction=0.0,
+                interhub_avg_degree=1.0,
+            ),
+            seed=3,
+        )
+        clean = graph.without_self_loops()
+        result = islandize(clean, LocatorConfig())
+        norm = normalization_for(clean, "gcn-sym")
+        consumer = IslandConsumer(ConsumerConfig(backend="batched"))
+        batch = consumer.prepare(result, add_self_loops=True)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(clean.num_nodes, 8))
+        w = rng.normal(size=(8, self.D))
+        return result, norm, consumer, batch, x, w
+
+    def _state(self, hub_heavy):
+        result, norm, consumer, _, x, w = hub_heavy
+        return consumer._layer_setup(
+            result, norm, LayerSpec(8, self.D), layer_index=0,
+            meter=TrafficMeter(), x=x, w=w, feature_density=1.0,
+            functional=True,
+        )
+
+    def test_gcn_layer_scales_its_one_xw_in_place(self, hub_heavy):
+        _, norm, _, _, x, w = hub_heavy
+        state = self._state(hub_heavy)
+        assert state.xw is state.xw_scaled
+        expected = norm.source_scale[:, None] * (x @ w)
+        assert state.xw_scaled.tobytes() == expected.tobytes()
+
+    def test_chunk_peak_holds_its_hub_rows_once(self, hub_heavy):
+        import tracemalloc
+
+        from repro.core.consumer_batched import run_island_chunk
+
+        _, _, consumer, batch, _, _ = hub_heavy
+        # The first run builds the batch's cached structures, as a
+        # layer before this one would.
+        run_island_chunk(consumer, self._state(hub_heavy), batch, TrafficMeter())
+        state = self._state(hub_heavy)
+        tracemalloc.start()
+        try:
+            run_island_chunk(consumer, state, batch, TrafficMeter())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        terms = batch.scan_terms(consumer.config.preagg_k)
+        touched = len(np.unique(batch.hub_nodes))
+        pairs = len(batch.hub_nodes)
+        row_bytes = self.D * 8
+        operand = (terms.span + terms.groups.shape[0] + touched) * row_bytes
+        hub_rows = (touched + pairs) * row_bytes
+        assert pairs * row_bytes > 10 * self.SLACK
+        assert peak <= operand + hub_rows + self.SLACK

@@ -70,7 +70,7 @@ class TestLoading:
     @pytest.mark.parametrize("num_features", (1, 7, 602))
     @pytest.mark.parametrize("seed", (0, 3))
     def test_dense_features_match_scipy_random(self, num_features, seed):
-        """At density 1 the direct all-ones CSR is the RNG draw, byte for byte."""
+        """At density 1 the dense all-ones array is the RNG draw, byte for byte."""
         from dataclasses import replace
 
         from scipy import sparse
@@ -83,13 +83,13 @@ class TestLoading:
             ds.num_nodes, num_features, density=1.0, format="csr",
             dtype=np.float64, random_state=np.random.RandomState(seed),
             data_rvs=lambda size: np.ones(size),
-        )
-        assert type(ds.features) is type(reference)
+        ).toarray()
+        assert type(ds.features) is np.ndarray
+        assert ds.features.flags.c_contiguous
+        assert ds.features.dtype == reference.dtype == np.float64
         assert ds.features.shape == reference.shape
-        for name in ("indptr", "indices", "data"):
-            ours, theirs = getattr(ds.features, name), getattr(reference, name)
-            assert ours.dtype == theirs.dtype, name
-            assert ours.tobytes() == theirs.tobytes(), name
+        assert ds.features.tobytes() == reference.tobytes()
+        assert ds.feature_nnz == ds.num_nodes * num_features
         # The label draw is the one the RNG path always made.
         rng = np.random.default_rng(seed)
         labels = np.where(
