@@ -63,7 +63,7 @@ from repro.hw.memory import TrafficMeter
 from repro.hw.ring import RingNetwork
 from repro.models.configs import LayerSpec
 from repro.models.reference import NormalizationSpec
-from repro.nputil import full_csr_dense, nonzero_count
+from repro.nputil import nonzero_count
 
 __all__ = [
     "LayerCounts",
@@ -96,16 +96,22 @@ def prepare_tasks(
 def _dense_view(x) -> np.ndarray | None:
     """A CSR that stores every entry, as its row-major dense matrix.
 
-    When every row of ``x`` holds all its columns in order, ``x.data``
-    already is the dense matrix in row-major order, and BLAS multiplies
-    that view without a copy (:func:`~repro.nputil.full_csr_dense`).
-    Any other input returns ``None`` and keeps its own product, so an
-    unsorted, duplicated or missing index can never be reshaped into a
-    number.
+    When every row of ``x`` holds columns ``0 .. cols-1`` in order,
+    ``x.data`` already is the dense matrix in row-major order, and BLAS
+    multiplies that view without a copy.  Any other input returns
+    ``None`` and keeps its own product, so an unsorted, duplicated,
+    missing or out-of-range index can never be reshaped into a number.
     """
     if not (sparse.issparse(x) and x.format == "csr"):
         return None
-    return full_csr_dense(x.data, x.indices, x.indptr, x.shape)
+    rows, cols = x.shape
+    if x.nnz != rows * cols:
+        return None
+    if not np.array_equal(x.indptr, np.arange(rows + 1) * cols):
+        return None
+    if not (x.indices.reshape(rows, cols) == np.arange(cols)).all():
+        return None
+    return x.data.reshape(rows, cols)
 
 
 @dataclass

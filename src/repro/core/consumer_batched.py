@@ -49,7 +49,7 @@ order is pinned by two left folds:
   x`` is exact, so each row equals the scalar oracle's fold bit for
   bit.
 * **The hub fold.**  Hub partial sums receive contributions from many
-  islands.  One CSR product (:class:`_HubFold`) has a row per touched
+  islands.  One CSR product (:func:`_hub_fold`) has a row per touched
   hub that holds the running accumulator, then the hub's contributions
   in arrival order — the scalar loop's ``+=`` sequence.  Seeding with
   the accumulator costs nothing: ``+0.0 + acc == acc`` bitwise, since
@@ -199,49 +199,6 @@ class _Routing:
 
 
 @dataclass
-class _HubFold:
-    """The ordered fold of contributions into a layer's hub accumulators.
-
-    Contribution ``i`` goes to ``hub_acc`` row ``positions[i]``.
-    ``touched`` lists the rows that receive any, ascending, and
-    ``matrix`` has one row per touched hub: the hub's seed (column
-    ``j`` for ``touched[j]``), then its contributions in arrival order
-    (column ``len(touched) + i`` for contribution ``i``; the stable
-    sort keeps each hub's segment in arrival order).
-    """
-
-    positions: np.ndarray
-    touched: np.ndarray
-    matrix: sparse.csr_matrix
-
-    @classmethod
-    def of(cls, positions: np.ndarray, num_rows: int,
-           sources: np.ndarray | None = None) -> "_HubFold":
-        """The fold of ``positions`` over ``num_rows`` contribution rows.
-
-        Contribution ``i`` reads row ``sources[i]`` if ``sources`` is
-        given, else row ``i``.
-        """
-        order = np.argsort(positions, kind="stable")
-        counts = np.bincount(positions)
-        touched = np.flatnonzero(counts)
-        indptr = _cumsum0(counts[touched] + 1)
-        heads = indptr[:-1]
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        indices[heads] = np.arange(len(touched), dtype=np.int64)
-        tail = np.ones(len(indices), dtype=bool)
-        tail[heads] = False
-        indices[tail] = len(touched) + (
-            order if sources is None else sources[order]
-        )
-        matrix = sparse.csr_matrix(
-            (np.ones(len(indices)), indices, indptr),
-            shape=(len(touched), len(touched) + num_rows),
-        )
-        return cls(positions=positions, touched=touched, matrix=matrix)
-
-
-@dataclass
 class TaskBatch:
     """All island tasks of one islandization, packed for bulk execution.
 
@@ -266,9 +223,6 @@ class TaskBatch:
     ``self_loops`` says whether the member diagonal is among the
     entries (``None`` for a batch packed from prebuilt bitmaps);
     :meth:`with_self_loops` derives the other variant.
-
-    Window classes, scan terms, routing and the hub fold are cached on
-    the batch, so only the first layer of an inference builds them.
     """
 
     num_hubs: np.ndarray         # (T,)
@@ -290,8 +244,6 @@ class TaskBatch:
     _route_cache: dict[tuple[int, int], _Routing] = field(
         default_factory=dict, repr=False
     )
-    #: The last :meth:`hub_fold`, if any (one hub order per inference).
-    _fold_cache: list[_HubFold] = field(default_factory=list, repr=False)
 
     @property
     def num_tasks(self) -> int:
@@ -487,10 +439,10 @@ class TaskBatch:
         loop-free, the hub×hub block is empty and hub rows hold only
         member columns.  Dropping them is one mask, which keeps sorted
         entries sorted; adding them appends the diagonal block, as
-        assembly does.  Every other array and the routing and hub-fold
-        caches (which read only ``hub_nodes``) are shared with this
-        batch; window classes and scan terms are not, since they depend
-        on the entries.
+        assembly does.  Every other array and the routing cache (which
+        reads only ``hub_nodes``) are shared with this batch; window
+        classes and scan terms are not, since they depend on the
+        entries.
         """
         if self.self_loops is None:
             raise SimulationError(
@@ -518,7 +470,7 @@ class TaskBatch:
             hub_nodes=self.hub_nodes, hub_offsets=self.hub_offsets,
             self_loops=add_self_loops, _entries=entries,
             _sorted=self._sorted and not add_self_loops,
-            _route_cache=self._route_cache, _fold_cache=self._fold_cache,
+            _route_cache=self._route_cache,
         )
 
     def _sorted_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -641,28 +593,6 @@ class TaskBatch:
             )
             self._route_cache[key] = cached
         return cached
-
-    def hub_fold(self, hub_pos: np.ndarray) -> _HubFold:
-        """The ordered fold of the batch's hub rows into ``hub_acc``.
-
-        ``hub_pos`` maps a node to its ``hub_acc`` row (``-1`` for a
-        non-hub).  The fold depends only on the rows of ``hub_nodes``,
-        which are compared in full with the cached fold's, so every
-        layer with the same hub order, and every model that shares the
-        batch through a task memo, builds it once.
-        """
-        positions = hub_pos[self.hub_nodes]
-        if len(positions) and positions.min() < 0:
-            raise SimulationError(
-                f"island task references unknown hub "
-                f"{int(self.hub_nodes[int(positions.argmin())])}"
-            )
-        for fold in self._fold_cache:
-            if np.array_equal(fold.positions, positions):
-                return fold
-        fold = _HubFold.of(positions, len(positions))
-        self._fold_cache[:] = [fold]
-        return fold
 
     # ------------------------------------------------------------------
     # Functional scan terms (shared across layers)
@@ -880,20 +810,57 @@ def _island_scans(state, batch: TaskBatch, k: int) -> None:
     scaled XW rows, the group pre-sums and the touched hubs'
     accumulators, so the hub product yields each touched hub's
     accumulator (its seed row), then one row per ``batch.hub_nodes``
-    pair, and the fold (cached on the batch, :meth:`TaskBatch.hub_fold`)
-    multiplies that result as it is.
+    pair, and the fold (:func:`_hub_fold`) multiplies that result as it
+    is.
     """
-    fold = batch.hub_fold(state.hub_pos)
+    positions = state.hub_pos[batch.hub_nodes]
+    if len(positions) and positions.min() < 0:
+        raise SimulationError(
+            f"island task references unknown hub "
+            f"{int(batch.hub_nodes[int(positions.argmin())])}"
+        )
+    touched, fold = _hub_fold(positions, len(positions))
     terms = batch.scan_terms(k)
     xw_scaled = state.xw_scaled[:terms.span]
     hub_acc = state.hub_acc
     operands = np.vstack(
-        (xw_scaled, terms.groups @ xw_scaled, hub_acc[fold.touched])
+        (xw_scaled, terms.groups @ xw_scaled, hub_acc[touched])
     )
     state.out[terms.member_nodes] = terms.members @ operands
     hub_rows = terms.hubs @ operands
     del operands    # the fold reads only the hub rows
-    hub_acc[fold.touched] = fold.matrix @ hub_rows
+    hub_acc[touched] = fold @ hub_rows
+
+
+def _hub_fold(positions: np.ndarray, num_rows: int,
+              sources: np.ndarray | None = None
+              ) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The ordered fold of contributions into a layer's hub accumulators.
+
+    Contribution ``i`` reads row ``sources[i]`` (row ``i`` without
+    ``sources``) of ``num_rows`` and goes to ``hub_acc`` row
+    ``positions[i]``.  Returns ``touched``, the rows that receive any,
+    ascending, and the fold matrix, with one row per touched hub: the
+    hub's seed (column ``j`` for ``touched[j]``), then its
+    contributions in arrival order (column ``len(touched) + i`` for
+    contribution ``i``; the stable sort keeps each hub's segment in
+    arrival order).
+    """
+    order = np.argsort(positions, kind="stable")
+    counts = np.bincount(positions)
+    touched = np.flatnonzero(counts)
+    indptr = _cumsum0(counts[touched] + 1)
+    heads = indptr[:-1]
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    indices[heads] = np.arange(len(touched), dtype=np.int64)
+    tail = np.ones(len(indices), dtype=bool)
+    tail[heads] = False
+    indices[tail] = len(touched) + (order if sources is None else sources[order])
+    fold = sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr),
+        shape=(len(touched), len(touched) + num_rows),
+    )
+    return touched, fold
 
 
 def _ordered_hub_fold(state, positions: np.ndarray, rows: np.ndarray,
@@ -904,13 +871,11 @@ def _ordered_hub_fold(state, positions: np.ndarray, rows: np.ndarray,
     ``sources``) to hub row ``positions[i]``.  Additions to *different*
     hubs commute; within one hub the float left-fold order matters.
     One CSR product over ``vstack(hub_acc[touched], rows)`` does every
-    touched hub at once (:class:`_HubFold`), which is the scalar loop's
+    touched hub at once (:func:`_hub_fold`), which is the scalar loop's
     ``+=`` sequence.
     """
     if len(positions) == 0:
         return
-    fold = _HubFold.of(positions, len(rows), sources)
+    touched, fold = _hub_fold(positions, len(rows), sources)
     hub_acc = state.hub_acc
-    hub_acc[fold.touched] = fold.matrix @ np.vstack(
-        (hub_acc[fold.touched], rows)
-    )
+    hub_acc[touched] = fold @ np.vstack((hub_acc[touched], rows))

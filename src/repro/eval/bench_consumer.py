@@ -17,16 +17,13 @@ On every tier the batched backend's functional output is also checked
 against :func:`~repro.models.reference.reference_forward`, an
 independent scipy forward pass: ``reference_rel_err`` is
 :func:`~repro.models.reference.relative_error`, which the gate holds
-to :data:`~repro.models.reference.FUNCTIONAL_RTOL`.  That untimed
-functional pass (task assembly and both layers) runs under
-``tracemalloc``, and ``functional_peak_mib`` is its heap peak: the
-memory a functional inference needs beyond its inputs.
+to :data:`~repro.models.reference.FUNCTIONAL_RTOL`.
 
 Entry points:
 
 * ``python -m repro bench consumer`` — run tiers, print a table, write
-  the JSON record, then apply :func:`gate` (the locator suite's
-  scaling contract plus the functional checks);
+  the JSON record, then apply the locator suite's scaling gate
+  (:func:`repro.eval.bench_locator.gate`);
 * :func:`run_consumer_bench` — library API.
 
 The JSON schema (one record per file)::
@@ -38,14 +35,12 @@ The JSON schema (one record per file)::
                 "islands": ..., "hubs": ...,
                 "scalar_s": ..., "batched_s": ..., "speedup": ...,
                 "equal": true, "functional_verified": true,
-                "reference_rel_err": ..., "functional_peak_mib": ...},
-               ...],
+                "reference_rel_err": ...}, ...],
      "largest_tier": "...", "largest_speedup": ...}
 """
 
 from __future__ import annotations
 
-import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -54,24 +49,18 @@ from repro.core.config import ConsumerConfig, LocatorConfig
 from repro.core.consumer import IslandConsumer, execution_mismatch
 from repro.core.interhub import build_interhub_plan
 from repro.core.islandizer import IslandLocator
-from repro.eval import bench_locator
 from repro.eval.bench_locator import BENCH_TIERS, bench_graph
-from repro.eval.harness import best_of, render_record
+from repro.eval.harness import best_of
 from repro.hw.config import IGCN_DEFAULT
 from repro.hw.memory import TrafficMeter
 from repro.models.configs import gcn_model
 from repro.models.reference import (
-    FUNCTIONAL_RTOL,
     normalization_for,
     reference_forward,
     relative_error,
 )
 
-__all__ = ["run_consumer_bench", "table", "gate"]
-
-#: ``functional_peak_mib`` of the 2e6 tier in the committed record; the
-#: gate allows 20% above it.
-PEAK_MIB_2E6 = 251.45
+__all__ = ["run_consumer_bench"]
 
 #: Undirected-edge ceiling below which functional (byte-identical
 #: output) verification also runs; above it, counts-mode verification
@@ -179,12 +168,7 @@ def run_consumer_bench(
             rng.normal(size=(layer.in_dim, layer.out_dim))
             for layer in model.layers
         ]
-        tracemalloc.start()
-        try:
-            functional = run("batched", x=x, weights=weights)
-            functional_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        functional = run("batched", x=x, weights=weights)
         final_layer, _ = functional[0][-1]
         reference_rel_err = relative_error(
             final_layer.output, reference_forward(graph, model, x, weights)
@@ -209,7 +193,6 @@ def run_consumer_bench(
                 "equal": equal,
                 "functional_verified": functional_verified,
                 "reference_rel_err": float(f"{reference_rel_err:.3g}"),
-                "functional_peak_mib": round(functional_peak / 2**20, 2),
             }
         )
     largest = rows[-1] if rows else None
@@ -230,42 +213,3 @@ def run_consumer_bench(
         "largest_tier": largest["tier"] if largest else None,
         "largest_speedup": largest["speedup"] if largest else None,
     }
-
-
-def table(record: dict) -> str:
-    """A consumer record as ``repro bench`` prints it."""
-    return render_record(
-        record,
-        "consumer backend scaling (best-of wall clock)",
-        ("tier", "nodes", "edges", "scalar_s", "batched_s", "speedup",
-         "equal", "functional_peak_mib"),
-    )
-
-
-def gate(record: dict) -> list[str]:
-    """The consumer contract, from the record.
-
-    The locator suite's scaling contract (:func:`bench_locator.gate
-    <repro.eval.bench_locator.gate>`) holds.  On every tier the
-    functional output is within
-    :data:`~repro.models.reference.FUNCTIONAL_RTOL` of the scipy
-    reference and the functional pass's heap peak is recorded; at the
-    2e6 tier that peak is at most 1.2 times :data:`PEAK_MIB_2E6`.
-    """
-    failures = bench_locator.gate(record)
-    for row in record["tiers"]:
-        err = row.get("reference_rel_err")
-        if err is None or not err <= FUNCTIONAL_RTOL:
-            failures.append(
-                f"{row['tier']}: reference_rel_err {err} exceeds "
-                f"{FUNCTIONAL_RTOL:g}"
-            )
-        peak = row.get("functional_peak_mib")
-        if peak is None:
-            failures.append(f"{row['tier']}: functional_peak_mib is missing")
-        elif row["tier"] == "2e6" and peak > 1.2 * PEAK_MIB_2E6:
-            failures.append(
-                f"{row['tier']}: functional_peak_mib {peak} above "
-                f"1.2 x {PEAK_MIB_2E6}"
-            )
-    return failures

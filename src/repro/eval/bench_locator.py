@@ -16,7 +16,7 @@ Entry points:
 * :func:`run_locator_bench` — library API.
 
 :func:`gate` is the scaling contract of this record and of the
-consumer suite's, whose gate extends it.
+consumer suite's, which shares it.
 
 The JSON schema (one record per file)::
 
@@ -42,6 +42,7 @@ from repro.errors import ConfigError
 from repro.eval.harness import best_of, false_flags, render_record
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import CommunityProfile, hub_island_graph
+from repro.models.reference import FUNCTIONAL_RTOL
 
 __all__ = ["BENCH_TIERS", "bench_graph", "gate", "run_locator_bench", "table"]
 
@@ -137,10 +138,11 @@ def run_locator_bench(
 
 
 def table(record: dict) -> str:
-    """A locator record as ``repro bench`` prints it."""
+    """A locator or consumer record as ``repro bench`` prints it."""
+    suite = record["benchmark"].removesuffix("-scale")
     return render_record(
         record,
-        "locator backend scaling (best-of wall clock)",
+        f"{suite} backend scaling (best-of wall clock)",
         ("tier", "nodes", "edges", "scalar_s", "batched_s", "speedup",
          "equal"),
     )
@@ -154,10 +156,19 @@ def gate(record: dict) -> list[str]:
     oracle there; below that one millisecond-scale repeat is noise.
     With two or more tiers the speedup grows from the smallest tier to
     the largest: the batched kernel amortises fixed vectorization
-    costs.  The consumer suite adds its functional clauses
-    (:func:`repro.eval.bench_consumer.gate`).
+    costs.  A consumer record's functional output is within
+    :data:`~repro.models.reference.FUNCTIONAL_RTOL` of the scipy
+    reference on every tier.
     """
     failures = false_flags(record, "equal")
+    if record["benchmark"] == "consumer-scale":
+        for row in record["tiers"]:
+            err = row.get("reference_rel_err")
+            if err is None or not err <= FUNCTIONAL_RTOL:
+                failures.append(
+                    f"{row['tier']}: reference_rel_err {err} exceeds "
+                    f"{FUNCTIONAL_RTOL:g}"
+                )
     first, last = record["tiers"][0], record["tiers"][-1]
     if (BENCH_TIERS[last["tier"]] >= BENCH_TIERS["1e5"]
             and last["batched_s"] > last["scalar_s"]):

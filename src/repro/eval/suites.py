@@ -47,7 +47,7 @@ SUITES: dict[str, Suite] = {
     ),
     "consumer": Suite(
         bench_consumer.run_consumer_bench, tuple(bench_locator.BENCH_TIERS),
-        ("preagg_k",), bench_consumer.table, bench_consumer.gate,
+        ("preagg_k",), bench_locator.table, bench_locator.gate,
     ),
     "event": Suite(
         bench_event.run_event_bench, tuple(bench_locator.BENCH_TIERS),

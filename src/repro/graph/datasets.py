@@ -32,7 +32,7 @@ from repro.errors import DatasetError
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import CommunityProfile, hub_island_graph
-from repro.nputil import full_csr_dense, nonzero_count
+from repro.nputil import nonzero_count
 from repro.serialize import read_npz, write_npz
 
 __all__ = [
@@ -324,10 +324,8 @@ class Dataset:
         (:class:`~repro.graph.generators.CommunityProfile` raises
         ``GraphError``).  ``degree_follows_scale``, a spec field that
         nothing read, is dropped from archives that still carry it.
-        Archives that store density-1 features as a CSR holding every
-        entry load them as the dense array that CSR's data already is
-        (:func:`~repro.nputil.full_csr_dense`); dense features must
-        have one row per node.
+        Dense features must be a float matrix with one row per node and
+        one column per feature, else :class:`DatasetError`.
         """
         arrays, meta = read_npz(file)
         spec_fields = dict(meta["spec"])
@@ -344,22 +342,22 @@ class Dataset:
         )
         features = arrays.get("features")
         if "feat_shape" in meta:
-            parts = (
-                arrays["feat_data"], arrays["feat_indices"], arrays["feat_indptr"]
-            )
-            shape = tuple(meta["feat_shape"])
-            features = full_csr_dense(*parts, shape)
-            if features is None:
-                from scipy.sparse import csr_matrix
+            from scipy.sparse import csr_matrix
 
-                features = csr_matrix(parts, shape=shape)
-        elif features is not None and (
-            features.ndim != 2 or len(features) != graph.num_nodes
-        ):
-            raise DatasetError(
-                f"stored features of shape {features.shape} do not have "
-                f"one row per node ({graph.num_nodes})"
+            features = csr_matrix(
+                (arrays["feat_data"], arrays["feat_indices"], arrays["feat_indptr"]),
+                shape=tuple(meta["feat_shape"]),
             )
+        elif features is not None:
+            shape = (graph.num_nodes, spec.num_features)
+            if features.shape != shape or not np.issubdtype(
+                features.dtype, np.floating
+            ):
+                raise DatasetError(
+                    f"stored features ({features.dtype}, shape "
+                    f"{features.shape}) are not a float matrix with one row "
+                    f"per node and one column per feature {shape}"
+                )
         return cls(
             spec=spec,
             graph=graph,

@@ -4,8 +4,8 @@ No paper section of its own: these are the offset, row-gather and
 dedup primitives the CSR store (:mod:`repro.graph.csr`), the vectorized
 implementations of Algorithm 1's TP-BFS (:mod:`repro.core.tp_bfs_batched`)
 and the Island Consumer's task batch (§3.3,
-:mod:`repro.core.consumer_batched`) are built from, plus the two
-feature-matrix readings the dataset store and the consumer's
+:mod:`repro.core.consumer_batched`) are built from, plus the feature
+matrix nonzero count that the dataset store and the consumer's
 combination share.  It sits at the package root so that
 :mod:`repro.graph` can use it without importing :mod:`repro.core`.
 """
@@ -14,10 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "csr_gather", "cumsum0", "full_csr_dense", "nonzero_count",
-    "sorted_unique",
-]
+__all__ = ["csr_gather", "cumsum0", "nonzero_count", "sorted_unique"]
 
 
 def cumsum0(values) -> np.ndarray:
@@ -67,26 +64,6 @@ def sorted_unique(keys) -> np.ndarray:
     keep[0] = True
     np.not_equal(out[1:], out[:-1], out=keep[1:])
     return out[keep]
-
-
-def full_csr_dense(data, indices, indptr, shape) -> np.ndarray | None:
-    """A CSR that stores every entry in row-major order, as its dense matrix.
-
-    When every row holds columns ``0 .. cols-1`` in order, ``data``
-    already is the dense matrix in row-major order, and the result is
-    a zero-copy view of it.  Any other layout (a missing, repeated,
-    unsorted or out-of-range column) returns ``None``, so an index can
-    never be reshaped into a number.
-    """
-    rows, cols = shape
-    size = rows * cols
-    if len(data) != size or len(indices) != size:
-        return None
-    if not np.array_equal(indptr, np.arange(rows + 1, dtype=np.int64) * cols):
-        return None
-    if not (np.asarray(indices).reshape(rows, cols) == np.arange(cols)).all():
-        return None
-    return np.asarray(data).reshape(rows, cols)
 
 
 def nonzero_count(x) -> int:

@@ -170,6 +170,20 @@ class TestFunctionalEquivalence:
         )
         assert relative_error(report.outputs, reference) <= FUNCTIONAL_RTOL
 
+    def test_full_count_csr_with_an_out_of_range_column_is_not_reshaped(self):
+        # Sorted, duplicate-free rows with every entry counted, but the
+        # last index lies outside the matrix: its value has no dense slot.
+        # Only the view is checked; scipy's own product would read past
+        # the operand.
+        n, m = 3, 4
+        indices = np.tile(np.arange(m), n)
+        indices[-1] = m
+        features = sparse.csr_matrix(
+            (np.ones(n * m), indices, np.arange(n + 1) * m), shape=(n, m)
+        )
+        assert features.has_canonical_format and features.nnz == n * m
+        assert _dense_view(features) is None
+
     def test_functional_needs_features(self, tiny_cora):
         model = gcn_model(tiny_cora.num_features, tiny_cora.num_classes)
         with pytest.raises(SimulationError):

@@ -17,7 +17,6 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigError
-from repro.eval.bench_consumer import PEAK_MIB_2E6
 from repro.eval.bench_incremental import run_incremental_bench
 from repro.eval.bench_locator import run_locator_bench
 from repro.eval.bench_partition import run_partition_bench
@@ -104,12 +103,6 @@ CLAUSES = [
     pytest.param("consumer", "reference_rel_err",
                  _row(2, reference_rel_err=2e-9),
                  id="consumer-reference_rel_err"),
-    pytest.param("consumer", "functional_peak_mib",
-                 _row(-1, functional_peak_mib=1.21 * PEAK_MIB_2E6),
-                 id="consumer-functional_peak_mib"),
-    pytest.param("consumer", "functional_peak_mib",
-                 _row(0, functional_peak_mib=None),
-                 id="consumer-functional_peak_mib-missing"),
     pytest.param("event", "sandwich", _row(0, sandwich=False),
                  id="event-sandwich"),
     pytest.param("event", "deterministic", _row(1, deterministic=False),

@@ -4,7 +4,6 @@ sharing the disk tier."""
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import warnings
@@ -12,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.core import LocatorConfig
 from repro.core.islandizer import islandize
@@ -278,68 +276,22 @@ class TestRoundTrips:
         assert_bytes_identical(ds.labels, restored.labels)
         assert restored.feature_nnz == ds.feature_nnz == ds.features.size
 
-    @staticmethod
-    def _legacy_archive(ds, indices, values) -> io.BytesIO:
-        """A hand-written archive whose features are a CSR of ``values``."""
-        n, f = values.shape
-        buf = io.BytesIO()
-        write_npz(
-            buf,
-            {
-                "graph_indptr": ds.graph.indptr,
-                "graph_indices": ds.graph.indices,
-                "community": ds.community,
-                "feat_data": values.ravel(),
-                "feat_indices": indices,
-                "feat_indptr": np.arange(n + 1, dtype=np.int32) * f,
-            },
-            {
-                "format": 1,
-                "graph_name": ds.graph.name,
-                "scale": ds.scale,
-                "spec": dataclasses.asdict(ds.spec),
-                "feat_shape": [n, f],
-            },
-        )
-        buf.seek(0)
-        return buf
-
-    def test_legacy_full_csr_features_load_dense(self):
-        # Archives from before density-1 features were dense hold a CSR
-        # that stores every entry; its data is the dense matrix.
-        ds = load_dataset("reddit", scale=0.005, seed=5)
-        n, f = ds.num_nodes, ds.num_features
-        values = np.random.default_rng(2).normal(size=(n, f))
-        indices = np.tile(np.arange(f, dtype=np.int32), n)
-        restored = Dataset.from_npz(self._legacy_archive(ds, indices, values))
-        assert type(restored.features) is np.ndarray
-        assert restored.features.flags.c_contiguous
-        assert_bytes_identical(restored.features, values)
-
-    @pytest.mark.parametrize("defect", ["unsorted", "out_of_range"])
-    def test_legacy_csr_in_another_layout_stays_sparse(self, defect):
-        ds = load_dataset("reddit", scale=0.005, seed=5)
-        n, f = ds.num_nodes, 4
-        ds = dataclasses.replace(
-            ds, spec=dataclasses.replace(ds.spec, num_features=f)
-        )
-        values = np.arange(1.0, n * f + 1).reshape(n, f)
-        indices = np.tile(np.arange(f, dtype=np.int32), n)
-        if defect == "unsorted":
-            indices[:f] = indices[:f][::-1]
-        else:
-            indices[-1] = f
-        restored = Dataset.from_npz(self._legacy_archive(ds, indices, values))
-        assert sparse.issparse(restored.features)
-        assert restored.features.nnz == n * f
-
-    def test_dense_features_need_one_row_per_node(self):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda f: f[1:],
+            lambda f: np.ascontiguousarray(f[:, 1:]),
+            lambda f: f.astype(np.int64),
+        ],
+        ids=["row-trimmed", "column-trimmed", "integer"],
+    )
+    def test_dense_features_need_the_spec_shape_and_floats(self, edit):
         ds = load_dataset("reddit", scale=0.005, seed=5, with_features=True)
         buf = io.BytesIO()
         ds.to_npz(buf)
         buf.seek(0)
         arrays, meta = read_npz(buf)
-        arrays["features"] = arrays["features"][1:]
+        arrays["features"] = edit(arrays["features"])
         edited = io.BytesIO()
         write_npz(edited, arrays, meta)
         edited.seek(0)
