@@ -18,6 +18,7 @@ from repro.core.preagg import ScanCounts, scan_aggregate, scan_costs
 from repro.core.types import (
     Island,
     IslandizationResult,
+    IslandTable,
     LocatorWork,
     RoundOutput,
     RoundStats,
@@ -48,6 +49,7 @@ __all__ = [
     "streamed_schedule",
     "Island",
     "IslandizationResult",
+    "IslandTable",
     "LocatorWork",
     "RoundOutput",
     "RoundStats",

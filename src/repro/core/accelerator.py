@@ -460,14 +460,17 @@ class IGCNAccelerator:
         round_islands: list[list[tuple[int, float, tuple[int, ...]]]] = [
             [] for _ in round_cycles
         ]
-        for island_id, island in enumerate(result.islands):
-            round_islands[round_index[island.round_id]].append(
-                (
-                    island_id,
-                    float(island.num_members + island.num_hubs),
-                    tuple(int(h) for h in island.hubs),
-                )
-            )
+        islands = result.islands
+        hubs, offsets = islands.hubs.tolist(), islands.hub_offsets.tolist()
+        sizes = (islands.num_members + islands.num_hubs).tolist()
+        for island_id, (round_id, size) in enumerate(
+            zip(islands.round_id.tolist(), sizes)
+        ):
+            round_islands[round_index[round_id]].append((
+                island_id,
+                float(size),
+                tuple(hubs[offsets[island_id]:offsets[island_id + 1]]),
+            ))
         row_bytes = 4 * max(
             (layer.out_dim for layer in model.layers), default=1
         )

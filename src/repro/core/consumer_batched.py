@@ -7,12 +7,13 @@ time per layer.  After the PR-3 locator speedup that loop dominates
 every simulated layer.  This module applies the same playbook to the
 consumer:
 
-* :class:`TaskBatch` — a packed multi-island task representation:
-  concatenated local-node / hub arrays with offsets plus one COO list
-  of bitmap entries, assembled in a *single* vectorized pass over the
-  global CSR (one adjacency gather for every member row at once, one
-  sorted-key join for the member→hub columns) instead of per-member
-  ``searchsorted`` calls.  The entries stay in the order assembly
+* :class:`TaskBatch` — a multi-island task representation built from
+  the locator's :class:`~repro.core.types.IslandTable`, whose flat hub
+  list and offsets it keeps as they are: the per-task local-node array
+  plus one COO list of bitmap entries, assembled in a *single*
+  vectorized pass over the global CSR (one adjacency gather for every
+  member row at once, one sorted-key join for the member→hub columns)
+  instead of per-member ``searchsorted`` calls.  The entries stay in the order assembly
   produces them: a window's non-zero count does not depend on entry
   order, so counting never sorts them, and the task/row/col-sorted COO
   is built on the first read of ``entry_task/row/col`` (the functional
@@ -279,14 +280,17 @@ class TaskBatch:
     def from_islands(
         cls, graph, islands, *, add_self_loops: bool, scratch: dict | None = None
     ) -> "TaskBatch":
-        """Pack an explicit island sequence against ``graph``'s CSR.
+        """Pack an island table against ``graph``'s CSR.
 
-        ``islands`` may be any subset of an islandization — in the
-        streamed pipeline it is one round's chunk from a
+        ``islands`` is an :class:`~repro.core.types.IslandTable` holding
+        any subset of an islandization — in the streamed pipeline it is
+        one round's chunk from a
         :class:`~repro.core.types.RoundOutput`, assembled while the
-        locator is still producing later rounds.  Task packing is
-        island-local, so a per-round slice holds exactly the entries
-        those tasks have in the monolithic full-result batch.
+        locator is still producing later rounds.  The table's flat hub
+        list and offsets are the batch's own, so nothing is packed.
+        Task packing is island-local, so a per-round slice holds
+        exactly the entries those tasks have in the monolithic
+        full-result batch.
 
         ``graph`` must be loop-free with sorted, duplicate-free rows:
         :meth:`~repro.graph.csr.CSRGraph.without_self_loops` raises
@@ -309,33 +313,18 @@ class TaskBatch:
                 f"graph {graph.name!r} has self-loops; island tasks are "
                 "assembled on graph.without_self_loops()"
             )
-        islands = list(islands)
         num_tasks = len(islands)
         n = graph.num_nodes
-        num_hubs = np.fromiter(
-            (i.num_hubs for i in islands), dtype=np.int64, count=num_tasks
-        )
-        num_members = np.fromiter(
-            (i.num_members for i in islands), dtype=np.int64, count=num_tasks
-        )
-        num_locals = num_hubs + num_members
+        num_hubs = islands.num_hubs
+        num_locals = num_hubs + islands.num_members
         local_offsets = _cumsum0(num_locals)
-        hub_offsets = _cumsum0(num_hubs)
-        total_hubs = int(hub_offsets[-1])
-        if num_tasks:
-            hubs_flat = np.concatenate(
-                [i.hubs for i in islands]
-            ).astype(np.int64, copy=False)
-            members_flat = np.concatenate(
-                [i.members for i in islands]
-            ).astype(np.int64, copy=False)
-        else:
-            hubs_flat, members_flat = _empty(), _empty()
+        hub_offsets = islands.hub_offsets
+        hubs_flat, members_flat = islands.hubs, islands.members
 
         # Interleave into the per-task [hubs..., members...] local order.
         local_nodes = np.empty(int(local_offsets[-1]), dtype=np.int64)
         hub_rank = (
-            np.arange(total_hubs, dtype=np.int64)
+            np.arange(len(hubs_flat), dtype=np.int64)
             - np.repeat(hub_offsets[:-1], num_hubs)
         )
         local_nodes[np.repeat(local_offsets[:-1], num_hubs) + hub_rank] = (
@@ -775,7 +764,9 @@ def run_interhub_batched(state, interhub, meter) -> None:
     contribution order — inter-hub edges, then hub self-loops, after
     every island task — is exactly the scalar loop's sequence.  The
     plan's bank counts are cached on it, so only the first layer
-    counts them.
+    counts them.  Every source is a hub, so the fold stacks only the
+    distinct source rows under the touched accumulators, not the whole
+    scaled XW.
     """
     counts = state.counts
     counts.interhub_ops = interhub.num_ops
@@ -797,8 +788,15 @@ def run_interhub_batched(state, interhub, meter) -> None:
         sources = np.concatenate(
             (interhub.directed_edges[:, 1], interhub.self_loop_hubs)
         )
+        # np.unique(sources, return_inverse=True) by a node mask, which
+        # needs no sort: the distinct rows ascending, and each source's
+        # rank among them.
+        used = np.zeros(len(state.hub_pos), dtype=bool)
+        used[sources] = True
+        rows = np.flatnonzero(used)
+        sources = (np.cumsum(used) - 1)[sources]
         _ordered_hub_fold(
-            state, state.hub_pos[targets], state.xw_scaled, sources
+            state, state.hub_pos[targets], state.xw_scaled[rows], sources
         )
 
 

@@ -12,8 +12,8 @@ model can overlap them.
 The round loop is one private generator, :func:`_locate_rounds`, which
 yields each round's raw record in the graph's own ids.  Two callers
 drive it: :meth:`IslandLocator.stream` turns the records into
-islands, round statistics and the final :class:`IslandizationResult`,
-and the incremental sub-run
+round statistics, each round's island table and the final
+:class:`IslandizationResult`, and the incremental sub-run
 (:mod:`repro.core.islandizer_incremental`) maps them to global ids for
 the dirty region it re-runs.
 
@@ -64,8 +64,8 @@ from repro.core.tp_bfs_batched import (
     execute_round_batched,
 )
 from repro.core.types import (
-    Island,
     IslandizationResult,
+    IslandTable,
     LocatorWork,
     RoundOutput,
     RoundStats,
@@ -210,17 +210,16 @@ def _locate_rounds(
         if batched:
             outcome = execute_round_batched(
                 graph, is_hub, classified, config.c_max,
-                task_hubs, task_seeds, new_hubs,
+                task_hubs, task_seeds, new_hubs, round_id,
             )
         else:
             outcome = _run_round_scalar(
                 graph, degrees, threshold, config.c_max, round_id,
                 visited_round, task_hubs, task_seeds, new_hubs,
             )
-        if outcome.islands:
-            members = np.concatenate([m for m, _ in outcome.islands])
-            classified[members] = True
-            num_classified += len(members)
+        members = outcome.islands.members
+        classified[members] = True
+        num_classified += len(members)
         yield _LocatedRound(
             threshold=threshold,
             isolated=isolated,
@@ -262,14 +261,16 @@ def _run_round_scalar(
 
     Runs :func:`~repro.core.tp_bfs.run_bfs_task` on each task in queue
     order and fills the :class:`RoundOutcome` the batched kernel
-    returns: islands in append order, each task's counters and outcome
-    code by task index, and the round's new inter-hub keys through the
-    same sorted-key dedup (``new_hubs`` are the round's new hubs).
+    returns: the island table in append order, each task's counters
+    and outcome code by task index, and the round's new inter-hub keys
+    through the same sorted-key dedup (``new_hubs`` are the round's new
+    hubs).
     """
     state = BFSRoundState.create(
         graph, degrees, threshold, c_max, round_id, visited_round
     )
-    islands: list[tuple[np.ndarray, np.ndarray]] = []
+    members: list[list[int]] = []
+    hubs: list[list[int]] = []
     scans: list[int] = []
     fetches: list[int] = []
     nbytes: list[int] = []
@@ -283,14 +284,12 @@ def _run_round_scalar(
         nbytes.append(state.adjacency_bytes - bytes_before)
         codes.append(code)
         if code == TASK_ISLAND:
-            islands.append((
-                np.asarray(result.members, dtype=np.int64),
-                np.asarray(result.hubs, dtype=np.int64),
-            ))
+            members.append(result.members)
+            hubs.append(result.hubs)
     task_outcomes = np.asarray(codes, dtype=np.int8)
     seed_is_hub = task_outcomes == TASK_SEED_HUB
     return RoundOutcome(
-        islands=islands,
+        islands=IslandTable.from_arrays(round_id, members, hubs),
         new_interhub_keys=dedup_interhub_keys(
             task_hubs[seed_is_hub], task_seeds[seed_is_hub],
             graph.num_nodes, new_hubs,
@@ -348,9 +347,9 @@ class IslandLocator:
 
         The generator form of Fig. 3's producer side: after each round
         of Algorithm 1 it yields a :class:`RoundOutput` with the
-        islands finalized that round (isolated-node singletons first,
-        then TP-BFS islands in task order — exactly their slice of the
-        final result's island list) and the round's statistics, then
+        table of islands finalized that round (isolated-node singletons
+        first, then TP-BFS islands in task order — exactly their rows of
+        the final result's table) and the round's statistics, then
         resumes with the next threshold.  The
         :class:`IslandizationResult` is the generator's return value
         (``StopIteration.value``), so ``run()`` is a plain drain of
@@ -382,7 +381,8 @@ class IslandLocator:
         config = self.config
         n = graph.num_nodes
         degrees = graph.degrees.astype(np.int64)
-        islands: list[Island] = []
+        tables: list[IslandTable] = []
+        num_islands = 0
         hub_ids: list[np.ndarray] = [_EMPTY]
         hub_rounds: list[np.ndarray] = [_EMPTY]
         rounds: list[RoundStats] = []
@@ -395,23 +395,11 @@ class IslandLocator:
         )
         for round_id, rec in enumerate(records, 1):
             outcome = rec.outcome
-            first_island = len(islands)
-            islands.extend(
-                Island.from_trusted_arrays(
-                    round_id=round_id,
-                    members=rec.isolated[i:i + 1],
-                    hubs=_EMPTY,
-                )
-                for i in range(len(rec.isolated))
-            )
-            islands.extend(
-                Island.from_trusted_arrays(
-                    round_id=round_id,
-                    members=members,
-                    hubs=hubs,
-                )
-                for members, hubs in outcome.islands
-            )
+            islands = IslandTable.concat((
+                IslandTable.singletons(round_id, rec.isolated),
+                outcome.islands,
+            ))
+            tables.append(islands)
             hub_ids.append(rec.new_hubs)
             hub_rounds.append(
                 np.full(len(rec.new_hubs), round_id, dtype=np.int64)
@@ -431,10 +419,11 @@ class IslandLocator:
                 )
             yield RoundOutput(
                 stats=stats,
-                islands=tuple(islands[first_island:]),
+                islands=islands,
                 new_hub_ids=rec.new_hubs,
-                first_island_id=first_island,
+                first_island_id=num_islands,
             )
+            num_islands += len(islands)
 
         work = LocatorWork(
             total_adjacency_fetches=sum(r.adjacency_fetches for r in rounds),
@@ -448,7 +437,7 @@ class IslandLocator:
         interhub_keys = np.sort(np.concatenate(key_parts))
         return IslandizationResult(
             graph=graph,
-            islands=islands,
+            islands=IslandTable.concat(tables),
             hub_ids=np.concatenate(hub_ids),
             hub_round=np.concatenate(hub_rounds),
             interhub_edges=np.stack(

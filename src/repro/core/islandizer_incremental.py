@@ -86,8 +86,8 @@ from repro.core.tp_bfs_batched import (
 )
 from repro.core.types import (
     ROUND_FIELDS,
-    Island,
     IslandizationResult,
+    IslandTable,
     LocatorWork,
     RoundStats,
 )
@@ -290,9 +290,6 @@ def record_islandization(
     n = graph.num_nodes
     class_round = np.full(n, -1, dtype=np.int64)
     winner_parts: list[np.ndarray] = []
-    seed_parts: list[np.ndarray] = []
-    size_parts: list[np.ndarray] = []
-    round_parts: list[np.ndarray] = []
     stream = IslandLocator(config).stream(graph, tap=tap)
     while True:
         try:
@@ -300,24 +297,16 @@ def record_islandization(
         except StopIteration as stop:
             result = stop.value
             break
-        member_arrays = [isl.members for isl in chunk.islands]
-        seed0 = np.asarray([m[0] for m in member_arrays], dtype=np.int64)
+        islands = chunk.islands
+        seed0 = islands.first_members
         # Isolated-node singletons have no hubs and no winner (-1).
-        tp = np.asarray([len(isl.hubs) > 0 for isl in chunk.islands], dtype=bool)
-        winners = np.full(len(member_arrays), -1, dtype=np.int64)
+        tp = islands.num_hubs > 0
+        winners = np.full(len(islands), -1, dtype=np.int64)
         winners[tp] = _winning_hubs(
             seed0[tp], rounds_log[-1][0], rounds_log[-1][1]
         )
         winner_parts.append(winners)
-        seed_parts.append(seed0)
-        size_parts.append(
-            np.asarray([len(m) for m in member_arrays], dtype=np.int64)
-        )
-        round_parts.append(
-            np.full(len(member_arrays), chunk.round_id, dtype=np.int64)
-        )
-        if member_arrays:
-            class_round[np.concatenate(member_arrays)] = chunk.round_id
+        class_round[islands.members] = chunk.round_id
         class_round[chunk.new_hub_ids] = chunk.round_id
 
     def _cat(idx: int, empty: np.ndarray = _EMPTY) -> np.ndarray:
@@ -325,13 +314,14 @@ def record_islandization(
         return np.concatenate(parts) if parts else empty
 
     th0 = config.initial_threshold(graph.degrees.astype(np.int64))
+    islands = result.islands
     state = IncrementalState(
         th0=int(th0),
         comp_labels=_round1_labels(graph, th0),
         class_round=class_round,
-        island_round=np.concatenate(round_parts) if round_parts else _EMPTY,
-        island_seed=np.concatenate(seed_parts) if seed_parts else _EMPTY,
-        island_size=np.concatenate(size_parts) if size_parts else _EMPTY,
+        island_round=islands.round_id,
+        island_seed=islands.first_members,
+        island_size=islands.num_members,
         winner_hubs=np.concatenate(winner_parts) if winner_parts else _EMPTY,
         log_hubs=_cat(0),
         log_seeds=_cat(1),
@@ -452,11 +442,8 @@ class _SubRound:
 
     threshold: int
     singles: np.ndarray                                   # ascending
-    islands: list[tuple[np.ndarray, np.ndarray]]          # (members, hubs)
-    isl_seed: np.ndarray                                  # members[0] per island
-    isl_size: np.ndarray
+    islands: IslandTable                                  # TP-BFS islands
     isl_winner: np.ndarray                                # winning-task hub
-    islanded: np.ndarray                                  # all members, concat
     new_hubs: np.ndarray                                  # ascending
     stats: dict[str, int]                                 # _ADDITIVE_FIELDS
     interhub: np.ndarray                                  # (k, 2) new this round
@@ -511,24 +498,15 @@ def _run_sub(
     ):
         outcome = rec.outcome
         islands = outcome.islands
-        isl_seed = np.asarray([mem[0] for mem, _ in islands], dtype=np.int64)
-        islanded = (
-            np.concatenate([mem for mem, _ in islands]) if islands else _EMPTY
-        )
         keys = outcome.new_interhub_keys
         out.append(
             _SubRound(
                 threshold=rec.threshold,
                 singles=gids[rec.isolated],
-                islands=[(gids[mem], gids[hubs]) for mem, hubs in islands],
-                isl_seed=gids[isl_seed],
-                isl_size=np.asarray(
-                    [len(mem) for mem, _ in islands], dtype=np.int64
-                ),
-                isl_winner=gids[
-                    _winning_hubs(isl_seed, rec.task_hubs, rec.task_seeds)
-                ],
-                islanded=gids[islanded],
+                islands=islands.relabel(gids),
+                isl_winner=gids[_winning_hubs(
+                    islands.first_members, rec.task_hubs, rec.task_seeds
+                )],
                 new_hubs=gids[rec.new_hubs],
                 stats=rec.stats,
                 interhub=gids[np.stack([keys // m, keys % m], axis=1)],
@@ -738,7 +716,7 @@ def _splice_islands(
     new_rounds: list[_SubRound],
     n: int,
     r_new: int,
-) -> tuple[list[Island], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[IslandTable, np.ndarray]:
     """Merge clean islands with the sub-run's, in full-run order.
 
     The full run emits isolated-node singletons first (ascending node
@@ -749,111 +727,34 @@ def _splice_islands(
     and seed are adjacent, so a shared key would make a clean task
     dirty).  Sorting the union by ``(round, is_tp, key)`` therefore
     reproduces the full run's island order exactly.  Returns the new
-    island list plus its (round, seed, size, winner) metadata arrays.
+    island table and each island's winning-task hub (``-1`` for
+    singletons).
     """
     clean_idx = np.flatnonzero(~dn_mask[state.island_seed])
-    c_round = state.island_round[clean_idx]
+    pool = IslandTable.concat(
+        [cached.islands.take(clean_idx)]
+        + [sr.islands for sr in new_rounds]
+        + [IslandTable.singletons(r, sr.singles)
+           for r, sr in enumerate(new_rounds, 1)]
+    )
     _check(
-        bool(np.all(c_round <= r_new)),
+        bool(np.all(pool.round_id <= r_new)),
         "clean island beyond the folded round count",
     )
-    c_seed = state.island_seed[clean_idx]
-    c_size = state.island_size[clean_idx]
-    c_winner = state.winner_hubs[clean_idx]
-
-    s_tp_round = [np.full(len(sr.islands), r, dtype=np.int64)
-                  for r, sr in enumerate(new_rounds, 1)]
-    s_single_round = [np.full(len(sr.singles), r, dtype=np.int64)
-                      for r, sr in enumerate(new_rounds, 1)]
-    singles_flat = (
-        np.concatenate([sr.singles for sr in new_rounds])
-        if new_rounds else _EMPTY
+    winners = np.concatenate(
+        [state.winner_hubs[clean_idx]]
+        + [sr.isl_winner for sr in new_rounds]
+        + [np.full(len(sr.singles), -1, dtype=np.int64) for sr in new_rounds]
     )
-    pool: list[tuple[np.ndarray, np.ndarray]] = [
-        pair for sr in new_rounds for pair in sr.islands
-    ]
-
-    def scat(parts: list[np.ndarray], attr: str | None = None) -> np.ndarray:
-        if attr is not None:
-            parts = [getattr(sr, attr) for sr in new_rounds]
-        return np.concatenate(parts) if parts else _EMPTY
-
-    s_tp_seed = scat([], "isl_seed")
-    s_tp_size = scat([], "isl_size")
-    s_tp_winner = scat([], "isl_winner")
-
-    rounds_all = np.concatenate(
-        [c_round, scat(s_tp_round), scat(s_single_round)]
-    )
-    seeds_all = np.concatenate([c_seed, s_tp_seed, singles_flat])
-    sizes_all = np.concatenate(
-        [c_size, s_tp_size, np.ones(len(singles_flat), dtype=np.int64)]
-    )
-    winners_all = np.concatenate(
-        [c_winner, s_tp_winner,
-         np.full(len(singles_flat), -1, dtype=np.int64)]
-    )
-    kinds_all = np.concatenate([
-        np.zeros(len(clean_idx), dtype=np.int8),
-        np.ones(len(s_tp_seed), dtype=np.int8),
-        np.full(len(singles_flat), 2, dtype=np.int8),
-    ])
-    refs_all = np.concatenate([
-        clean_idx,
-        np.arange(len(s_tp_seed), dtype=np.int64),
-        np.arange(len(singles_flat), dtype=np.int64),
-    ])
-
-    is_tp = winners_all >= 0
+    is_tp = winners >= 0
     _check(
-        bool(np.all(is_tp | (sizes_all == 1))),
+        bool(np.all(is_tp | (pool.num_members == 1))),
         "clean island lost its winner key",
     )
-    key = np.where(is_tp, winners_all * np.int64(n) + seeds_all, seeds_all)
-    order = np.lexsort((key, is_tp, rounds_all))
-
-    kinds = kinds_all[order]
-    refs = refs_all[order]
-    rounds_s = rounds_all[order]
-
-    # Island ids are positional, so clean islands are reused by
-    # reference — only islands of the re-run region are constructed.
-    # Consecutive clean cached islands form runs (the sub-run's islands
-    # interleave at ~one spot per dirty component), so the reuse path
-    # extends whole list slices instead of appending one at a time.
-    num = len(kinds)
-    brk = np.ones(num, dtype=bool)
-    if num > 1:
-        brk[1:] = (
-            (kinds[1:] != 0) | (kinds[:-1] != 0)
-            | (refs[1:] != refs[:-1] + 1)
-        )
-    starts = np.flatnonzero(brk)
-    lengths = np.diff(np.append(starts, num))
-    islands_out: list[Island] = []
-    append = islands_out.append
-    extend = islands_out.extend
-    cached_islands = cached.islands
-    obj_new = object.__new__
-    set_attr = object.__setattr__
-    for kind, ref, rnd, seg in zip(
-        kinds[starts].tolist(), refs[starts].tolist(),
-        rounds_s[starts].tolist(), lengths.tolist(),
-    ):
-        if kind == 0:
-            extend(cached_islands[ref:ref + seg])
-            continue
-        if kind == 1:
-            members, hubs = pool[ref]
-        else:
-            members = singles_flat[ref:ref + 1]
-            hubs = _EMPTY
-        obj = obj_new(Island)
-        set_attr(obj, "round_id", rnd)
-        set_attr(obj, "members", members)
-        set_attr(obj, "hubs", hubs)
-        append(obj)
-    return islands_out, rounds_s, seeds_all[order], sizes_all[order], winners_all[order]
+    seeds = pool.first_members
+    key = np.where(is_tp, winners * np.int64(n) + seeds, seeds)
+    order = np.lexsort((key, is_tp, pool.round_id))
+    return pool.take(order), winners[order]
 
 
 def _full_rebuild(
@@ -1013,7 +914,7 @@ def update_islandization(
         len(state.winner_hubs) == len(cached.islands),
         "island metadata does not cover the cached islands",
     )
-    islands_out, isl_round, isl_seed, isl_size, isl_winner = _splice_islands(
+    islands_out, isl_winner = _splice_islands(
         cached, state, dn_mask, new_rounds, n, r_new
     )
     _check(
@@ -1205,8 +1106,8 @@ def update_islandization(
         sel = sub_labels >= 0
         new_labels[region[sel]] = sub_labels[sel] + offset
         for r, sr in enumerate(new_rounds, 1):
-            if len(sr.islanded):
-                new_class_round[sr.islanded] = r
+            if len(sr.islands):
+                new_class_round[sr.islands.members] = r
             if len(sr.singles):
                 new_class_round[sr.singles] = r
             if len(sr.new_hubs):
@@ -1215,9 +1116,9 @@ def update_islandization(
         th0=th0,
         comp_labels=new_labels,
         class_round=new_class_round,
-        island_round=isl_round,
-        island_seed=isl_seed,
-        island_size=isl_size,
+        island_round=islands_out.round_id,
+        island_seed=islands_out.first_members,
+        island_size=islands_out.num_members,
         winner_hubs=isl_winner,
         log_hubs=full_log[0],
         log_seeds=full_log[1],

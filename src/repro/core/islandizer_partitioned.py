@@ -50,14 +50,15 @@ from repro.core.config import LocatorConfig
 from repro.core.islandizer import IslandLocator
 from repro.core.types import (
     ROUND_FIELDS,
-    Island,
     IslandizationResult,
+    IslandTable,
     LocatorWork,
     RoundStats,
 )
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphShard, partition_graph
+from repro.nputil import cumsum0
 from repro.serialize import config_digest
 
 __all__ = [
@@ -236,41 +237,23 @@ def _merge(
     # Renumber islands round-major across shards so island round_ids
     # stay non-decreasing (iter_rounds' replay contract), mapping
     # members/hubs to global IDs (monotone maps keep their order
-    # meaningful).  Everything runs on per-part flat arrays — islands
-    # are only materialised as objects in one final pass.
+    # meaningful).  A stable sort by round keeps part order, then
+    # shard-local order, within each round.
     max_rounds = max((res.num_rounds for res in shard_results), default=0)
-    flat = [_flatten_islands(res, local_map)
-            for res, local_map in zip(shard_results, maps)]
-    round_all = np.concatenate(
-        [f["round_ids"] for f in flat]
-        or [np.zeros(0, dtype=np.int64)]
-    )
-    # Stable sort by round keeps part order, then shard-local order,
-    # within each round — the round-major global numbering.
-    perm = np.argsort(round_all, kind="stable")
-    num_islands = len(perm)
-    part_of_isl = np.concatenate(
-        [np.full(len(f["round_ids"]), part, dtype=np.int64)
-         for part, f in enumerate(flat)]
-        or [np.zeros(0, dtype=np.int64)]
-    )[perm]
-    local_of_isl = np.concatenate(
-        [np.arange(len(f["round_ids"]), dtype=np.int64) for f in flat]
-        or [np.zeros(0, dtype=np.int64)]
-    )[perm]
-    round_of_isl = round_all[perm]
+    pool = IslandTable.concat([
+        res.islands.relabel(local_map)
+        for res, local_map in zip(shard_results, maps)
+    ])
+    islands = pool.take(np.argsort(pool.round_id, kind="stable"))
+    num_islands = len(islands)
 
     # Classify every boundary-incident directed edge: hub endpoint →
     # canonical inter-hub pair; member endpoint → that member's island
     # must attach the boundary hub.
     island_of = np.full(n, -1, dtype=np.int64)
-    for part, f in enumerate(flat):
-        # New id of shard island `j` = its position in the permuted
-        # global order; scatter it over the island's members.
-        sel = part_of_isl == part
-        new_id_of_part = np.empty(len(f["round_ids"]), dtype=np.int64)
-        new_id_of_part[local_of_isl[sel]] = np.flatnonzero(sel)
-        island_of[f["members"]] = np.repeat(new_id_of_part, f["m_counts"])
+    island_of[islands.members] = np.repeat(
+        np.arange(num_islands, dtype=np.int64), islands.num_members
+    )
     # Boundary-incident edges are most of a hub-heavy graph, so this
     # section runs in int32 (node ids fit comfortably) with one fused
     # uint8 node-class gather — the passes here are memory-bound and
@@ -321,30 +304,23 @@ def _merge(
         first[0] = True
         np.not_equal(attach_keys[1:], attach_keys[:-1], out=first[1:])
         attach_keys = attach_keys[first]
-    attach_isl = attach_keys // span
-    attach_hub = attach_keys % span
     # Per island, its adjacent boundary hubs (ascending — the key sort
     # groups by island, then hub) are appended after the shard-local
-    # first-contact hubs.
-    extra_counts = np.bincount(attach_isl, minlength=num_islands)
-    extra_offsets = np.zeros(num_islands + 1, dtype=np.int64)
-    np.cumsum(extra_counts, out=extra_offsets[1:])
-
-    islands: list[Island] = []
-    for new_id in range(num_islands):
-        f = flat[part_of_isl[new_id]]
-        j = local_of_isl[new_id]
-        hubs = f["hubs"][f["h_offsets"][j]:f["h_offsets"][j + 1]]
-        lo, hi = extra_offsets[new_id], extra_offsets[new_id + 1]
-        if hi > lo:
-            hubs = np.concatenate([hubs, attach_hub[lo:hi]])
-        islands.append(Island.from_trusted_arrays(
-            round_id=int(round_of_isl[new_id]),
-            members=f["members"][
-                f["m_offsets"][j]:f["m_offsets"][j + 1]
-            ],
-            hubs=hubs,
-        ))
+    # first-contact hubs: the own hubs move to the head of each
+    # widened row and the attachments fill the free slots in order.
+    hub_offsets = cumsum0(
+        islands.num_hubs
+        + np.bincount(attach_keys // span, minlength=num_islands)
+    )
+    own = np.arange(len(islands.hubs), dtype=np.int64) + np.repeat(
+        hub_offsets[:-1] - islands.hub_offsets[:-1], islands.num_hubs
+    )
+    hubs = np.empty(int(hub_offsets[-1]), dtype=np.int64)
+    free = np.ones(len(hubs), dtype=bool)
+    free[own] = False
+    hubs[own] = islands.hubs
+    hubs[free] = attach_keys % span
+    islands = replace(islands, hub_offsets=hub_offsets, hubs=hubs)
 
     # Inter-hub map: stitched boundary pairs first (boundary-row
     # traversal order), then every shard's local pairs mapped to global
@@ -377,41 +353,6 @@ def _merge(
         work=work,
     )
     return result
-
-
-def _flatten_islands(res: IslandizationResult, local_map: np.ndarray) -> dict:
-    """One shard's islands as flat global-mapped arrays + offsets."""
-    num = len(res.islands)
-    m_counts = np.fromiter(
-        (isl.num_members for isl in res.islands), dtype=np.int64, count=num
-    )
-    h_counts = np.fromiter(
-        (isl.num_hubs for isl in res.islands), dtype=np.int64, count=num
-    )
-    m_offsets = np.zeros(num + 1, dtype=np.int64)
-    np.cumsum(m_counts, out=m_offsets[1:])
-    h_offsets = np.zeros(num + 1, dtype=np.int64)
-    np.cumsum(h_counts, out=h_offsets[1:])
-    empty = np.zeros(0, dtype=np.int64)
-    members = local_map[
-        np.concatenate([isl.members for isl in res.islands])
-        if num else empty
-    ]
-    hubs = local_map[
-        np.concatenate([isl.hubs for isl in res.islands])
-        if num else empty
-    ]
-    round_ids = np.fromiter(
-        (isl.round_id for isl in res.islands), dtype=np.int64, count=num
-    )
-    return {
-        "round_ids": round_ids,
-        "m_counts": m_counts,
-        "m_offsets": m_offsets,
-        "h_offsets": h_offsets,
-        "members": members,
-        "hubs": hubs,
-    }
 
 
 def _merge_rounds(graph, config, stats, shard_results, *,
@@ -500,7 +441,7 @@ def quality_metrics(result: IslandizationResult) -> dict[str, float | int]:
         )
     else:
         interhub_directed = 0
-    islanded_nodes = int(sum(isl.num_members for isl in result.islands))
+    islanded_nodes = len(result.islands.members)
     return {
         "islands": int(result.num_islands),
         "islanded_nodes": islanded_nodes,

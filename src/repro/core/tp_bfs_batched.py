@@ -5,10 +5,11 @@ TP-BFS task queue of :mod:`repro.core.tp_bfs`) as stamp-array NumPy
 kernels.  The one-round granularity is deliberate: each
 :func:`execute_round_batched` call returns a complete
 :class:`RoundOutcome` — the type the scalar oracle's round returns
-too — which is exactly the unit the locator's round loop turns into
-one :class:`~repro.core.types.RoundOutput` for the Island Consumer, so
-the §3.1.1/Fig. 3 streamed pipeline needs no extra synchronisation
-inside this module.  The
+too — whose islands are already the round's
+:class:`~repro.core.types.IslandTable`, exactly the unit the locator's
+round loop hands the Island Consumer as one
+:class:`~repro.core.types.RoundOutput`, so the §3.1.1/Fig. 3 streamed
+pipeline needs no extra synchronisation inside this module.  The
 contract is **exact result-equivalence** with the scalar
 per-edge loop — identical islands (members in BFS discovery order,
 hubs in first-contact order), identical inter-hub edges, identical
@@ -43,7 +44,8 @@ Hence, per round:
    only.  Winners are found with one scatter; all winning BFS walks
    then run together as one **multi-source level-synchronous
    expansion** (vectorized CSR gathers; per-task member order equals
-   each task's solo BFS order because components are disjoint).
+   each task's solo BFS order because components are disjoint), whose
+   members and hubs, regrouped by task, are the round's island table.
 3. **Large components** (``size > c_max``): tasks can abort mid-edge
    on the cap or on a collision with a previous partial walk, so they
    run sequentially.  A task whose seed repeats an earlier such task's
@@ -81,6 +83,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from repro.core.tp_bfs import TaskOutcome
+from repro.core.types import IslandTable
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph
 from repro.nputil import csr_gather, cumsum0, sorted_unique
@@ -126,7 +129,7 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 class RoundOutcome:
     """Everything one Th3 round hands back to the locator, either backend.
 
-    ``islands`` are (members, hubs) pairs in the scalar path's append
+    ``islands`` is the round's table in the scalar path's append
     order (winning-task order); ``new_interhub_keys`` are the sorted
     canonical keys of the inter-hub edges first found this round (see
     :func:`dedup_interhub_keys`); ``task_scans``, ``task_fetches``,
@@ -138,7 +141,9 @@ class RoundOutcome:
     re-running the old graph.
     """
 
-    islands: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    islands: IslandTable = field(
+        default_factory=lambda: IslandTable.from_arrays(0, [], [])
+    )
     new_interhub_keys: np.ndarray = field(default_factory=lambda: _EMPTY)
     dropped_classified: int = 0
     dropped_visited: int = 0
@@ -161,7 +166,7 @@ class RoundOutcome:
     @property
     def nodes_islanded(self) -> int:
         """Members across this round's islands."""
-        return sum(len(members) for members, _ in self.islands)
+        return len(self.islands.members)
 
 
 def _first_occurrence(nbrs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -334,7 +339,8 @@ def _multi_source_bfs(
     scratch: np.ndarray,
     seeds: np.ndarray,
     seed_hubs: np.ndarray,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]:
+    round_id: int,
+) -> tuple[IslandTable, np.ndarray, np.ndarray, np.ndarray]:
     """Run every winning task's island BFS in one level-synchronous batch.
 
     All seeds lie in distinct untouched components, so the walks cannot
@@ -342,8 +348,9 @@ def _multi_source_bfs(
     owner afterwards reproduces each task's solo BFS member order and
     hub first-contact order exactly.
 
-    Returns ``(islands, scans, fetches, bytes)`` with per-owner arrays
-    aligned to ``seeds``.
+    Returns ``(islands, scans, fetches, bytes)``: the table of round
+    ``round_id``'s islands, one per seed, and per-owner arrays aligned
+    to ``seeds``.
     """
     indptr, indices = graph.indptr, graph.indices
     num = len(seeds)
@@ -383,7 +390,6 @@ def _multi_source_bfs(
     order = np.argsort(owners, kind="stable")
     nodes = all_nodes[order]
     counts = np.bincount(owners, minlength=num)
-    offsets = cumsum0(counts)
 
     degrees = indptr[1:] - indptr[:-1]
     scans = np.bincount(owners, weights=degrees[all_nodes],
@@ -399,17 +405,13 @@ def _multi_source_bfs(
     first_idx = np.sort(first_idx)
     ho, hh = so[first_idx], sh[first_idx]
     h_order = np.argsort(ho, kind="stable")
-    hh = hh[h_order]
-    h_counts = np.bincount(ho, minlength=num)
-    h_offsets = cumsum0(h_counts)
-
-    islands = [
-        (
-            nodes[offsets[i]:offsets[i + 1]],
-            hh[h_offsets[i]:h_offsets[i + 1]],
-        )
-        for i in range(num)
-    ]
+    islands = IslandTable(
+        round_id=np.full(num, round_id, dtype=np.int64),
+        member_offsets=cumsum0(counts),
+        members=nodes,
+        hub_offsets=cumsum0(np.bincount(ho, minlength=num)),
+        hubs=hh[h_order],
+    )
     return islands, scans, fetches, nbytes
 
 
@@ -421,14 +423,16 @@ def execute_round_batched(
     task_hubs: np.ndarray,
     task_seeds: np.ndarray,
     new_hubs: np.ndarray,
+    round_id: int,
 ) -> RoundOutcome:
     """Execute one round's TP-BFS task queue, batched.
 
     Parameters mirror the scalar loop's per-round inputs: ``is_hub``
     and ``classified`` reflect the state *after* this round's hub
     detection, ``task_hubs``/``task_seeds`` are the Th2-generated queue
-    in task order, and ``new_hubs`` are the hubs this round detected
-    (the inter-hub dedup's input, see :func:`dedup_interhub_keys`).
+    in task order, ``new_hubs`` are the hubs this round detected
+    (the inter-hub dedup's input, see :func:`dedup_interhub_keys`), and
+    ``round_id`` labels the round's islands.
     The over-``c_max`` walks read ``graph``'s own CSR arrays in place
     (memory-mapped and read-only ones included), so a run keeps no
     per-graph cache.  The outcome's per-task scans let the caller
@@ -490,10 +494,10 @@ def execute_round_batched(
     win_pos = np.flatnonzero(winner)
     if len(win_pos):
         win_idx = bfs_idx[win_pos]
-        islands, scans, fetches, nbytes = _multi_source_bfs(
-            graph, state, scratch, bfs_seeds[win_pos], task_hubs[win_idx]
+        out.islands, scans, fetches, nbytes = _multi_source_bfs(
+            graph, state, scratch, bfs_seeds[win_pos], task_hubs[win_idx],
+            round_id,
         )
-        out.islands.extend(islands)
         task_scans[win_idx] = scans
         task_fetches[win_idx] = fetches
         task_bytes[win_idx] = nbytes

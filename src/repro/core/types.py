@@ -11,22 +11,34 @@ Terminology follows the paper (§3.1):
 * **round** — one iteration of Algorithm 1: hub detection at the
   current threshold, BFS task generation, and TP-BFS island search, all
   synchronised at the round boundary, after which the threshold decays.
+
+Islands are held as one flat table, :class:`IslandTable`: each island's
+round, and its members and attached hubs as two CSR-style
+(offsets, flat array) pairs — the five arrays the islandization archive
+stores.  The locator's rounds produce tables, the stream hands them to
+the consumer, and the batched consumer, the store, the partitioned
+merge and the incremental splice read and build them with array
+operations.  An int index yields one :class:`Island` value, which the
+scalar oracles iterate.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import IslandizationError
 from repro.graph.csr import CSRGraph
+from repro.nputil import csr_gather, cumsum0
 from repro.serialize import read_npz, write_npz
 
 __all__ = [
     "Island",
+    "IslandTable",
     "RoundStats",
     "LocatorWork",
     "RoundOutput",
@@ -45,16 +57,9 @@ class Island:
     nodes attached to this island (the L-shape), in first-contact order.
 
     An island's *id* is its position in ``IslandizationResult.islands``
-    — it is not stored on the object.  Storing it would be redundant
-    (the locator always assigns ids as a running list position) and
-    would force delta maintenance to rebuild every clean island whose
-    position shifts; with positional ids, unchanged islands are reused
-    by reference across incremental updates.
-
-    ``slots=True`` matters too: locator and maintenance paths construct
-    one ``Island`` per located island (millions at the large benchmark
-    tiers), and slotted instances skip the per-object ``__dict__``
-    allocation that otherwise dominates bulk construction.
+    — it is not stored on the object.  ``Island`` is the per-island
+    view of an :class:`IslandTable` row: the scalar oracles and tests
+    iterate these values, while the batched paths never build one.
     """
 
     round_id: int
@@ -110,28 +115,170 @@ class Island:
         """
         return np.concatenate([self.hubs, self.members])
 
-    def to_npz(self, file: str | IO[bytes]) -> None:
-        """Serialize one island (round as metadata, arrays verbatim)."""
-        write_npz(
-            file,
-            {"members": self.members, "hubs": self.hubs},
-            {"format": 2, "round_id": int(self.round_id)},
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class IslandTable:
+    """Islands as one flat table: a round per island plus two CSR lists.
+
+    Island ``i`` was found in round ``round_id[i]``; its members, in
+    BFS discovery order, are ``members[member_offsets[i]:
+    member_offsets[i + 1]]`` and its attached hubs, in first-contact
+    order, are ``hubs[hub_offsets[i]:hub_offsets[i + 1]]``.  These are
+    the archive's five ``int64`` arrays, and both offset arrays start at
+    0 and end at their flat array's length.  Per-row questions are
+    answered by slicing or gathering rows, as a CSR graph answers them,
+    never by holding one object per island: ``table[i]`` builds one
+    :class:`Island` value, ``table[a:b]`` is a table of zero-copy flat
+    slices, and :meth:`take` gathers rows.
+    """
+
+    round_id: np.ndarray
+    member_offsets: np.ndarray
+    members: np.ndarray
+    hub_offsets: np.ndarray
+    hubs: np.ndarray
+
+    @classmethod
+    def from_arrays(
+        cls, round_ids, members: Sequence, hubs: Sequence
+    ) -> "IslandTable":
+        """Pack per-island member and hub sequences into one table.
+
+        ``round_ids`` is one round per island, or one int for all.  The
+        scalar locator round and tests build tables this way; nothing
+        is validated.
+        """
+        num = len(members)
+        return cls(
+            round_id=np.broadcast_to(
+                np.asarray(round_ids, dtype=np.int64), (num,)
+            ).copy(),
+            member_offsets=cumsum0([len(m) for m in members]),
+            members=np.concatenate(
+                [_EMPTY] + [np.asarray(m, dtype=np.int64) for m in members]
+            ),
+            hub_offsets=cumsum0([len(h) for h in hubs]),
+            hubs=np.concatenate(
+                [_EMPTY] + [np.asarray(h, dtype=np.int64) for h in hubs]
+            ),
         )
 
     @classmethod
-    def from_npz(cls, file: str | IO[bytes]) -> "Island":
-        """Restore an island written by :meth:`to_npz`.
-
-        Accepts both the current archive layout and format-1 archives,
-        which carried the (positional, hence redundant) island id as
-        extra metadata.
-        """
-        arrays, meta = read_npz(file)
+    def singletons(cls, round_id: int, nodes: np.ndarray) -> "IslandTable":
+        """One hub-less island per node of ``nodes`` (isolated nodes)."""
+        num = len(nodes)
         return cls(
-            round_id=int(meta["round_id"]),
-            members=arrays["members"],
-            hubs=arrays["hubs"],
+            round_id=np.full(num, round_id, dtype=np.int64),
+            member_offsets=np.arange(num + 1, dtype=np.int64),
+            members=nodes,
+            hub_offsets=np.zeros(num + 1, dtype=np.int64),
+            hubs=_EMPTY,
         )
+
+    @classmethod
+    def concat(cls, tables: Sequence["IslandTable"]) -> "IslandTable":
+        """The islands of ``tables``, one table after the other."""
+        tables = list(tables)
+        if len(tables) == 1:
+            return tables[0]
+
+        def flat(name: str) -> np.ndarray:
+            return np.concatenate([_EMPTY] + [getattr(t, name) for t in tables])
+
+        def offsets(name: str, flat_name: str) -> np.ndarray:
+            bases = cumsum0([len(getattr(t, flat_name)) for t in tables])
+            return np.concatenate([np.zeros(1, dtype=np.int64)] + [
+                getattr(t, name)[1:] + base for t, base in zip(tables, bases)
+            ])
+
+        return cls(
+            round_id=flat("round_id"),
+            member_offsets=offsets("member_offsets", "members"),
+            members=flat("members"),
+            hub_offsets=offsets("hub_offsets", "hubs"),
+            hubs=flat("hubs"),
+        )
+
+    def __len__(self) -> int:
+        return len(self.round_id)
+
+    def __getitem__(self, index):
+        """``table[i]`` is island ``i``; ``table[a:b]`` is a sub-table."""
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return self.take(np.arange(start, stop, step))
+            stop = max(start, stop)
+            m_lo, m_hi = self.member_offsets[start], self.member_offsets[stop]
+            h_lo, h_hi = self.hub_offsets[start], self.hub_offsets[stop]
+            return IslandTable(
+                round_id=self.round_id[start:stop],
+                member_offsets=self.member_offsets[start:stop + 1] - m_lo,
+                members=self.members[m_lo:m_hi],
+                hub_offsets=self.hub_offsets[start:stop + 1] - h_lo,
+                hubs=self.hubs[h_lo:h_hi],
+            )
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"island {index} out of range")
+        m, h = self.member_offsets, self.hub_offsets
+        return Island.from_trusted_arrays(
+            round_id=int(self.round_id[i]),
+            members=self.members[m[i]:m[i + 1]],
+            hubs=self.hubs[h[i]:h[i + 1]],
+        )
+
+    def __iter__(self) -> Iterator[Island]:
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def num_members(self) -> np.ndarray:
+        """Members of each island."""
+        return np.diff(self.member_offsets)
+
+    @property
+    def num_hubs(self) -> np.ndarray:
+        """Attached hubs of each island."""
+        return np.diff(self.hub_offsets)
+
+    @property
+    def first_members(self) -> np.ndarray:
+        """Each island's first member, the seed of its winning task."""
+        return self.members[self.member_offsets[:-1]]
+
+    def take(self, indices: np.ndarray) -> "IslandTable":
+        """The islands at ``indices``, in that order."""
+        indices = np.asarray(indices, dtype=np.int64)
+        m_flat, m_counts = csr_gather(self.member_offsets, indices)
+        h_flat, h_counts = csr_gather(self.hub_offsets, indices)
+        return IslandTable(
+            round_id=self.round_id[indices],
+            member_offsets=cumsum0(m_counts),
+            members=self.members[m_flat],
+            hub_offsets=cumsum0(h_counts),
+            hubs=self.hubs[h_flat],
+        )
+
+    def relabel(self, node_map: np.ndarray) -> "IslandTable":
+        """The same islands with every node ``u`` renamed ``node_map[u]``."""
+        return dataclasses.replace(
+            self, members=node_map[self.members], hubs=node_map[self.hubs]
+        )
+
+    def equals(self, other: "IslandTable") -> bool:
+        """Same islands, rounds and member and hub orders."""
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _TABLE_FIELDS
+        )
+
+
+_TABLE_FIELDS = tuple(f.name for f in dataclasses.fields(IslandTable))
 
 
 @dataclass(frozen=True)
@@ -152,16 +299,6 @@ class RoundStats:
     adjacency_fetches: int         # neighbour-list reads from global memory
     adjacency_bytes: int
     detect_items: int              # degree entries swept by the hub detector
-
-    def to_npz(self, file: str | IO[bytes]) -> None:
-        """Serialize the per-round counters (all-integer metadata)."""
-        write_npz(file, {}, {"format": 1, "fields": self.as_row()})
-
-    @classmethod
-    def from_npz(cls, file: str | IO[bytes]) -> "RoundStats":
-        """Restore round statistics written by :meth:`to_npz`."""
-        _, meta = read_npz(file)
-        return cls(**{name: int(value) for name, value in meta["fields"].items()})
 
     def as_row(self) -> dict[str, int]:
         """Field-name → int mapping in declaration order."""
@@ -193,21 +330,6 @@ class LocatorWork:
             "total_bfs_scans": int(self.total_bfs_scans),
         }
 
-    def to_npz(self, file: str | IO[bytes]) -> None:
-        """Serialize the totals + the per-engine work distribution."""
-        write_npz(
-            file,
-            {"per_engine_scans": self.per_engine_scans},
-            {"format": 1, "totals": self._totals()},
-        )
-
-    @classmethod
-    def from_npz(cls, file: str | IO[bytes]) -> "LocatorWork":
-        """Restore aggregate work written by :meth:`to_npz`."""
-        arrays, meta = read_npz(file)
-        totals = {name: int(value) for name, value in meta["totals"].items()}
-        return cls(per_engine_scans=arrays["per_engine_scans"], **totals)
-
 
 @dataclass(frozen=True)
 class RoundOutput:
@@ -218,14 +340,15 @@ class RoundOutput:
     production: :meth:`IslandLocator.stream` yields one ``RoundOutput``
     at each round boundary, carrying exactly the islands finalized that
     round plus the round's :class:`RoundStats` (the counters the cycle
-    model turns into release times).  ``islands`` are the same objects
-    that end up in the final :class:`IslandizationResult`, in the same
-    order, so a consumer that processes chunks as they arrive sees the
-    identical task sequence a staged consumer sees after the fact.
+    model turns into release times).  ``islands`` holds exactly the rows
+    ``first_island_id ..`` of the final :class:`IslandizationResult`'s
+    table, in the same order, so a consumer that processes chunks as
+    they arrive sees the identical task sequence a staged consumer sees
+    after the fact.
     """
 
     stats: RoundStats
-    islands: tuple[Island, ...]   # islands finalized this round, id order
+    islands: IslandTable          # islands finalized this round, id order
     new_hub_ids: np.ndarray       # hubs detected this round, append order
     first_island_id: int          # id of islands[0]; global task offset
 
@@ -254,7 +377,7 @@ class IslandizationResult:
     """
 
     graph: CSRGraph
-    islands: list[Island]
+    islands: IslandTable
     hub_ids: np.ndarray
     hub_round: np.ndarray          # round at which each hub_ids[i] was found
     interhub_edges: np.ndarray     # (E, 2) canonical (min, max) undirected pairs
@@ -286,9 +409,11 @@ class IslandizationResult:
     def membership(self) -> np.ndarray:
         """Per-node label: island id, or -1 for hubs (cached)."""
         if self._membership is None:
+            islands = self.islands
             labels = -np.ones(self.graph.num_nodes, dtype=np.int64)
-            for island_id, island in enumerate(self.islands):
-                labels[island.members] = island_id
+            labels[islands.members] = np.repeat(
+                np.arange(len(islands), dtype=np.int64), islands.num_members
+            )
             self._membership = labels
         return self._membership
 
@@ -306,16 +431,8 @@ class IslandizationResult:
         diagonal.  Returned in plain diagonal form; spy-plot code may
         flip an axis to match the paper's anti-diagonal rendering.
         """
-        order: list[np.ndarray] = []
-        if self.num_hubs:
-            by_round = np.argsort(self.hub_round, kind="stable")
-            order.append(self.hub_ids[by_round])
-        for island in self.islands:
-            order.append(island.members)
-        if order:
-            flat = np.concatenate(order)
-        else:
-            flat = np.zeros(0, dtype=np.int64)
+        by_round = np.argsort(self.hub_round, kind="stable")
+        flat = np.concatenate((self.hub_ids[by_round], self.islands.members))
         perm = np.empty(self.graph.num_nodes, dtype=np.int64)
         perm[flat] = np.arange(self.graph.num_nodes, dtype=np.int64)
         return perm
@@ -325,18 +442,18 @@ class IslandizationResult:
 
         Yields one :class:`RoundOutput` per entry of :attr:`rounds`
         (rounds that finalized no islands yield empty chunks), with the
-        same island objects, grouping and order a live
-        ``IslandLocator.stream`` run emits — the locator appends
-        islands round-by-round, so island ``round_id``s are
-        non-decreasing and each round's chunk is a contiguous slice.
-        This is the streamed pipeline's path when the islandization
-        comes out of an artifact cache instead of a live locator.
+        same islands, grouping and order a live ``IslandLocator.stream``
+        run emits — the locator appends islands round-by-round, so
+        island ``round_id``s are non-decreasing and each round's chunk
+        is a contiguous slice of the table.  This is the streamed
+        pipeline's path when the islandization comes out of an artifact
+        cache instead of a live locator.
         """
-        round_ids = np.asarray([isl.round_id for isl in self.islands], dtype=np.int64)
+        round_ids = self.islands.round_id
         start = 0
         for stats in self.rounds:
             end = int(np.searchsorted(round_ids, stats.round_id, side="right"))
-            chunk = tuple(self.islands[start:end])
+            chunk = self.islands[start:end]
             yield RoundOutput(
                 stats=stats,
                 islands=chunk,
@@ -351,39 +468,25 @@ class IslandizationResult:
     def to_npz(self, file: str | IO[bytes]) -> None:
         """Serialize the full result as one npz archive.
 
-        Variable-length island members/hubs are packed as flat arrays
-        plus CSR-style offsets; rounds become one ``(num_rounds,
-        len(ROUND_FIELDS))`` integer matrix whose column order is
-        recorded in the metadata (so the layout survives field
-        evolution).  All numpy payloads round-trip byte-identically,
+        The island table's five arrays are stored as they are; rounds
+        become one ``(num_rounds, len(ROUND_FIELDS))`` integer matrix
+        whose column order is recorded in the metadata (so the layout
+        survives field evolution).  All numpy payloads round-trip byte-identically,
         which keeps the restored ``graph.fingerprint()`` — and with it
         every downstream cache key — stable.
         """
-        member_offsets = np.zeros(len(self.islands) + 1, dtype=np.int64)
-        hub_offsets = np.zeros(len(self.islands) + 1, dtype=np.int64)
-        for i, island in enumerate(self.islands):
-            member_offsets[i + 1] = member_offsets[i] + island.num_members
-            hub_offsets[i + 1] = hub_offsets[i] + island.num_hubs
-        empty = np.zeros(0, dtype=np.int64)
+        islands = self.islands
         arrays = {
             "graph_indptr": self.graph.indptr,
             "graph_indices": self.graph.indices,
             "hub_ids": self.hub_ids,
             "hub_round": self.hub_round,
             "interhub_edges": self.interhub_edges,
-            "island_rounds": np.asarray(
-                [isl.round_id for isl in self.islands], dtype=np.int64
-            ),
-            "island_member_offsets": member_offsets,
-            "island_members_flat": (
-                np.concatenate([isl.members for isl in self.islands])
-                if self.islands else empty
-            ),
-            "island_hub_offsets": hub_offsets,
-            "island_hubs_flat": (
-                np.concatenate([isl.hubs for isl in self.islands])
-                if self.islands else empty
-            ),
+            "island_rounds": islands.round_id,
+            "island_member_offsets": islands.member_offsets,
+            "island_members_flat": islands.members,
+            "island_hub_offsets": islands.hub_offsets,
+            "island_hubs_flat": islands.hubs,
             "rounds": np.asarray(
                 [[row[name] for name in ROUND_FIELDS]
                  for row in (r.as_row() for r in self.rounds)],
@@ -408,53 +511,23 @@ class IslandizationResult:
             indices=arrays["graph_indices"],
             name=str(meta["graph_name"]),
         )
-        m_off, h_off = arrays["island_member_offsets"], arrays["island_hub_offsets"]
-        members_flat = arrays["island_members_flat"]
-        hubs_flat = arrays["island_hubs_flat"]
-        # Batched Island.__post_init__: one pass over the flat arrays
-        # instead of a per-island constructor (which is quadratic in
-        # feel at a few hundred thousand islands).
-        if (np.diff(m_off) < 1).any():
-            raise IslandizationError("an island must have at least one member")
-        n = graph.num_nodes
-        for kind, flat in (("member", members_flat), ("hub", hubs_flat)):
-            if len(flat) and (flat.min() < 0 or flat.max() >= n):
-                raise IslandizationError(f"an island {kind} is not a node id")
-        # Task assembly does not deduplicate bitmap entries, so a node
-        # listed as a member twice, in one island or in two, must not
-        # decode: one bincount finds it.
-        if len(members_flat) and np.bincount(members_flat).max() > 1:
-            raise IslandizationError("a node is listed as a member more than once")
-        num_islands = len(m_off) - 1
-        span = max(n, 1)
-        member_keys = (
-            np.repeat(np.arange(num_islands, dtype=np.int64), np.diff(m_off))
-            * span + members_flat
+        islands = IslandTable(
+            round_id=arrays["island_rounds"],
+            member_offsets=arrays["island_member_offsets"],
+            members=arrays["island_members_flat"],
+            hub_offsets=arrays["island_hub_offsets"],
+            hubs=arrays["island_hubs_flat"],
         )
-        hub_keys = np.sort(
-            np.repeat(np.arange(num_islands, dtype=np.int64), np.diff(h_off))
-            * span + hubs_flat
-        )
-        if (hub_keys[1:] == hub_keys[:-1]).any():
-            raise IslandizationError("an island lists a hub more than once")
-        # np.intersect1d takes NumPy 2.x's slow hash-path unique; a key
-        # shared by both sides shows as an adjacent repeat after one sort.
-        both = np.sort(np.concatenate((member_keys, hub_keys)))
-        if (both[1:] == both[:-1]).any():
-            raise IslandizationError("a node cannot be both member and hub")
-        islands = [
-            Island.from_trusted_arrays(
-                round_id=int(round_id),
-                members=members_flat[m_off[i]:m_off[i + 1]],
-                hubs=hubs_flat[h_off[i]:h_off[i + 1]],
-            )
-            for i, round_id in enumerate(arrays["island_rounds"])
-        ]
         fields = [str(name) for name in meta["round_fields"]]
         rounds = [
             RoundStats(**{name: int(value) for name, value in zip(fields, row)})
             for row in arrays["rounds"]
         ]
+        _check_island_table(
+            islands, graph.num_nodes, [r.round_id for r in rounds]
+        )
+        if len(arrays["hub_round"]) != len(arrays["hub_ids"]):
+            raise IslandizationError("hub_round does not have one entry per hub")
         work = LocatorWork(
             per_engine_scans=arrays["work_per_engine_scans"],
             **{name: int(value) for name, value in meta["work_totals"].items()},
@@ -476,8 +549,7 @@ class IslandizationResult:
         """Raise :class:`IslandizationError` if any invariant is broken."""
         n = self.graph.num_nodes
         seen = np.zeros(n, dtype=np.int64)
-        for island in self.islands:
-            seen[island.members] += 1
+        np.add.at(seen, self.islands.members, 1)
         seen[self.hub_ids] += 1
         if not np.all(seen == 1):
             bad = np.flatnonzero(seen != 1)[:5]
@@ -512,17 +584,9 @@ class IslandizationResult:
         contract the batched locator backend is held to against the
         scalar oracle.
         """
-        if len(self.islands) != len(other.islands):
-            return False
-        for a, b in zip(self.islands, other.islands):
-            if a.round_id != b.round_id:
-                return False
-            if not np.array_equal(a.members, b.members):
-                return False
-            if not np.array_equal(a.hubs, b.hubs):
-                return False
         return (
-            np.array_equal(self.hub_ids, other.hub_ids)
+            self.islands.equals(other.islands)
+            and np.array_equal(self.hub_ids, other.hub_ids)
             and np.array_equal(self.hub_round, other.hub_round)
             and np.array_equal(self.interhub_edges, other.interhub_edges)
             and self.rounds == other.rounds
@@ -560,3 +624,60 @@ class IslandizationResult:
                 f"edge coverage mismatch: covered {total} of "
                 f"{self.graph.num_edges} directed entries"
             )
+
+
+def _check_offsets(offsets: np.ndarray, flat: np.ndarray, kind: str,
+                   num_islands: int) -> None:
+    """Raise unless ``offsets`` partition ``flat`` into ``num_islands`` rows."""
+    if (
+        len(offsets) != num_islands + 1 or offsets[0] != 0
+        or offsets[-1] != len(flat) or (np.diff(offsets) < 0).any()
+    ):
+        raise IslandizationError(
+            f"island {kind} offsets do not partition the {kind} list"
+        )
+
+
+def _check_island_table(
+    islands: IslandTable, num_nodes: int, round_ids: list[int]
+) -> None:
+    """Reject a decoded island table that could yield a wrong number.
+
+    Checks its shape (both offset arrays run from 0 to their flat
+    array's length without decreasing, and every island has a member),
+    its rounds (non-decreasing, each one a round of the result, so
+    :meth:`IslandizationResult.iter_rounds` hands every island to the
+    consumer in its own round), and its node ids: in range, no node a
+    member twice, no hub twice in one island, and no island listing a
+    node as member and hub.  Task assembly relies on the last three, as
+    it does not deduplicate bitmap entries.
+    """
+    num = len(islands)
+    _check_offsets(islands.member_offsets, islands.members, "member", num)
+    _check_offsets(islands.hub_offsets, islands.hubs, "hub", num)
+    if (islands.num_members < 1).any():
+        raise IslandizationError("an island must have at least one member")
+    rounds = np.asarray(round_ids, dtype=np.int64)
+    if (np.diff(rounds) <= 0).any():
+        raise IslandizationError("round ids are not increasing")
+    if (np.diff(islands.round_id) < 0).any():
+        raise IslandizationError("island rounds decrease")
+    pos = np.minimum(np.searchsorted(rounds, islands.round_id), len(rounds) - 1)
+    if num and (len(rounds) == 0 or (rounds[pos] != islands.round_id).any()):
+        raise IslandizationError("an island's round is not a round of the result")
+    for kind, flat in (("member", islands.members), ("hub", islands.hubs)):
+        if len(flat) and (flat.min() < 0 or flat.max() >= num_nodes):
+            raise IslandizationError(f"an island {kind} is not a node id")
+    if len(islands.members) and np.bincount(islands.members).max() > 1:
+        raise IslandizationError("a node is listed as a member more than once")
+    span = max(num_nodes, 1)
+    island_ids = np.arange(num, dtype=np.int64)
+    member_keys = np.repeat(island_ids, islands.num_members) * span + islands.members
+    hub_keys = np.sort(np.repeat(island_ids, islands.num_hubs) * span + islands.hubs)
+    if (hub_keys[1:] == hub_keys[:-1]).any():
+        raise IslandizationError("an island lists a hub more than once")
+    # np.intersect1d takes NumPy 2.x's slow hash-path unique; a key
+    # shared by both sides shows as an adjacent repeat after one sort.
+    both = np.sort(np.concatenate((member_keys, hub_keys)))
+    if (both[1:] == both[:-1]).any():
+        raise IslandizationError("a node cannot be both member and hub")

@@ -385,3 +385,34 @@ class TestFunctionalMemory:
         )
         assert pairs * row_bytes > 10 * self.SLACK
         assert peak <= operand + hub_rows + fold_bytes + self.SLACK
+
+    def test_interhub_stage_stacks_only_hub_rows(self, hub_heavy):
+        import tracemalloc
+
+        from repro.core.consumer_batched import run_interhub_batched
+
+        result, norm, _, _, _, _ = hub_heavy
+        plan = build_interhub_plan(result, add_self_loops=norm.add_self_loops)
+        # The first run caches the plan's bank counts, as layer 1 does.
+        run_interhub_batched(self._state(hub_heavy), plan, TrafficMeter())
+        state = self._state(hub_heavy)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            run_interhub_batched(state, plan, TrafficMeter())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        edges = plan.directed_edges
+        targets = np.concatenate((edges[:, 0], plan.self_loop_hubs))
+        sources = np.concatenate((edges[:, 1], plan.self_loop_hubs))
+        stacked = len(np.unique(targets)) + len(np.unique(sources))
+        # The distinct source rows and the touched accumulators, their
+        # stack and the fold's product: never a copy of the scaled XW.
+        bound = 2 * stacked * self.D * 8 + self.SLACK
+        assert state.xw_scaled.nbytes > bound
+        assert peak <= bound

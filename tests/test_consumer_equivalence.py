@@ -31,7 +31,7 @@ from repro.core import (
 from repro.core.bitmap import build_island_task
 from repro.core.consumer import execution_mismatch
 from repro.core.interhub import InterHubPlan
-from repro.core.types import Island
+from repro.core.types import IslandTable
 from repro.errors import ConfigError, GraphError, SimulationError
 from repro.graph import CSRGraph, GraphBuilder, erdos_renyi, hub_island_graph
 from repro.graph.generators import CommunityProfile, barabasi_albert
@@ -586,13 +586,13 @@ class TestTaskBatchEntries:
         )
         with pytest.raises(GraphError, match="duplicate"):
             TaskBatch.from_islands(
-                graph, [Island(0, members=[0, 1], hubs=[])],
+                graph, IslandTable.from_arrays(0, [[0, 1]], [[]]),
                 add_self_loops=False,
             )
 
     @pytest.mark.parametrize("islands", [
-        [Island(0, members=[0, 1, 0], hubs=[])],
-        [Island(0, members=[0, 1], hubs=[]), Island(0, members=[2, 1], hubs=[])],
+        IslandTable.from_arrays(0, [[0, 1, 0]], [[]]),
+        IslandTable.from_arrays(0, [[0, 1], [2, 1]], [[], []]),
     ], ids=["one-island", "two-islands"])
     def test_member_listed_twice_is_rejected(self, islands):
         graph = GraphBuilder(3).add_edge(0, 1).add_edge(1, 2).build()

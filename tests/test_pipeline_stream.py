@@ -33,6 +33,7 @@ from repro.core import (
 )
 from repro.core.consumer import execution_mismatch
 from repro.core.interhub import build_interhub_plan
+from repro.core.types import IslandTable
 from repro.errors import ConfigError
 from repro.graph import hub_island_graph, load_dataset
 from repro.graph.generators import CommunityProfile
@@ -90,13 +91,17 @@ class TestLocatorStream:
     def test_round_outputs_partition_islands(self, stream_graph):
         chunks = []
         result = IslandLocator().run(stream_graph, on_round=chunks.append)
-        flattened = [isl for chunk in chunks for isl in chunk.islands]
-        # Same objects, same order: the chunks are slices of the result.
-        assert [id(i) for i in flattened] == [id(i) for i in result.islands]
+        # Same islands, same order: the chunks are the result's rows.
+        assert IslandTable.concat([c.islands for c in chunks]).equals(
+            result.islands
+        )
         for chunk in chunks:
             assert chunk.stats is result.rounds[chunk.round_id - 1]
-            for island in chunk.islands:
-                assert island.round_id == chunk.round_id
+            assert (chunk.islands.round_id == chunk.round_id).all()
+            rows = result.islands[
+                chunk.first_island_id:chunk.first_island_id + chunk.num_islands
+            ]
+            assert chunk.islands.equals(rows)
         hub_ids = np.concatenate([c.new_hub_ids for c in chunks])
         assert np.array_equal(hub_ids, result.hub_ids)
 
@@ -109,9 +114,7 @@ class TestLocatorStream:
             assert replay.round_id == live.round_id
             assert replay.stats == live.stats
             assert replay.first_island_id == live.first_island_id
-            assert [id(i) for i in replay.islands] == [
-                id(i) for i in live.islands
-            ]
+            assert replay.islands.equals(live.islands)
             assert np.array_equal(replay.new_hub_ids, live.new_hub_ids)
 
     def test_callback_sees_rounds_in_order(self, stream_graph):

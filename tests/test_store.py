@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import LocatorConfig
 from repro.core.islandizer import islandize
-from repro.core.types import ROUND_FIELDS, Island, IslandizationResult, LocatorWork, RoundStats
+from repro.core.types import ROUND_FIELDS, IslandizationResult
 from repro.errors import DatasetError, GraphError, IslandizationError
 from repro.graph import CSRGraph, load_dataset
 from repro.graph.datasets import Dataset
@@ -99,34 +99,6 @@ class TestRoundTrips:
         assert_bytes_identical(graph.indices, restored.indices)
         assert restored.name == graph.name
         assert restored.fingerprint() == graph.fingerprint()
-
-    def test_island(self, islandization):
-        island = islandization.islands[0]
-        buf = io.BytesIO()
-        island.to_npz(buf)
-        buf.seek(0)
-        restored = Island.from_npz(buf)
-        assert restored.round_id == island.round_id
-        assert_bytes_identical(island.members, restored.members)
-        assert_bytes_identical(island.hubs, restored.hubs)
-
-    def test_round_stats(self, islandization):
-        stats = islandization.rounds[0]
-        buf = io.BytesIO()
-        stats.to_npz(buf)
-        buf.seek(0)
-        assert RoundStats.from_npz(buf) == stats
-
-    def test_locator_work(self, islandization):
-        work = islandization.work
-        buf = io.BytesIO()
-        work.to_npz(buf)
-        buf.seek(0)
-        restored = LocatorWork.from_npz(buf)
-        assert_bytes_identical(work.per_engine_scans, restored.per_engine_scans)
-        for name in ("total_adjacency_fetches", "total_adjacency_bytes",
-                     "total_detect_items", "total_bfs_scans"):
-            assert getattr(restored, name) == getattr(work, name)
 
     def test_islandization_result(self, islandization, tmp_path):
         path = str(tmp_path / "isl.npz")
@@ -232,6 +204,57 @@ class TestRoundTrips:
             arrays["island_members_flat"][0] = bogus
 
         with pytest.raises(IslandizationError, match="not a node id"):
+            self._decode_edited(islandization, edit)
+
+    @pytest.mark.parametrize("name,how", [
+        ("island_member_offsets", "short"),
+        ("island_member_offsets", "nonzero-start"),
+        ("island_hub_offsets", "short"),
+        ("island_hub_offsets", "decreasing"),
+        ("island_hub_offsets", "nonzero-start"),
+    ])
+    def test_islandization_rejects_malformed_offsets(
+        self, islandization, name, how
+    ):
+        # An offset array that stops short of its flat list, decreases
+        # or does not start at 0 would slice the wrong nodes.  (A
+        # decreasing member offset is an island without members.)
+        idx = self._island(islandization, members=2, hubs=2)
+
+        def edit(arrays):
+            offsets = arrays[name]
+            if how == "short":
+                offsets[-1] -= 1
+            elif how == "decreasing":
+                offsets[idx + 1] = offsets[idx] - 1
+            else:
+                offsets[0] = 1
+
+        with pytest.raises(IslandizationError, match="offsets"):
+            self._decode_edited(islandization, edit)
+
+    def test_islandization_rejects_island_in_unknown_round(self, islandization):
+        # iter_rounds would never hand this island to the consumer.
+        def edit(arrays):
+            arrays["island_rounds"][-1] = 99
+
+        with pytest.raises(IslandizationError, match="not a round"):
+            self._decode_edited(islandization, edit)
+
+    def test_islandization_rejects_decreasing_island_rounds(self, islandization):
+        # Reversed rounds would put every island in the last chunk.
+        def edit(arrays):
+            arrays["island_rounds"] = arrays["island_rounds"][::-1].copy()
+
+        assert len(set(islandization.islands.round_id.tolist())) > 1
+        with pytest.raises(IslandizationError, match="rounds decrease"):
+            self._decode_edited(islandization, edit)
+
+    def test_islandization_rejects_hub_round_length(self, islandization):
+        def edit(arrays):
+            arrays["hub_round"] = arrays["hub_round"][:-1].copy()
+
+        with pytest.raises(IslandizationError, match="one entry per hub"):
             self._decode_edited(islandization, edit)
 
     def test_round_fields_cover_roundstats(self, islandization):
