@@ -13,11 +13,12 @@ consumer:
   plus one COO list of bitmap entries, assembled in a *single*
   vectorized pass over the global CSR (one adjacency gather for every
   member row at once, one sorted-key join for the member→hub columns)
-  instead of per-member ``searchsorted`` calls.  The entries stay in the order assembly
-  produces them: a window's non-zero count does not depend on entry
-  order, so counting never sorts them, and the task/row/col-sorted COO
-  is built on the first read of ``entry_task/row/col`` (the functional
-  scan terms, and tests).  Entries are unique without a dedup pass
+  instead of per-member ``searchsorted`` calls.  The entries stay in
+  the order assembly produces them: a window's non-zero count does not
+  depend on entry order, so counting never sorts them, and the
+  task/row/col-sorted COO is built on the first read of
+  ``entry_task/row/col`` (the functional scan terms, and tests).
+  Entries are unique without a dedup pass
   because the CSR rows are sorted, duplicate-free and loop-free and no
   node is a member twice; assembly checks both.
 * :func:`run_island_chunk` — evaluates the 1×k window scan for *all*
