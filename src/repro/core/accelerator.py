@@ -178,7 +178,7 @@ class TaskMemo:
     consumer backend and ``add_self_loops`` match the entry reuses its
     per-round chunks, and with them each
     :class:`~repro.core.consumer_batched.TaskBatch`'s cached window
-    classification, instead of assembling them again.
+    counts, instead of assembling them again.
 
     Batched chunks also serve the other self-loop mode: the two
     variants differ only in the member diagonal, so a run whose mode

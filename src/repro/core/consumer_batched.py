@@ -22,11 +22,13 @@ consumer:
   because the CSR rows are sorted, duplicate-free and loop-free and no
   node is a member twice; assembly checks both.
 * :func:`run_island_chunk` — evaluates the 1×k window scan for *all*
-  island tasks of a batch in bulk: per-(task, group, row) non-zero
-  counts come from one ``bincount`` over the COO entries, window
-  classification is a handful of elementwise ops over the whole batch
-  (:func:`repro.core.preagg.classify_windows`), and the classification
-  is cached on the batch so later layers skip it entirely.  Ring
+  island tasks of a batch in bulk.  A window's class depends only on
+  its non-zero count and width, so no per-window class is ever stored:
+  one ``bincount`` over the COO entries gives every (task, group, row)
+  window's count, a second tallies the entries per (count, width)
+  pair, and :func:`repro.core.preagg.classify_windows` runs once on
+  that small grid.  The resulting counts are cached on the batch so
+  later layers skip the scan entirely.  Ring
   emissions, DHUB-PRC updates and HUB-XW-cache accesses are batched
   across tasks with per-call rounding parity; functional mode runs the
   add-vs-subtract scan of every island, whatever its shape, as three
@@ -143,24 +145,16 @@ def _row_blocks(
     return blocks
 
 
-@dataclass
-class _ScanClasses:
-    """Cached per-k window classification of a whole :class:`TaskBatch`.
+def _window_grid(stride: int, size: int) -> tuple[np.ndarray, tuple]:
+    """:func:`classify_windows` over the codes ``z * stride + width``.
 
-    Cells are laid out task-major, then group-major, then row:
-    ``cell_offsets[t] + g * L[t] + r``.  ``counts`` is the merged
-    :class:`ScanCounts` of every task (the scalar per-task merge is a
-    plain integer sum, so one bulk total is identical).
+    Returns each code's ``z`` below ``size`` and the classes of all of
+    them.  A window's class depends only on its non-zero count and
+    width, so a batch classifies this small grid once, never a
+    per-window array.
     """
-
-    counts: ScanCounts
-    group_offsets: np.ndarray    # (T+1,)
-    group_starts: np.ndarray     # flat per-(task, group) column starts
-    group_widths: np.ndarray     # flat per-(task, group) widths
-    cell_offsets: np.ndarray     # (T+1,) into the flat cell arrays
-    full: np.ndarray             # flat bool per (task, group, row)
-    subtract: np.ndarray
-    direct: np.ndarray
+    z, width = np.divmod(np.arange(size, dtype=np.int64), stride)
+    return z, classify_windows(z, width)
 
 
 @dataclass
@@ -237,7 +231,7 @@ class TaskBatch:
     #: The (task, row, col) entries, in assembly order until sorted.
     _entries: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     _sorted: bool = field(default=False, repr=False)
-    _scan_cache: dict[int, _ScanClasses] = field(
+    _scan_cache: dict[int, ScanCounts] = field(
         default_factory=dict, repr=False
     )
     _term_cache: dict[int, _ScanTerms] = field(
@@ -499,62 +493,77 @@ class TaskBatch:
     # ------------------------------------------------------------------
     # Window classification (shared across layers)
     # ------------------------------------------------------------------
-    def scan_classes(self, k: int) -> _ScanClasses:
-        """Classify every task's 1×k windows in bulk (cached per ``k``).
+    def _column_layout(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each task's group count, the flat group widths, and the flat
+        group of every local slot ``local_offsets[t] + col``.
+
+        A task's groups tile its columns in order, so the flat groups
+        tile the flat slots and group ``j`` starts at slot
+        ``cumsum0(widths)[j]``.
+        """
+        groups, _, _, widths = group_layout_batch(
+            self.num_hubs, self.num_locals, k
+        )
+        slot_group = np.repeat(np.arange(len(widths), dtype=np.int64), widths)
+        return groups, widths, slot_group
+
+    def scan_classes(self, k: int) -> ScanCounts:
+        """The merged :class:`ScanCounts` of every task's 1×k scan.
 
         The bitmap and ``k`` fully determine the scan, so every layer
-        of an inference reuses one classification — the scalar oracle
+        reuses one result, cached per ``k``; the scalar oracle
         recomputes it per layer and must produce the same counts.
+
+        Window cells run task, group, row, so an entry's cell is its
+        column slot's first cell plus its row, and one ``bincount``
+        over the entries, in whatever order they are held, gives each
+        window's non-zero count ``z``.  A second tallies the entries
+        per ``z * stride + width``; a window holds ``z`` entries, so
+        dividing by ``z`` gives windows per ``(z, width)``, the grid
+        that is classified.  ``stride`` is the widest group plus one:
+        the grid is bounded by the batch, never by ``k``.
         """
         cached = self._scan_cache.get(k)
         if cached is not None:
             return cached
-        num_tasks = self.num_tasks
-        groups, group_offsets, group_starts, group_widths = group_layout_batch(
-            self.num_hubs, self.num_locals, k
-        )
-        cells_per_task = groups * self.num_locals
-        cell_offsets = _cumsum0(cells_per_task)
-        total_cells = int(cell_offsets[-1])
+        groups, widths, slot_group = self._column_layout(k)
+        group_cells = _cumsum0(np.repeat(self.num_locals, groups))
+        total_cells = int(group_cells[-1])
+        slot_base = group_cells[slot_group]
+        slot_width = widths[slot_group]
+        del slot_group
 
-        # Per-window non-zero counts from the COO entries, in whatever
-        # order they are held: each entry lands in its column's group;
-        # empty windows stay zero.
-        z = np.bincount(
-            self._entry_cells(k, cell_offsets), minlength=total_cells
-        ).astype(np.int64, copy=False)
-        group_task = np.repeat(np.arange(num_tasks, dtype=np.int64), groups)
-        cell_widths = np.repeat(group_widths, self.num_locals[group_task])
-        full, subtract, direct, cost = classify_windows(z, cell_widths)
-
-        counts = ScanCounts(
-            baseline_ops=int(z.sum()),
-            scan_ops=int(cost.sum()),
-            preagg_build_ops=int(np.maximum(group_widths - 1, 0).sum()),
-            windows_full=int(full.sum()),
-            windows_subtract=int(subtract.sum()),
-            windows_direct=int(direct.sum()),
-            windows_skipped=int((z == 0).sum()),
-        )
-        classes = _ScanClasses(
-            counts=counts, group_offsets=group_offsets,
-            group_starts=group_starts, group_widths=group_widths,
-            cell_offsets=cell_offsets, full=full, subtract=subtract,
-            direct=direct,
-        )
-        self._scan_cache[k] = classes
-        return classes
-
-    def _entry_cells(self, k: int, cell_offsets: np.ndarray) -> np.ndarray:
-        """The (task, group, row) window cell of every held COO entry."""
+        # At most three entry-sized arrays are alive at once.
         task, row, col = self._entries
-        hubs = self.num_hubs[task]
-        group_of = np.where(
-            col < hubs,
-            col // k,
-            ((self.num_hubs + k - 1) // k)[task] + (col - hubs) // k,
+        slot = self.local_offsets[task]
+        slot += col
+        code = slot_width[slot]
+        cell = slot_base[slot]
+        del slot, slot_base, slot_width
+        cell += row
+        z = np.bincount(cell, minlength=total_cells)
+        cell = z[cell]      # each entry's window count
+        del z
+        stride = int(widths.max(initial=0)) + 1
+        cell *= stride
+        code += cell
+        del cell
+        tally = np.bincount(code)
+        del code
+
+        z, (full, subtract, direct, cost) = _window_grid(stride, len(tally))
+        windows = tally // np.maximum(z, 1)
+        counts = ScanCounts(
+            baseline_ops=len(task),
+            scan_ops=int((windows * cost).sum()),
+            preagg_build_ops=int(np.maximum(widths - 1, 0).sum()),
+            windows_full=int(windows[full].sum()),
+            windows_subtract=int(windows[subtract].sum()),
+            windows_direct=int(windows[direct].sum()),
+            windows_skipped=total_cells - int(windows.sum()),
         )
-        return cell_offsets[task] + group_of * self.num_locals[task] + row
+        self._scan_cache[k] = counts
+        return counts
 
     # ------------------------------------------------------------------
     # Hub routing (shared across layers and models)
@@ -590,11 +599,13 @@ class TaskBatch:
     def scan_terms(self, k: int) -> _ScanTerms:
         """Signed term matrices of every task's 1×k scan (cached per ``k``).
 
-        Built once from :meth:`scan_classes` on the first functional
-        layer, in the accumulation order of the module docstring.  A
-        local row is ``local_offsets[t] + r``.  Each of the three term
-        lists below is sorted by local row, and within a row in its
-        fold order, so a term's slot is its row's start, plus the
+        Built once on the first functional layer, in the accumulation
+        order of the module docstring.  A local row is
+        ``local_offsets[t] + r``.  In the sorted entries a window is a
+        run of equal (local row, group): the run's length is its ``z``,
+        and its class comes from the ``(z, width)`` grid.  Each of the
+        three term lists below is sorted by local row, and within a row
+        in its fold order, so a term's slot is its row's start, plus the
         row's terms of earlier lists, plus its rank in its own list.
         The seed rows sit between the member rows and the hub rows, so
         both matrices are slices of one set of arrays.
@@ -605,60 +616,63 @@ class TaskBatch:
         if self.num_tasks == 0:
             raise SimulationError("a batch without tasks has no scan terms")
         entry_task, entry_row, entry_col = self._sorted_entries()
-        classes = self.scan_classes(k)
-        locals_n = self.num_locals
+        _, widths, slot_group = self._column_layout(k)
+        group_slots = _cumsum0(widths)
         total_rows = int(self.local_offsets[-1])
         span = int(self.local_nodes.max()) + 1
-        total_groups = int(classes.group_offsets[-1])
+        total_groups = len(widths)
 
-        # 1. Pre-sums of full and subtract windows.  Cells run task,
-        # group, row; a stable sort by local row puts each row's
-        # windows in group order.
-        cells = np.flatnonzero(classes.full | classes.subtract)
-        cell_task = np.searchsorted(classes.cell_offsets, cells, side="right") - 1
-        group, row = np.divmod(
-            cells - classes.cell_offsets[cell_task], locals_n[cell_task]
-        )
-        order = np.argsort(self.local_offsets[cell_task] + row, kind="stable")
-        cells, cell_task = cells[order], cell_task[order]
-        pre_row = self.local_offsets[cell_task] + row[order]
-        pre_group = classes.group_offsets[cell_task] + group[order]
-
-        # 2. Missing columns of subtract windows: every column of each
-        # subtract window, minus the bitmap entries among them.
-        is_sub = classes.subtract[cells]
-        sub_group = pre_group[is_sub]
-        widths = classes.group_widths[sub_group]
-        cand_row = np.repeat(pre_row[is_sub], widths)
-        cand_col = (
-            np.repeat(classes.group_starts[sub_group], widths)
-            + np.arange(int(widths.sum()), dtype=np.int64)
-            - np.repeat(_cumsum0(widths)[:-1], widths)
-        )
-        cand_base = np.repeat(self.local_offsets[cell_task[is_sub]], widths)
+        # The windows: runs of equal (local row, group).
         entry_row = self.local_offsets[entry_task] + entry_row
-        key_span = int(locals_n.max())
-        entry_key = entry_row * key_span + entry_col
-        cand_key = cand_row * key_span + cand_col
-        hit = np.minimum(
-            np.searchsorted(entry_key, cand_key), len(entry_key) - 1
+        slot = self.local_offsets[entry_task] + entry_col
+        group = slot_group[slot]
+        new = np.ones(len(slot), dtype=bool)
+        np.not_equal(entry_row[1:], entry_row[:-1], out=new[1:])
+        new[1:] |= group[1:] != group[:-1]
+        starts = np.flatnonzero(new)
+        run_z = np.diff(starts, append=len(slot))
+        run_row = entry_row[starts]
+        run_group = group[starts]
+        del group, starts
+        run_width = widths[run_group]
+        stride = int(widths.max()) + 1
+        code = run_z * stride + run_width
+        _, (full, subtract, direct, _) = _window_grid(
+            stride, int(code.max(initial=0)) + 1
         )
-        missing = entry_key[hit] != cand_key
-        sub_row = cand_row[missing]
-        sub_col = self.local_nodes[cand_base[missing] + cand_col[missing]]
 
-        # 3. Present columns of direct windows: the bitmap entries of
-        # direct cells, already sorted by row, then column.
-        is_dir = classes.direct[self._entry_cells(k, classes.cell_offsets)]
+        # 1. Pre-sums of full and subtract runs, already in row, then
+        # group order.
+        reused = (full | subtract)[code]
+        pre_row = run_row[reused]
+        pre_group = run_group[reused]
+
+        # 2. Missing columns of subtract runs: each run's candidate
+        # columns, less its present entries, scattered out of a mask.
+        # A candidate's position is its slot minus its run's ``shift``.
+        is_sub = subtract[code]
+        sub_width = run_width[is_sub]
+        cand_offsets = _cumsum0(sub_width)
+        shift = group_slots[run_group[is_sub]] - cand_offsets[:-1]
+        keep = np.ones(int(cand_offsets[-1]), dtype=bool)
+        present = np.repeat(is_sub, run_z)
+        keep[slot[present] - np.repeat(shift, run_z[is_sub])] = False
+        cand_slot = np.arange(len(keep), dtype=np.int64)
+        cand_slot += np.repeat(shift, sub_width)
+        sub_row = np.repeat(run_row[is_sub], sub_width)[keep]
+        sub_col = self.local_nodes[cand_slot[keep]]
+
+        # 3. Present columns of direct runs: their entries, already
+        # sorted by row, then column.
+        is_dir = np.repeat(direct[code], run_z)
         dir_row = entry_row[is_dir]
-        dir_col = self.local_nodes[
-            self.local_offsets[entry_task[is_dir]] + entry_col[is_dir]
-        ]
+        dir_col = self.local_nodes[slot[is_dir]]
+        del slot, is_dir, entry_row
 
         # Rows: every member row (task-major), one seed row per touched
         # hub, then every hub row (the hub_nodes pair order).
         row_task = np.repeat(
-            np.arange(self.num_tasks, dtype=np.int64), locals_n
+            np.arange(self.num_tasks, dtype=np.int64), self.num_locals
         )
         rank = np.arange(total_rows, dtype=np.int64) - self.local_offsets[row_task]
         is_hub = rank < self.num_hubs[row_task]
@@ -704,8 +718,7 @@ class TaskBatch:
         terms = _ScanTerms(
             span=span,
             groups=sparse.csr_matrix(
-                (np.ones(total_rows), self.local_nodes,
-                 _cumsum0(classes.group_widths)),
+                (np.ones(total_rows), self.local_nodes, group_slots),
                 shape=(total_groups, span),
             ),
             members=sparse.csr_matrix(
@@ -741,8 +754,7 @@ def run_island_chunk(
     (:meth:`TaskBatch.routing`).
     """
     config = consumer.config
-    classes = batch.scan_classes(config.preagg_k)
-    state.counts.scan.merge(classes.counts)
+    state.counts.scan.merge(batch.scan_classes(config.preagg_k))
 
     state.xw_cache.access_batch(batch.num_hubs, meter)
     if batch.num_tasks:

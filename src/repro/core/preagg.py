@@ -153,8 +153,10 @@ def classify_windows(
     widths (any mutually broadcastable shapes).  Returns ``(full,
     subtract, direct, cost)``: the three masks partition the non-empty
     windows and ``cost`` is each window's op count.  Shared by the
-    per-bitmap scans below and the batched multi-island consumer so
-    every path classifies identically.
+    per-bitmap scans below, which pass every window, and the batched
+    multi-island consumer, which passes a grid of every ``(z, width)``
+    pair up to its widest group and looks windows up in it, so every
+    path classifies identically.
     """
     direct = z
     reuse = 1 + (widths - z)

@@ -14,8 +14,9 @@ from repro.core import (
     prepare_tasks,
 )
 from repro.core.consumer import LayerCounts
+from repro.core.consumer_batched import TaskBatch
 from repro.core.hub_cache import HubPartialResultCache, HubXWCache
-from repro.core.preagg import ScanCounts
+from repro.core.preagg import ScanCounts, group_layout_batch
 from repro.errors import ConfigError, SimulationError
 from repro.graph import hub_island_graph
 from repro.graph.generators import CommunityProfile
@@ -300,6 +301,63 @@ class TestRunLayer:
         )
         assert "hidden-results" in meter.writes
         assert "results" not in meter.writes
+
+
+class TestClassificationMemory:
+    """A cold window classification holds no per-window class arrays.
+
+    Its ``tracemalloc`` peak stays within three entry-sized arrays, one
+    count per window (cell) and a few per-slot arrays of the column
+    layout.  Classifying every window, as ``classify_windows`` over all
+    cells does, holds at least five cell-sized arrays at once.
+    """
+
+    SLACK = 64 * 1024
+
+    @pytest.fixture(scope="class")
+    def wide_islands(self):
+        # Sparse islands of ~40 members: at k = 2 a batch has about
+        # 3.5 windows per entry.
+        graph, _ = hub_island_graph(
+            3000,
+            CommunityProfile(
+                hub_fraction=0.02, island_size_mean=40.0, island_size_max=80,
+                island_density=0.1, background_fraction=0.0,
+            ),
+            seed=3,
+        )
+        clean = graph.without_self_loops()
+        return clean, islandize(clean, LocatorConfig())
+
+    @pytest.mark.parametrize("k", [2, 6, 10**6])
+    def test_cold_classification_peak(self, wide_islands, k):
+        # ``preagg_k`` is unbounded input, so the (z, width) grid is
+        # sized by the widest group, never by k: at k = 1e6 a
+        # (k + 1)**2 grid would hold 1e12 entries.
+        import tracemalloc
+
+        clean, result = wide_islands
+        batch = TaskBatch.from_islands(
+            clean, result.islands, add_self_loops=True
+        )
+        entries = int(batch.nnz.sum())
+        groups, _, _, _ = group_layout_batch(batch.num_hubs, batch.num_locals, k)
+        cells = int((groups * batch.num_locals).sum())
+        slots = int(batch.local_offsets[-1])
+        # A tracing session already running is measured from its
+        # current size and left running.
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            batch.scan_classes(k)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= (3 * entries + cells + 4 * slots) * 8 + self.SLACK
 
 
 class TestFunctionalMemory:

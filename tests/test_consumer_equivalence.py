@@ -31,6 +31,12 @@ from repro.core import (
 from repro.core.bitmap import build_island_task
 from repro.core.consumer import execution_mismatch
 from repro.core.interhub import InterHubPlan
+from repro.core.preagg import (
+    ScanCounts,
+    _window_classes,
+    group_layout,
+    scan_costs,
+)
 from repro.core.types import IslandTable
 from repro.errors import ConfigError, GraphError, SimulationError
 from repro.graph import CSRGraph, GraphBuilder, erdos_renyi, hub_island_graph
@@ -160,7 +166,7 @@ class TestNormalisationKinds:
 
 
 class TestConfigSweep:
-    @pytest.mark.parametrize("preagg_k", [2, 3, 7, 64])
+    @pytest.mark.parametrize("preagg_k", [2, 3, 7, 64, 10**6])
     def test_preagg_widths(self, preagg_k, community_graph):
         graph, _ = community_graph
         assert_equivalent(graph, preagg_k=preagg_k)
@@ -460,11 +466,73 @@ def _entry_graph(family: str, num_nodes: int, seed: int) -> CSRGraph:
     return graph.without_self_loops()
 
 
-def _assert_same_classes(a, b) -> None:
-    assert a.counts == b.counts
-    for name in ("group_offsets", "group_starts", "group_widths",
-                 "cell_offsets", "full", "subtract", "direct"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+#: Window widths checked against the oracles: narrow, the default and
+#: wider than it.
+_TERM_KS = (2, 3, 6, 11)
+
+
+def _scalar_counts(tasks, k: int) -> ScanCounts:
+    """The scalar consumer's merged window counts of dense bitmaps."""
+    counts = ScanCounts()
+    for task in tasks:
+        counts.merge(scan_costs(task.bitmap, k, boundary=task.num_hubs))
+    return counts
+
+
+def _term_oracle(tasks, k: int, span: int):
+    """Each local row's signed terms, in ``preagg``'s fold order.
+
+    Pre-sums of full and subtract windows in group order (column
+    ``span`` plus the batch's flat group), the missing columns of
+    subtract windows, then the present columns of direct windows, both
+    in column order, as global node ids.  Built from each dense bitmap
+    with the scalar oracle's ``group_layout`` and ``_window_classes``.
+    Returns the ``(indices, data)`` of every member row and of every
+    hub row, task-major.
+    """
+    rows = {"members": [], "hubs": []}
+    group_base = 0
+    for task in tasks:
+        bitmap = task.bitmap.astype(bool)
+        starts, widths = group_layout(
+            task.num_locals, k, boundary=task.num_hubs
+        )
+        _, full, subtract, direct, _ = _window_classes(bitmap, starts, widths)
+        col_group = np.repeat(np.arange(len(starts)), widths)
+        for r in range(task.num_locals):
+            pre = span + group_base + np.flatnonzero(full[r] | subtract[r])
+            missing = task.local_nodes[
+                np.flatnonzero(subtract[r, col_group] & ~bitmap[r])
+            ]
+            present = task.local_nodes[
+                np.flatnonzero(direct[r, col_group] & bitmap[r])
+            ]
+            signs = np.repeat([1.0, -1.0, 1.0],
+                              [len(pre), len(missing), len(present)])
+            kind = "hubs" if r < task.num_hubs else "members"
+            rows[kind].append(
+                (np.concatenate((pre, missing, present)), signs)
+            )
+        group_base += len(starts)
+    return rows["members"], rows["hubs"]
+
+
+def _assert_terms(batch, tasks, k: int) -> None:
+    """``scan_terms`` rows equal the oracle's, entry for entry.
+
+    Member rows are compared with ``terms.members``, hub rows with
+    ``terms.hubs`` after its one seed row per touched hub.
+    """
+    terms = batch.scan_terms(k)
+    members, hubs = _term_oracle(tasks, k, terms.span)
+    seeds = len(np.unique(batch.hub_nodes))
+    for matrix, rows, skip in ((terms.members, members, 0),
+                               (terms.hubs, hubs, seeds)):
+        assert matrix.shape[0] == skip + len(rows)
+        for i, (indices, data) in enumerate(rows, start=skip):
+            lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
+            assert np.array_equal(matrix.indices[lo:hi], indices), (k, i)
+            assert matrix.data[lo:hi].tobytes() == data.tobytes(), (k, i)
 
 
 def _layer_counts(result, batch, add_self_loops: bool):
@@ -492,7 +560,8 @@ class TestTaskBatchEntries:
     ``from_islands`` keeps its bitmap entries in the order it builds
     them and counts windows from that order; the first read of
     ``entry_task/row/col`` sorts them.  ``with_self_loops`` derives the
-    other self-loop variant.  Each must equal a fresh, sorted assembly.
+    other self-loop variant.  Each must equal a fresh, sorted assembly,
+    and its window counts and scan terms the scalar oracle's.
     """
 
     @settings(max_examples=20, deadline=None)
@@ -514,23 +583,29 @@ class TestTaskBatchEntries:
                 clean, result.islands, add_self_loops=loops
             )
 
-        # Window classes counted in assembly order equal those counted
-        # after the first sorted read.
-        for k in (2, 6):
+        # Window counts taken in assembly order equal those taken after
+        # the first sorted read and the scalar oracle's, and the scan
+        # terms follow the oracle's fold order.
+        tasks = {
+            loops: [build_island_task(clean, island, add_self_loops=loops)
+                    for island in result.islands]
+            for loops in (False, True)
+        }
+        for k in _TERM_KS:
             unsorted, read = fresh(add_self_loops), fresh(add_self_loops)
-            classes = unsorted.scan_classes(k)
+            counts = unsorted.scan_classes(k)
             read.entry_task
-            _assert_same_classes(classes, read.scan_classes(k))
+            assert counts == read.scan_classes(k)
+            assert counts == _scalar_counts(tasks[add_self_loops], k)
+            if read.num_tasks:
+                _assert_terms(read, tasks[add_self_loops], k)
 
         # The sorted entries equal each island's dense bitmap, offset
         # by task.
         batch = fresh(add_self_loops)
         parts = [(np.zeros(0, dtype=np.int64),) * 3]
-        for task, island in enumerate(result.islands):
-            bitmap = build_island_task(
-                clean, island, add_self_loops=add_self_loops
-            ).bitmap
-            rows, cols = np.nonzero(bitmap)
+        for task, island_task in enumerate(tasks[add_self_loops]):
+            rows, cols = np.nonzero(island_task.bitmap)
             parts.append((np.full(len(rows), task), rows, cols))
         for name, oracle in zip(("entry_task", "entry_row", "entry_col"),
                                 zip(*parts)):
@@ -555,9 +630,10 @@ class TestTaskBatchEntries:
             assert base.with_self_loops(add_self_loops) is base
             assert derived.routing(ring, 3) is base.routing(ring, 3)
             reference = fresh(not add_self_loops)
-            _assert_same_classes(
-                derived.scan_classes(6), reference.scan_classes(6)
-            )
+            for k in _TERM_KS:
+                assert derived.scan_classes(k) == reference.scan_classes(k)
+                if derived.num_tasks:
+                    _assert_terms(derived, tasks[not add_self_loops], k)
             ours, theirs = derived.routing(ring, 3), reference.routing(ring, 3)
             assert ours.ring == theirs.ring
             assert np.array_equal(ours.pes, theirs.pes)
