@@ -351,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "verify: sweep the store for orphaned or "
                             "corrupt files and report them (--repair "
                             "deletes them); "
-                            "gc: remove unreachable files — tmp debris, "
-                            "foreign files, and artifacts stranded by a "
-                            "key-space version bump (--dry-run reports "
-                            "without deleting)")
+                            "gc: remove everything outside the current "
+                            "store version — earlier versions, retired "
+                            "kinds, tmp debris and foreign files "
+                            "(--dry-run reports without deleting)")
     cache.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="store location (default: $REPRO_CACHE_DIR, "
                             "else ~/.cache/repro)")
@@ -367,13 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--dry-run", action="store_true",
                        help="gc: report what would be removed without "
                             "deleting anything")
-    cache.add_argument("--force", action="store_true",
-                       help="gc: sweep even when the index lock cannot "
-                            "be held (fcntl unavailable, or a shared "
-                            "mount that rejects flock) — a concurrent "
-                            "writer could lose artifacts, so gc "
-                            "otherwise refuses the unlocked destructive "
-                            "sweep")
 
     queue = sub.add_parser(
         "queue",
@@ -711,17 +704,11 @@ def _cmd_cache(args) -> int:
         raise ReproError("--repair only applies to cache verify")
     if args.dry_run and args.action != "gc":
         raise ReproError("--dry-run only applies to cache gc")
-    if args.force and args.action != "gc":
-        raise ReproError("--force only applies to cache gc")
     if args.action == "gc":
-        report = store.gc(dry_run=args.dry_run, force=args.force)
+        report = store.gc(dry_run=args.dry_run)
         verb = "would remove" if args.dry_run else "removed"
-        adopted = "" if report.indexed else (
-            " (no reachability index: conservative sweep"
-            + (", survivors adopted)" if not args.dry_run else ")")
-        )
         print(f"artifact store at {report.root}: "
-              f"{report.live} reachable artifacts{adopted}")
+              f"{report.live} reachable artifacts")
         for path in report.removed:
             print(f"  {verb}: {path}")
         print(f"{verb} {len(report.removed)} files "

@@ -138,13 +138,14 @@ class IncrementalState:
         Per-node round of classification: an island member's island
         round, a hub's detection round.  Detection-side counters of
         the dirty region fold from this without re-running it.
-    island_round, island_seed, island_size, winner_hubs:
-        Per island, aligned with the result's island list: the round,
-        first member (``members[0]``), member count, and the hub of
-        the task that won the island (``-1`` for singletons).
-        ``(winner_hub, members[0])`` is each island's winning-task
-        key, which orders islands within a round — the merge key for
-        splicing clean islands against re-run ones.
+    winner_hubs:
+        Per island, aligned with the result's island table: the hub of
+        the task that won the island (``-1`` for singletons).  The
+        table itself holds each island's round and first member
+        (``members[0]``); ``(winner_hub, members[0])`` is each
+        island's winning-task key, which orders islands within a round
+        — the merge key for splicing clean islands against re-run
+        ones.
     log_hubs, log_seeds, log_scans, log_fetches, log_bytes, log_outcomes:
         The full task log: per round, in task order, one entry per
         Th2-generated task with its TP-BFS scan count, adjacency
@@ -161,9 +162,6 @@ class IncrementalState:
     th0: int
     comp_labels: np.ndarray
     class_round: np.ndarray
-    island_round: np.ndarray
-    island_seed: np.ndarray
-    island_size: np.ndarray
     winner_hubs: np.ndarray
     log_hubs: np.ndarray
     log_seeds: np.ndarray
@@ -191,9 +189,6 @@ class IncrementalState:
             {
                 "comp_labels": self.comp_labels,
                 "class_round": self.class_round,
-                "island_round": self.island_round,
-                "island_seed": self.island_seed,
-                "island_size": self.island_size,
                 "winner_hubs": self.winner_hubs,
                 "log_hubs": self.log_hubs,
                 "log_seeds": self.log_seeds,
@@ -314,14 +309,10 @@ def record_islandization(
         return np.concatenate(parts) if parts else empty
 
     th0 = config.initial_threshold(graph.degrees.astype(np.int64))
-    islands = result.islands
     state = IncrementalState(
         th0=int(th0),
         comp_labels=_round1_labels(graph, th0),
         class_round=class_round,
-        island_round=islands.round_id,
-        island_seed=islands.first_members,
-        island_size=islands.num_members,
         winner_hubs=np.concatenate(winner_parts) if winner_parts else _EMPTY,
         log_hubs=_cat(0),
         log_seeds=_cat(1),
@@ -552,10 +543,11 @@ def _old_dirty_stats(
     (``dn_mask[hub] | dn_mask[seed]``: region hubs generate only
     dirty-or-boundary seeds, and a clean hub's dirty-seed tasks are
     the sub-run's imports).  Detection counters fold from per-node
-    classification rounds, island counters from the per-island
-    metadata, and an inter-hub edge's discovery round is
-    ``max(class_round[u], class_round[v])`` — the later endpoint's
-    task generation scans the earlier, already-classified hub.
+    classification rounds, island counters from the cached island
+    table and the winner hubs, and an inter-hub edge's discovery
+    round is ``max(class_round[u], class_round[v])`` — the later
+    endpoint's task generation scans the earlier, already-classified
+    hub.
     """
     r_cached = len(cached.rounds)
     _check(state.num_rounds == r_cached, "task log does not cover the cached rounds")
@@ -591,13 +583,15 @@ def _old_dirty_stats(
 
     # islands_found / nodes_islanded count TP-BFS islands only —
     # isolated-node singletons (winner -1) are excluded by the locator.
-    dirty_tp = dn_mask[state.island_seed] & (state.winner_hubs >= 0)
+    islands = cached.islands
+    dirty_tp = dn_mask[islands.first_members] & (state.winner_hubs >= 0)
+    island_round = islands.round_id[dirty_tp]
     islands_found = np.bincount(
-        state.island_round[dirty_tp], minlength=minlength
+        island_round, minlength=minlength
     )[1:].astype(np.int64)
     nodes_islanded = np.bincount(
-        state.island_round[dirty_tp],
-        weights=state.island_size[dirty_tp].astype(np.float64),
+        island_round,
+        weights=islands.num_members[dirty_tp].astype(np.float64),
         minlength=minlength,
     )[1:].astype(np.int64)
 
@@ -730,7 +724,7 @@ def _splice_islands(
     island table and each island's winning-task hub (``-1`` for
     singletons).
     """
-    clean_idx = np.flatnonzero(~dn_mask[state.island_seed])
+    clean_idx = np.flatnonzero(~dn_mask[cached.islands.first_members])
     pool = IslandTable.concat(
         [cached.islands.take(clean_idx)]
         + [sr.islands for sr in new_rounds]
@@ -1116,9 +1110,6 @@ def update_islandization(
         th0=th0,
         comp_labels=new_labels,
         class_round=new_class_round,
-        island_round=islands_out.round_id,
-        island_seed=islands_out.first_members,
-        island_size=islands_out.num_members,
         winner_hubs=isl_winner,
         log_hubs=full_log[0],
         log_seeds=full_log[1],

@@ -165,8 +165,6 @@ def churn_delta(
     rng: np.random.Generator,
     k: int,
     th0: int,
-    *,
-    oracle: bool = False,
 ) -> GraphDelta:
     """``k`` churn edits: triadic insertions + uniform deletions.
 
@@ -174,12 +172,11 @@ def churn_delta(
     non-hub mutual neighbours.  Returns ``k//2`` insertions and
     ``k - k//2`` deletions, all distinct undirected pairs.
 
-    Random draws happen in fixed-size batches consumed identically by
-    two implementations of the candidate extraction: the vectorized
-    default (the per-edit Python loop used to dominate the 1e5-tier
-    profile) and the original scalar loop, kept as ``oracle=True``.
-    Same generator state in, **byte-identical** delta out — pinned by
-    the tests.
+    Random draws happen in fixed-size batches; candidate extraction
+    is vectorized (the per-edit Python loop used to dominate the
+    1e5-tier profile).  The tests keep that loop as the oracle: it
+    consumes the same draws, and the same generator state in gives a
+    **byte-identical** delta out.
     """
     n = graph.num_nodes
     nonhub = graph.degrees < th0
@@ -187,13 +184,10 @@ def churn_delta(
     ekeys = graph.edge_keys()
     k_ins = k // 2
     k_del = k - k_ins
-    if oracle:
-        eset = set(ekeys.tolist())
-    else:
-        # Running count of non-hub adjacency entries: the idx-th
-        # non-hub neighbour of any row is one searchsorted away.
-        prefix = np.zeros(len(indices) + 1, dtype=np.int64)
-        np.cumsum(nonhub[indices], out=prefix[1:])
+    # Running count of non-hub adjacency entries: the idx-th non-hub
+    # neighbour of any row is one searchsorted away.
+    prefix = np.zeros(len(indices) + 1, dtype=np.int64)
+    np.cumsum(nonhub[indices], out=prefix[1:])
     ins: list[tuple[int, int]] = []
     seen: set[int] = set()
     # Rejection sampling needs a budget: a tiny or saturated graph may
@@ -211,16 +205,10 @@ def churn_delta(
         u = rng.integers(0, n, size=b)
         r1 = rng.random(b)
         r2 = rng.random(b)
-        if oracle:
-            cand = _ins_candidates_scalar(
-                u, r1, r2, indptr=indptr, indices=indices,
-                nonhub=nonhub, eset=eset, n=n,
-            )
-        else:
-            cand = _ins_candidates(
-                u, r1, r2, indptr=indptr, indices=indices,
-                prefix=prefix, ekeys=ekeys, n=n,
-            )
+        cand = _ins_candidates(
+            u, r1, r2, indptr=indptr, indices=indices,
+            prefix=prefix, ekeys=ekeys, n=n,
+        )
         # Dedup against earlier accepts stays sequential — a later
         # candidate may repeat an earlier one — but now runs over the
         # few surviving candidate keys, not every raw draw.
@@ -237,40 +225,24 @@ def churn_delta(
     pick = rng.choice(len(ekeys), size=min(4 * k_del, len(ekeys)),
                       replace=False)
     picked = ekeys[pick]
-    if oracle:
-        dels: list[tuple[int, int]] = []
-        for key in picked:
-            if len(dels) >= k_del:
-                break
-            key = int(key)
-            u, v = key // n, key % n
-            canon = min(u, v) * n + max(u, v)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            dels.append((u, v))
-        del_arr = np.asarray(dels, dtype=np.int64).reshape(-1, 2)
-    else:
-        # First occurrence per canonical pair == the scalar scan's
-        # accept order; insertion collisions drop via one sorted
-        # membership pass over the accepted insertion keys.
-        canon = (
-            np.minimum(picked // n, picked % n) * n
-            + np.maximum(picked // n, picked % n)
-        )
-        uniq, first = np.unique(canon, return_index=True)
-        if seen:
-            ins_keys = np.sort(
-                np.fromiter(seen, dtype=np.int64, count=len(seen))
-            )
-            pos = np.searchsorted(ins_keys, uniq)
-            inb = pos < len(ins_keys)
-            hit = np.zeros(len(uniq), dtype=bool)
-            hit[inb] = ins_keys[pos[inb]] == uniq[inb]
-            first = first[~hit]
-        first.sort()
-        sel = picked[first[:k_del]]
-        del_arr = np.stack([sel // n, sel % n], axis=1)
+    # First occurrence per canonical pair, in pick order; insertion
+    # collisions drop via one sorted membership pass over the accepted
+    # insertion keys.
+    canon = (
+        np.minimum(picked // n, picked % n) * n
+        + np.maximum(picked // n, picked % n)
+    )
+    uniq, first = np.unique(canon, return_index=True)
+    if seen:
+        ins_keys = np.sort(np.fromiter(seen, dtype=np.int64, count=len(seen)))
+        pos = np.searchsorted(ins_keys, uniq)
+        inb = pos < len(ins_keys)
+        hit = np.zeros(len(uniq), dtype=bool)
+        hit[inb] = ins_keys[pos[inb]] == uniq[inb]
+        first = first[~hit]
+    first.sort()
+    sel = picked[first[:k_del]]
+    del_arr = np.stack([sel // n, sel % n], axis=1)
     if len(del_arr) < k_del:
         raise ConfigError(
             f"graph too small for a {k}-edit churn delta "
@@ -287,8 +259,7 @@ def _ins_candidates(u, r1, r2, *, indptr, indices, prefix, ekeys, n):
 
     Returns ``(u, w, canonical key)`` of every draw that survives the
     rejection rules (non-empty rows, ``w != u``, edge absent), in draw
-    order — exactly what :func:`_ins_candidates_scalar` yields from
-    the same batch.
+    order — exactly what the per-edit loop yields from the same batch.
     """
     last = len(indices) - 1
     if last < 0:
@@ -319,37 +290,6 @@ def _ins_candidates(u, r1, r2, *, indptr, indices, prefix, ekeys, n):
     exists[inb] = ekeys[pos[inb]] == key[inb]
     valid &= ~exists
     return u[valid], w[valid], key[valid]
-
-
-def _ins_candidates_scalar(u_batch, r1, r2, *, indptr, indices, nonhub,
-                           eset, n):
-    """The original per-edit loop over one batch (the vectorization
-    oracle): same draws in, same candidates out."""
-    out_u: list[int] = []
-    out_w: list[int] = []
-    out_k: list[int] = []
-    for i in range(len(u_batch)):
-        u = int(u_batch[i])
-        lo, hi = int(indptr[u]), int(indptr[u + 1])
-        if hi == lo:
-            continue
-        nbrs = indices[lo:hi]
-        local = nbrs[nonhub[nbrs]]
-        pool = local if len(local) else nbrs
-        v = int(pool[int(r1[i] * len(pool))])
-        lo2, hi2 = int(indptr[v]), int(indptr[v + 1])
-        if hi2 == lo2:
-            continue
-        w = int(indices[lo2 + int(r2[i] * (hi2 - lo2))])
-        if w == u:
-            continue
-        key = min(u, w) * n + max(u, w)
-        if key in eset:
-            continue
-        out_u.append(u)
-        out_w.append(w)
-        out_k.append(key)
-    return out_u, out_w, out_k
 
 
 def run_incremental_bench(

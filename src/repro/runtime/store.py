@@ -8,11 +8,12 @@ caches are backed by an :class:`ArtifactStore` — a plain
 
 * :class:`MemoryStore` — per-process dicts; holds live Python objects
   (this is the seed Engine's behaviour, now behind the protocol).
-* :class:`DiskStore` — content-addressed files under a cache directory
-  (``~/.cache/repro`` by default, or ``REPRO_CACHE_DIR`` /
-  ``--cache-dir``).  Artifact kinds with a stable serialization
-  (datasets, shards, islandizations, workloads → npz; report
-  summaries → JSON) persist across processes and hosts; kinds without
+* :class:`DiskStore` — one directory per store version under a cache
+  root (``~/.cache/repro`` by default, or ``REPRO_CACHE_DIR`` /
+  ``--cache-dir``).  Artifact kinds with a stable serialization persist
+  across processes and hosts: datasets, shards, islandizations,
+  incremental state and workloads as content-addressed npz files,
+  report summaries as JSON rows of one SQLite catalogue.  Kinds without
   one (live report objects) are simply not handled by the tier.
 * :class:`TieredStore` — a memory-over-disk stack: reads walk the
   tiers in order and *promote* lower-tier hits upward, writes go to
@@ -20,10 +21,12 @@ caches are backed by an :class:`ArtifactStore` — a plain
 
 Keys are stable strings (graph fingerprints + config digests — see
 ``repro.runtime.engine``), so a disk tier populated by one process —
-or one parallel sweep worker — warm-starts every later one.  Filenames
-are a blake2b digest of ``kind + key``; writes are atomic
-(tmp-file + ``os.replace``), which makes a shared disk tier safe under
-concurrent sweep workers.
+or one parallel sweep worker — warm-starts every later one.  Each
+artifact is named by a blake2b digest of ``kind + key``; file writes
+are atomic (tmp-file + ``os.replace``) and each row write is one SQLite
+commit, which makes a shared disk tier safe under concurrent sweep
+workers.  The version directory is the whole reachability story:
+everything outside it is garbage to ``gc``.
 """
 
 from __future__ import annotations
@@ -33,16 +36,12 @@ import hashlib
 import json
 import os
 import shutil
+import sqlite3
 import tempfile
-import warnings
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, IO
+from typing import Any, Callable
 
 from repro.core.islandizer_pincremental import load_ilstate
 from repro.core.types import IslandizationResult
@@ -76,8 +75,8 @@ MISS = object()
 #: "ilstate" holds the incremental-islandization bookkeeping
 #: (``IncrementalState``) recorded alongside an "islandization" under
 #: the *same key*, so the pair travels together through every tier.
-#: Retiring a kind needs no VERSION bump: gc removes every file in the
-#: old kind's directory, and its index lines are not corruption.
+#: Retiring a kind needs no VERSION bump: gc removes the old kind's
+#: directory, or its catalogue rows.
 ARTIFACT_KINDS = (
     "dataset", "shard", "islandization", "ilstate",
     "workload", "report", "summary",
@@ -178,83 +177,113 @@ class MemoryStore(ArtifactStore):
 # ----------------------------------------------------------------------
 # Disk store
 # ----------------------------------------------------------------------
-def _npz_codec(cls) -> tuple[str, Callable, Callable]:
-    return (
-        ".npz",
-        lambda value, fh: value.to_npz(fh),
-        lambda fh: cls.from_npz(fh),
-    )
+def _npz_codec(cls) -> tuple[Callable, Callable]:
+    return (lambda value, fh: value.to_npz(fh), cls.from_npz)
 
 
-def _json_encode(value: Any, fh: IO[bytes]) -> None:
-    fh.write(json.dumps(value, sort_keys=False).encode())
-
-
-def _json_decode(fh: IO[bytes]) -> Any:
-    return json.loads(fh.read().decode())
+#: The catalogue's one table.  ``name`` is the digest a file kind's
+#: filename carries; ``written`` (seconds since the epoch) orders rows
+#: for :meth:`DiskStore.evict` as mtime orders files.
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS rows (
+    kind    TEXT NOT NULL,
+    name    TEXT PRIMARY KEY,
+    value   TEXT NOT NULL,
+    written REAL NOT NULL
+) WITHOUT ROWID
+"""
 
 
 class DiskStore(ArtifactStore):
     """Content-addressed on-disk store under one root directory.
 
-    Layout: ``<root>/<kind>/<blake2b(kind + key)>.{npz,json}``.  Writes
-    are atomic (same-directory tmp file + ``os.replace``); unreadable
-    or truncated files are treated as misses and deleted, so a corrupt
-    cache degrades to a cold one instead of failing the run.
+    Everything lives in ``<root>/v<VERSION>/``: an npz kind's artifacts
+    as files ``<kind>/<name>.npz``, a row kind's (report summaries) as
+    JSON rows of one SQLite table in ``catalogue.sqlite``, where
+    ``name`` is ``blake2b(kind + key)``.  File writes are atomic
+    (same-directory tmp file + ``os.replace``); a row put is one commit.
+    An unreadable file or row is deleted and an unreadable catalogue
+    skipped, both as misses, so a corrupt cache degrades to a cold one
+    instead of failing the run.
+
+    The catalogue is opened like the experiment queue's database
+    (autocommit, WAL, ``synchronous=NORMAL``, a 30 s busy timeout, one
+    connection shared by the process's threads), lazily, once per
+    process: a forked worker opens its own connection instead of using
+    its parent's.
     """
 
     name = "disk"
     persistent = True
 
-    #: Key-space version, folded into every filename digest.  Bump it
-    #: whenever artifact *semantics* change without the cache key
-    #: changing (locator algorithm tweaks, cost-model fixes, codec
-    #: layout changes): old files then miss instead of silently serving
-    #: results computed by previous code.  2: island ids became
+    #: Store version: the directory under the root that holds every
+    #: artifact.  Bump it whenever artifact *semantics* change without
+    #: the cache key changing (locator algorithm tweaks, cost-model
+    #: fixes, codec layout changes): lookups then miss in a fresh
+    #: directory instead of serving results computed by previous code,
+    #: and one :meth:`gc` removes the old one.  2: island ids became
     #: positional (IslandizationResult npz format 2 dropped the
-    #: "island_ids" array).
-    VERSION = 2
+    #: "island_ids" array).  3: summaries became catalogue rows, the
+    #: version a directory, and IncrementalState dropped its three
+    #: per-island columns.
+    VERSION = 3
 
-    #: kind → (extension, encode(value, fh), decode(fh)).
-    CODECS: dict[str, tuple[str, Callable, Callable]] = {
+    #: kind → (encode(value, fh), decode(fh)) for the kinds kept as
+    #: npz files.
+    FILE_CODECS: dict[str, tuple[Callable, Callable]] = {
         "dataset": _npz_codec(Dataset),
         "shard": _npz_codec(GraphShard),
         "islandization": _npz_codec(IslandizationResult),
         # ilstate decodes through a format dispatcher: format 1 is the
         # monolithic IncrementalState, format 2 the partitioned pair.
-        "ilstate": (".npz", lambda value, fh: value.to_npz(fh), load_ilstate),
+        "ilstate": (lambda value, fh: value.to_npz(fh), load_ilstate),
         "workload": _npz_codec(Workload),
-        "summary": (".json", _json_encode, _json_decode),
     }
 
-    #: Reachability index: one ``kind/filename`` line appended per
-    #: completed put().  Advisory — reads never consult it; only
-    #: :meth:`gc` does, to tell current-key-space artifacts from files
-    #: stranded by a :data:`VERSION` bump (which are well-named and
-    #: decodable, so :meth:`verify` rightly calls them intact, yet no
-    #: present-day key can ever address them again).
-    _INDEX_NAME = "index.log"
+    #: Kinds kept as JSON rows of the catalogue.
+    ROW_KINDS = ("summary",)
 
-    #: Advisory ``fcntl`` lockfile serialising index appends against
-    #: the gc sweep's index rewrite (see :meth:`_index_lock`).
-    _LOCK_NAME = ".index.lock"
+    #: Age below which :meth:`gc` leaves a put's ``.tmp-`` file alone:
+    #: a sweep in a loop beside live writers otherwise removes tmp
+    #: files mid-write, and a put whose two attempts both lose one
+    #: forfeits its entry.  verify(repair=True) removes them at once.
+    TMP_GRACE_S = 3600.0
+
+    _CATALOGUE = "catalogue.sqlite"
+
+    #: The catalogue and the files SQLite keeps beside it.
+    _CATALOGUE_FILES = frozenset(
+        f"catalogue.sqlite{suffix}" for suffix in ("", "-wal", "-shm", "-journal")
+    )
 
     def __init__(self, root: str | Path) -> None:
         super().__init__()
-        # The directory is created lazily by put() so read-only paths
+        # Nothing is created until the first put, so read-only paths
         # (cache stats, a warm get on a cold machine) have no side
         # effects — a typo'd --cache-dir stays visibly absent.
         self.root = Path(root).expanduser()
+        self._conn: sqlite3.Connection | None = None
+        self._conn_pid = 0
+        # Connections a fork handed down: never used, and never closed
+        # here, where closing could release locks their owner holds.
+        self._inherited: list[sqlite3.Connection] = []
+
+    @property
+    def version_dir(self) -> Path:
+        """The directory every current-version artifact lives in."""
+        return self.root / f"v{self.VERSION}"
 
     def handles(self, kind: str) -> bool:
-        return kind in self.CODECS
+        return kind in self.FILE_CODECS or kind in self.ROW_KINDS
+
+    @staticmethod
+    def _name(kind: str, key: str) -> str:
+        return hashlib.blake2b(
+            f"{kind}\x00{key}".encode(), digest_size=16
+        ).hexdigest()
 
     def _path(self, kind: str, key: str) -> Path:
-        ext = self.CODECS[kind][0]
-        digest = hashlib.blake2b(
-            f"v{self.VERSION}\x00{kind}\x00{key}".encode(), digest_size=16
-        ).hexdigest()
-        return self.root / kind / f"{digest}{ext}"
+        return self.version_dir / kind / f"{self._name(kind, key)}.npz"
 
     def path_for(self, kind: str, key: str) -> Path:
         """On-disk location of ``(kind, key)`` — existing or not.
@@ -263,36 +292,142 @@ class DiskStore(ArtifactStore):
         islandizer hands worker processes this path so they can
         memory-map the artifact instead of deserializing a copy.
         """
-        if not self.handles(kind):
-            raise ConfigError(f"disk store has no codec for kind {kind!r}")
+        if kind not in self.FILE_CODECS:
+            raise ConfigError(f"disk store keeps no file for kind {kind!r}")
         return self._path(kind, key)
 
-    def get(self, kind: str, key: str) -> Any:
-        if not self.handles(kind):
-            return MISS
-        path = self._path(kind, key)
-        if not path.exists():
-            self._record(kind, hit=False)
-            return MISS
-        decode = self.CODECS[kind][2]
+    # -- the catalogue --------------------------------------------------
+    def _catalogue(self, *, create: bool = False) -> sqlite3.Connection | None:
+        """This process's catalogue connection.
+
+        None when there is no catalogue and ``create`` is false, so
+        read paths create neither the root nor the catalogue.  Raises
+        :class:`sqlite3.Error` when the file is not a readable database.
+        """
+        if self._conn is not None and self._conn_pid == os.getpid():
+            return self._conn
+        self._drop_connection()
+        path = self.version_dir / self._CATALOGUE
+        if create:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        uri = f"{path.absolute().as_uri()}?mode={'rwc' if create else 'rw'}"
         try:
-            with open(path, "rb") as fh:
-                value = decode(fh)
-        except Exception:
-            path.unlink(missing_ok=True)
-            self._record(kind, hit=False)
+            conn = sqlite3.connect(
+                uri, uri=True, timeout=30.0, isolation_level=None,
+                check_same_thread=False,
+            )
+        except sqlite3.OperationalError:
+            if create:
+                raise
+            return None
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute(_SCHEMA)
+        except sqlite3.Error:
+            conn.close()
+            raise
+        self._conn, self._conn_pid = conn, os.getpid()
+        return conn
+
+    def _drop_connection(self) -> None:
+        """Forget the connection; the next catalogue access reopens it."""
+        if self._conn is None:
+            return
+        if self._conn_pid == os.getpid():
+            self._conn.close()
+        else:
+            self._inherited.append(self._conn)
+        self._conn = None
+
+    def _query(self, sql: str, params: tuple = ()) -> tuple[list[tuple], int]:
+        """Rows and change count of one statement on the catalogue.
+
+        ``([], 0)`` when there is no catalogue or SQLite cannot run the
+        statement; the connection is then dropped, so the next call
+        reopens it.
+        """
+        try:
+            db = self._catalogue()
+            if db is None:
+                return [], 0
+            cursor = db.execute(sql, params)
+            return cursor.fetchall(), cursor.rowcount
+        except sqlite3.Error:
+            self._drop_connection()
+            return [], 0
+
+    def _delete_row(self, name: str) -> int:
+        return self._query("DELETE FROM rows WHERE name = ?", (name,))[1]
+
+    @staticmethod
+    def _decode_row(text: Any) -> Any:
+        """A row's value, or :data:`MISS` when its JSON does not parse."""
+        try:
+            return json.loads(text)
+        except (TypeError, ValueError):
             return MISS
-        self._record(kind, hit=True)
+
+    def _row_label(self, kind: str, name: str) -> str:
+        return f"{self.version_dir / self._CATALOGUE}:{kind}/{name}"
+
+    # -- the ArtifactStore contract ---------------------------------------
+    def get(self, kind: str, key: str) -> Any:
+        if kind in self.ROW_KINDS:
+            value = self._get_row(kind, key)
+        elif kind in self.FILE_CODECS:
+            value = self._get_file(kind, key)
+        else:
+            return MISS
+        self._record(kind, hit=value is not MISS)
         return value
 
-    def put(self, kind: str, key: str, value: Any) -> None:
-        if not self.handles(kind):
-            return
+    def _get_row(self, kind: str, key: str) -> Any:
+        name = self._name(kind, key)
+        rows, _ = self._query("SELECT value FROM rows WHERE name = ?", (name,))
+        if not rows:
+            return MISS
+        value = self._decode_row(rows[0][0])
+        if value is MISS:
+            self._delete_row(name)
+        return value
+
+    def _get_file(self, kind: str, key: str) -> Any:
         path = self._path(kind, key)
-        # A concurrent clear() may rmtree the kind directory between
-        # our mkdir and the final rename; the second attempt re-creates
-        # it.  Losing the race twice forfeits only this cache entry —
-        # the computed artifact itself is already in the caller's hands.
+        try:
+            with open(path, "rb") as fh:
+                return self.FILE_CODECS[kind][1](fh)
+        except FileNotFoundError:
+            return MISS
+        except Exception:
+            path.unlink(missing_ok=True)
+            return MISS
+
+    def put(self, kind: str, key: str, value: Any) -> None:
+        if kind in self.ROW_KINDS:
+            self._put_row(kind, key, value)
+        elif kind in self.FILE_CODECS:
+            self._put_file(kind, key, value)
+
+    def _put_row(self, kind: str, key: str, value: Any) -> None:
+        row = (kind, self._name(kind, key), json.dumps(value), time.time())
+        try:
+            self._catalogue(create=True).execute(
+                "INSERT OR REPLACE INTO rows VALUES (?, ?, ?, ?)", row
+            )
+        except sqlite3.Error:
+            # A catalogue that cannot take the row (unreadable, or
+            # locked past the busy timeout) forfeits only this cache
+            # entry — the computed artifact is already in the caller's
+            # hands.
+            self._drop_connection()
+
+    def _put_file(self, kind: str, key: str, value: Any) -> None:
+        path = self._path(kind, key)
+        # A concurrent clear() may remove the kind directory, or a gc
+        # sweep this put's tmp file, before the final rename; the
+        # second attempt starts over.  Losing the race twice forfeits
+        # only this cache entry.
         for attempt in (0, 1):
             try:
                 self._write(kind, path, value)
@@ -303,253 +438,174 @@ class DiskStore(ArtifactStore):
 
     def _write(self, kind: str, path: Path, value: Any) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        encode = self.CODECS[kind][1]
         # The ".tmp-" prefix keeps half-written files (e.g. a worker
         # killed mid-put) out of entries()/clear() accounting.
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=path.suffix
-        )
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".npz")
         try:
             with os.fdopen(fd, "wb") as fh:
-                encode(value, fh)
-            # Publish + index under the advisory lock: without it, a
-            # concurrent gc on a shared mount can walk the tree before
-            # this rename lands yet rewrite the index after this append
-            # lands — compacting the new line away and stranding the
-            # artifact for the *next* sweep.  Holding the lock across
-            # both steps makes a put land entirely before or entirely
-            # after any gc's walk-and-rewrite.
-            with self._index_lock():
-                os.replace(tmp, path)
-                self._index_add(kind, path.name)
+                self.FILE_CODECS[kind][0](value, fh)
+            os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
 
-    def _index_path(self) -> Path:
-        return self.root / self._INDEX_NAME
-
-    @contextlib.contextmanager
-    def _index_lock(self):
-        """Advisory cross-process lock over index writes and gc sweeps.
-
-        ``fcntl.flock`` on ``<root>/.index.lock``.  Yields whether the
-        lock is actually held: platforms without ``fcntl``, unwritable
-        roots, flock-less filesystems (some network mounts) and
-        pre-lock readers all yield ``False`` and degrade to the old
-        unserialised behaviour instead of failing the operation —
-        put() accepts that (the forfeit is one cache entry), while the
-        *destructive* gc sweep refuses to run unlocked (see
-        :meth:`gc`).
-        """
-        if fcntl is None or not self.root.is_dir():
-            yield False
-            return
-        try:
-            fh = open(self.root / self._LOCK_NAME, "a+b")
-        except OSError:
-            yield False
-            return
-        try:
-            try:
-                fcntl.flock(fh, fcntl.LOCK_EX)
-            except OSError:
-                yield False
-                return
-            yield True
-        finally:
-            with contextlib.suppress(OSError):
-                fcntl.flock(fh, fcntl.LOCK_UN)
-            fh.close()
-
-    def _index_add(self, kind: str, name: str) -> None:
-        """Append one reachability line (``v<N> <kind>/<name>``).
-
-        One short O_APPEND write per line keeps concurrent sweep
-        workers from interleaving.  The index is advisory, so an
-        unwritable one degrades :meth:`gc` to its conservative sweep
-        instead of failing the put.
-        """
-        try:
-            with open(self._index_path(), "a") as fh:
-                fh.write(f"v{self.VERSION} {kind}/{name}\n")
-        except OSError:
-            pass
-
-    def _read_index(self) -> set[str] | None:
-        """Current-version ``kind/name`` entries, or None if no index.
-
-        Crash-tolerant: a writer SIGKILLed mid-append (or a torn page
-        on a shared mount) leaves a truncated or garbled trailing line.
-        Such lines are *skipped with a warning* — never an abort — so
-        gc keeps working against the readable remainder; the next
-        non-dry-run gc compacts the garbage away.  The skipped line's
-        artifact (if its line was the one torn) is forfeited to the
-        sweep — the same single-entry forfeit put() itself accepts on
-        lockless stores.
-        """
-        path = self._index_path()
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        entries: set[str] = set()
-        corrupt = 0
-        prefix = f"v{self.VERSION} "
-        for raw in data.split(b"\n"):
-            if not raw:
-                continue
-            try:
-                line = raw.decode("ascii")
-            except UnicodeDecodeError:
-                corrupt += 1
-                continue
-            if not self._valid_index_line(line):
-                corrupt += 1
-                continue
-            if line.startswith(prefix):
-                entries.add(line[len(prefix):])
-        if corrupt:
-            warnings.warn(
-                f"{path}: skipped {corrupt} corrupt index line(s) — "
-                f"likely a writer crashed mid-append; gc will compact "
-                f"the index",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return entries
-
-    def _valid_index_line(self, line: str) -> bool:
-        """Whether one index line has the shape ``_index_add`` writes.
-
-        Current-version lines of a known kind are checked strictly (a
-        filename put() would produce); those of a kind this build has
-        retired, whose files gc removes anyway, only for a 32-hex-digit
-        stem plus an extension.  Other-version lines — legacy content a
-        later gc is entitled to ignore — only for shape.
-        """
-        head, sep, rest = line.partition(" ")
-        if not sep or not head.startswith("v") or not head[1:].isdigit():
-            return False
-        kind, sep2, name = rest.partition("/")
-        if not sep2 or not kind or not name or "/" in name:
-            return False
-        if int(head[1:]) != self.VERSION:
-            return True
-        path = Path(name)
-        if kind not in self.CODECS:
-            return bool(path.suffix) and self._well_named(path, path.suffix)
-        return self._well_named(path, self.CODECS[kind][0])
-
     @staticmethod
     def _artifact_files(directory: Path) -> list[Path]:
         """Completed artifact files in one kind directory (no tmp debris)."""
+        if not directory.is_dir():
+            return []
         return [
             p for p in directory.iterdir()
             if p.is_file() and not p.name.startswith(".tmp-")
         ]
 
     def clear(self, kind: str | None = None) -> int:
-        """Delete cached files; returns how many artifacts were removed.
+        """Delete current-version artifacts; returns how many went.
 
-        Orphaned tmp files are deleted too (the whole kind directory
-        goes), but only completed artifacts are counted.
+        A file kind's directory goes whole, orphaned tmp files
+        included, but only completed artifacts are counted.  A row
+        kind's rows are deleted; the catalogue itself stays, since
+        other processes may hold it open.
         """
-        kinds = [kind] if kind is not None else list(self.CODECS)
+        kinds = [kind] if kind is not None else [*self.FILE_CODECS, *self.ROW_KINDS]
         removed = 0
         for name in kinds:
-            directory = self.root / name
+            if name in self.ROW_KINDS:
+                removed += self._query("DELETE FROM rows WHERE kind = ?", (name,))[1]
+                continue
+            directory = self.version_dir / name
             if directory.is_dir():
                 removed += len(self._artifact_files(directory))
                 shutil.rmtree(directory)
-        if kind is None:
-            # Full clears drop the reachability index too; per-kind
-            # clears leave stale lines for gc() to compact (they only
-            # vouch for files that exist, so they resurrect nothing).
-            with contextlib.suppress(OSError):
-                self._index_path().unlink()
         return removed
 
     def entries(self) -> dict[str, tuple[int, int]]:
-        """Per-kind (artifact count, total bytes) currently on disk."""
+        """Per-kind (artifact count, total bytes) of the current version."""
         out: dict[str, tuple[int, int]] = {}
-        for kind in self.CODECS:
-            directory = self.root / kind
-            if not directory.is_dir():
-                continue
-            files = self._artifact_files(directory)
+        for kind in self.FILE_CODECS:
+            files = self._artifact_files(self.version_dir / kind)
             if files:
                 out[kind] = (len(files), sum(p.stat().st_size for p in files))
+        rows, _ = self._query(
+            "SELECT kind, COUNT(*), SUM(LENGTH(value)) FROM rows GROUP BY kind"
+        )
+        for kind, count, size in rows:
+            if kind in self.ROW_KINDS:
+                out[kind] = (count, size)
         return out
+
+    # -- maintenance ------------------------------------------------------
+    def _walk(self) -> tuple[list[tuple[str, Path]], list[Path]]:
+        """The sweep :meth:`gc` and :meth:`verify` share.
+
+        Returns ``(kind, path)`` of every well-named file of an npz kind
+        in the version directory, and every other entry under the root
+        except the catalogue and its SQLite companions: other root
+        entries (earlier versions, the flat layout and ``index.log`` of
+        version 2, strays), version-directory entries that are not an
+        npz kind, and ill-named files and ``.tmp-`` debris.
+        """
+        files: list[tuple[str, Path]] = []
+        garbage: list[Path] = []
+        if not self.root.is_dir():
+            return files, garbage
+        version = self.version_dir
+        for entry in sorted(self.root.iterdir()):
+            if entry != version or not entry.is_dir():
+                garbage.append(entry)
+        if not version.is_dir():
+            return files, garbage
+        for entry in sorted(version.iterdir()):
+            if entry.name in self._CATALOGUE_FILES:
+                continue
+            if entry.name not in self.FILE_CODECS or not entry.is_dir():
+                garbage.append(entry)
+                continue
+            for path in sorted(entry.iterdir()):
+                if path.is_file() and self._well_named(path):
+                    files.append((entry.name, path))
+                else:
+                    garbage.append(path)
+        return files, garbage
 
     def verify(self, repair: bool = False) -> "VerifyReport":
         """Integrity sweep over the cache directory.
 
-        Classifies every file under the root:
+        Classifies every file under the root and every catalogue row:
 
-        * **ok** — a completed artifact of a known kind that its codec
-          can decode;
+        * **ok** — a well-named npz file its codec can decode, or a row
+          of a row kind whose JSON parses;
         * **corrupt** — right name and place, but the codec rejects it
-          (truncated npz, bad digest, malformed JSON, …);
-        * **orphaned** — everything else: ``.tmp-`` debris from killed
-          writers, files whose name is not a digest this store would
-          produce, wrong extensions, and files inside directories that
-          are not artifact kinds.
+          (truncated npz, malformed JSON row), or a catalogue SQLite
+          cannot read or whose ``quick_check`` fails;
+        * **orphaned** — everything :meth:`gc` removes: ``.tmp-``
+          debris, files whose name is not a digest this store would
+          produce, anything outside the version directory, directories
+          that are not npz kinds, and rows of a kind not kept as rows.
 
-        With ``repair=True`` corrupt and orphaned files are deleted
-        (artifacts re-materialize on the next miss; a live writer's
-        in-flight tmp file dying with them costs only that one put).
+        With ``repair=True`` corrupt and orphaned entries are deleted —
+        a corrupt catalogue whole, with its SQLite companions.
+        Artifacts re-materialize on the next miss; a live writer's
+        in-flight tmp file dying with them costs only that one put.
         Returns a :class:`VerifyReport`; the sweep itself never raises
         on file contents.
         """
-        ok = 0
-        orphaned: list[Path] = []
-        corrupt: list[Path] = []
-        if self.root.is_dir():
-            for entry in sorted(self.root.iterdir()):
-                if not entry.is_dir():
-                    if entry.name not in (self._INDEX_NAME, self._LOCK_NAME):
-                        orphaned.append(entry)
-                    continue
-                known = entry.name in self.CODECS
-                ext = self.CODECS[entry.name][0] if known else ""
-                decode = self.CODECS[entry.name][2] if known else None
-                for path in sorted(entry.iterdir()):
-                    if not path.is_file() or not known:
-                        orphaned.append(path)
-                    elif not self._well_named(path, ext):
-                        orphaned.append(path)
-                    elif self._decodes(path, decode):
-                        ok += 1
-                    else:
-                        corrupt.append(path)
+        files, orphaned = self._walk()
+        corrupt = [
+            path for kind, path in files
+            if not self._decodes(path, self.FILE_CODECS[kind][1])
+        ]
+        ok = len(files) - len(corrupt)
+        bad_rows: list[tuple[str, str]] = []
+        stray_rows: list[tuple[str, str]] = []
+        catalogue = self.version_dir / self._CATALOGUE
+        catalogue_corrupt = False
+        rows: list[tuple] = []
+        try:
+            db = self._catalogue()
+            if db is not None:
+                check = db.execute("PRAGMA quick_check").fetchall()
+                catalogue_corrupt = check != [("ok",)]
+                rows = db.execute("SELECT kind, name, value FROM rows").fetchall()
+        except sqlite3.Error:
+            self._drop_connection()
+            catalogue_corrupt = True
+        for kind, name, value in rows:
+            if kind not in self.ROW_KINDS:
+                stray_rows.append((kind, name))
+            elif self._decode_row(value) is not MISS:
+                ok += 1
+            else:
+                bad_rows.append((kind, name))
         removed = 0
         if repair:
-            for path in orphaned + corrupt:
-                try:
-                    if path.is_dir():
-                        shutil.rmtree(path)
-                    else:
-                        path.unlink()
-                except OSError:
-                    continue  # raced or unremovable: report, don't count
-                removed += 1
+            removed += sum(self._remove(path) for path in orphaned + corrupt)
+            removed += sum(self._delete_row(name) for _, name in bad_rows + stray_rows)
+            if catalogue_corrupt:
+                self._drop_connection()
+                removed += self._remove(catalogue)
+                for companion in self._CATALOGUE_FILES - {self._CATALOGUE}:
+                    (catalogue.parent / companion).unlink(missing_ok=True)
         return VerifyReport(
             root=str(self.root),
             ok=ok,
-            orphaned=[str(p) for p in orphaned],
-            corrupt=[str(p) for p in corrupt],
+            orphaned=[str(p) for p in orphaned]
+            + [self._row_label(*row) for row in stray_rows],
+            corrupt=[str(p) for p in corrupt]
+            + [self._row_label(*row) for row in bad_rows]
+            + ([str(catalogue)] if catalogue_corrupt else []),
             removed=removed,
         )
 
     @staticmethod
-    def _well_named(path: Path, ext: str) -> bool:
-        """Whether ``path`` is a filename this store's put() produces."""
-        if path.name.startswith(".tmp-") or path.suffix != ext:
-            return False
-        stem = path.name[: -len(ext)]
-        return len(stem) == 32 and all(c in "0123456789abcdef" for c in stem)
+    def _well_named(path: Path) -> bool:
+        """Whether ``path`` is a filename put() produces."""
+        stem = path.name[:-4]
+        return (
+            path.name.endswith(".npz") and len(stem) == 32
+            and all(c in "0123456789abcdef" for c in stem)
+        )
 
     @staticmethod
     def _decodes(path: Path, decode: Callable) -> bool:
@@ -560,131 +616,63 @@ class DiskStore(ArtifactStore):
             return False
         return True
 
-    def gc(self, *, dry_run: bool = False, force: bool = False) -> "GCReport":
-        """Collect unreachable files from the cache directory.
+    @staticmethod
+    def _remove(path: Path) -> bool:
+        """Delete a file or tree; False when it raced away or stays."""
+        try:
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink()
+        except OSError:
+            return False
+        return True
 
-        :meth:`verify` judges files by *shape* (name, place, decodes);
-        ``gc`` judges them by *reachability*.  A file is garbage when
-        no ``(kind, key)`` lookup in the current key space can ever
-        return it:
+    def gc(self, *, dry_run: bool = False) -> "GCReport":
+        """Remove everything under the root that no lookup can reach.
 
-        * ``.tmp-`` debris and ill-named/foreign files (verify's
-          orphans — including whole non-kind directories);
-        * artifacts stranded by a :data:`VERSION` bump: perfectly
-          decodable, but addressed by a digest no current put/get
-          computes — these are invisible to ``verify`` and the reason
-          ``gc`` exists.
+        An artifact is reachable only at its own place in the version
+        directory, so garbage is what :meth:`_walk` returns besides
+        the well-named files — earlier versions and the layout an
+        earlier commit wrote, foreign entries, ill-named files and
+        ``.tmp-`` debris — plus catalogue rows of a kind not kept as
+        rows.  Unlike :meth:`verify`, gc decodes nothing.
+        ``dry_run=True`` reports what would be removed without touching
+        anything.
 
-        Stranded artifacts are recognised through the put-time
-        reachability index (``index.log``).  A store with *no* index
-        (populated by an older build) is swept conservatively — only
-        shape-orphans go — and its surviving artifacts are adopted
-        into a fresh index, so the *next* gc after a VERSION bump has
-        full precision.  ``dry_run=True`` reports what would be
-        removed without touching anything (index included).
-
-        Races: the whole sweep — walk, index read, deletions, index
-        rewrite — runs under the advisory ``fcntl`` index lock, so a
-        concurrent writer's put (which publishes file + index line
-        under the same lock) lands entirely before the walk or
-        entirely after the rewrite; on shared mounts neither side can
-        strand the other's artifacts.  When the lock *cannot* be held
-        (``fcntl`` missing on this platform, or a filesystem that
-        rejects ``flock`` — common on network mounts) a destructive
-        sweep could strand a live writer's artifacts, so gc **refuses**
-        with :class:`~repro.errors.ConfigError` unless the caller
-        passes ``dry_run=True`` (read-only, always safe) or
-        ``force=True`` (explicitly accepting the unlocked race; only
-        sensible when no other writer shares the root).
+        gc takes no lock: it never removes a well-named current-version
+        file, a row of a row kind, or a put's tmp file younger than
+        :attr:`TMP_GRACE_S`, which may still be in flight.
         """
-        if not self.root.is_dir():
-            # Nothing to sweep and nothing to race: empty report,
-            # no lock needed (the lockfile would have to be created
-            # under a root that doesn't exist).
-            return self._gc_locked(dry_run=dry_run)
-        with self._index_lock() as locked:
-            if not locked and not (dry_run or force):
-                why = (
-                    "the fcntl module is unavailable on this platform"
-                    if fcntl is None else
-                    f"the index lock at {self.root / self._LOCK_NAME} "
-                    f"could not be acquired (unsupported or shared "
-                    f"filesystem?)"
-                )
-                raise ConfigError(
-                    f"refusing destructive gc of {self.root}: {why}. "
-                    f"A concurrent writer could lose artifacts. "
-                    f"Re-run with dry_run (repro cache gc --dry-run) "
-                    f"to preview, or force=True (--force) if no other "
-                    f"process writes to this cache."
-                )
-            return self._gc_locked(dry_run=dry_run)
-
-    def _gc_locked(self, *, dry_run: bool) -> "GCReport":
-        doomed: list[Path] = []
-        kept: list[tuple[str, Path]] = []
-        if self.root.is_dir():
-            for entry in sorted(self.root.iterdir()):
-                if not entry.is_dir():
-                    if entry.name not in (self._INDEX_NAME, self._LOCK_NAME):
-                        doomed.append(entry)
-                    continue
-                known = entry.name in self.CODECS
-                ext = self.CODECS[entry.name][0] if known else ""
-                for path in sorted(entry.iterdir()):
-                    if (not path.is_file() or not known
-                            or not self._well_named(path, ext)):
-                        doomed.append(path)
-                    else:
-                        kept.append((entry.name, path))
-        # Read the index only after the walk (see the race note above).
-        index = self._read_index()
-        if index is not None:
-            reachable = [
-                (kind, path) for kind, path in kept
-                if f"{kind}/{path.name}" in index
-            ]
-            doomed.extend(path for kind, path in kept
-                          if f"{kind}/{path.name}" not in index)
-            kept = reachable
+        files, garbage = self._walk()
+        doomed = [path for path in garbage if not self._in_flight(path)]
+        rows, _ = self._query("SELECT kind, name, LENGTH(value) FROM rows")
+        stray = [(kind, name, size) for kind, name, size in rows
+                 if kind not in self.ROW_KINDS]
         freed = sum(self._size_of(path) for path in doomed)
+        freed += sum(size for _, _, size in stray)
         removed = 0
         if not dry_run:
-            for path in doomed:
-                try:
-                    if path.is_dir():
-                        shutil.rmtree(path)
-                    else:
-                        path.unlink()
-                except OSError:
-                    continue  # raced or unremovable: report, don't count
-                removed += 1
-            if kept or index is not None:
-                # Compact (or, for a legacy store, adopt) the index.
-                self._rewrite_index(kept)
+            removed = sum(self._remove(path) for path in doomed)
+            removed += sum(self._delete_row(name) for _, name, _ in stray)
         return GCReport(
             root=str(self.root),
-            live=len(kept),
-            removed=[str(p) for p in doomed],
+            live=len(files) + len(rows) - len(stray),
+            removed=[str(p) for p in doomed]
+            + [self._row_label(kind, name) for kind, name, _ in stray],
             freed=freed,
             removed_count=removed,
             dry_run=dry_run,
-            indexed=index is not None,
         )
 
-    def _rewrite_index(self, kept: list[tuple[str, Path]]) -> None:
-        """Atomically replace the index with the surviving entries."""
-        lines = "".join(
-            f"v{self.VERSION} {kind}/{path.name}\n" for kind, path in kept
-        )
+    def _in_flight(self, path: Path) -> bool:
+        """Whether ``path`` may be a live put's tmp file."""
+        if not path.name.startswith(".tmp-") or path.parent.parent != self.version_dir:
+            return False
         try:
-            fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(lines)
-            os.replace(tmp, self._index_path())
+            return time.time() - path.stat().st_mtime < self.TMP_GRACE_S
         except OSError:
-            with contextlib.suppress(OSError, UnboundLocalError):
-                os.unlink(tmp)
+            return True  # renamed or removed meanwhile: nothing to sweep
 
     @staticmethod
     def _size_of(path: Path) -> int:
@@ -698,42 +686,45 @@ class DiskStore(ArtifactStore):
             return 0
 
     def evict(self, max_bytes: int) -> tuple[int, int]:
-        """Evict least-recently-used artifacts until ≤ ``max_bytes``.
+        """Evict least-recently-written artifacts until ≤ ``max_bytes``.
 
-        Recency is file mtime — a read does not touch it, so this is
-        LRU by *write/promotion* time, which is the granularity a
-        shared sweep store needs: long campaigns keep their freshest
-        islandizations and shed the oldest first.  Returns ``(removed
-        artifact count, removed bytes)``.  Files vanishing concurrently
-        (another worker's evict, a clear) just count as already gone.
+        Recency is a file's mtime or a row's ``written`` time — a read
+        touches neither, so this is LRU by *write/promotion* time, which
+        is the granularity a shared sweep store needs: long campaigns
+        keep their freshest islandizations and shed the oldest first.
+        Returns ``(removed artifact count, removed bytes)``.  Artifacts
+        vanishing concurrently (another worker's evict, a clear) just
+        count as already gone.
         """
         if max_bytes < 0:
             raise ConfigError("max_bytes must be non-negative")
-        files: list[tuple[float, int, Path]] = []
-        for kind in self.CODECS:
-            directory = self.root / kind
-            if not directory.is_dir():
-                continue
-            for path in self._artifact_files(directory):
+        items: list[tuple[float, int, Path | str]] = []
+        for kind in self.FILE_CODECS:
+            for path in self._artifact_files(self.version_dir / kind):
                 try:
                     stat = path.stat()
                 except OSError:
                     continue
-                files.append((stat.st_mtime, stat.st_size, path))
-        total = sum(size for _, size, _ in files)
+                items.append((stat.st_mtime, stat.st_size, path))
+        rows, _ = self._query("SELECT kind, written, LENGTH(value), name FROM rows")
+        items.extend(row[1:] for row in rows if row[0] in self.ROW_KINDS)
+        total = sum(size for _, size, _ in items)
         removed = freed = 0
-        for _, size, path in sorted(files, key=lambda f: f[0]):
+        for _, size, item in sorted(items, key=lambda it: it[0]):
             if total <= max_bytes:
                 break
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass  # raced with another worker's evict/clear: gone anyway
-            except OSError:
-                continue  # still on disk (permissions?): keep it in `total`
+            if isinstance(item, str):
+                gone = self._delete_row(item)
             else:
-                removed += 1
-                freed += size
+                try:
+                    item.unlink()
+                    gone = 1
+                except FileNotFoundError:
+                    gone = 0  # raced with another worker's evict/clear
+                except OSError:
+                    continue  # still on disk (permissions?): keep it in `total`
+            removed += gone
+            freed += size * gone
             total -= size
         return removed, freed
 
@@ -750,7 +741,7 @@ class VerifyReport:
 
     @property
     def clean(self) -> bool:
-        """True when every file on disk is a decodable artifact."""
+        """True when every file and row is a decodable artifact."""
         return not self.orphaned and not self.corrupt
 
 
@@ -761,16 +752,14 @@ class GCReport:
     root: str
     #: Reachable artifacts left in place.
     live: int
-    #: Paths judged garbage (removal targets on a dry run).
+    #: Paths (and catalogue rows) judged garbage — removal targets on
+    #: a dry run.
     removed: list[str]
-    #: Bytes those paths occupy.
+    #: Bytes they occupy.
     freed: int
-    #: Files actually deleted (0 on a dry run or if removals raced).
+    #: Entries actually deleted (0 on a dry run or if removals raced).
     removed_count: int
     dry_run: bool
-    #: Whether a reachability index existed; without one the sweep is
-    #: conservative (shape-orphans only) and adopts the survivors.
-    indexed: bool
 
 
 class TieredStore(ArtifactStore):

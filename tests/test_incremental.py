@@ -90,8 +90,7 @@ def canon(labels):
 
 _STATE_FIELDS = (
     "log_hubs", "log_seeds", "log_scans", "log_fetches", "log_bytes",
-    "log_outcomes", "log_offsets", "class_round", "island_round",
-    "island_seed", "island_size", "winner_hubs",
+    "log_outcomes", "log_offsets", "class_round", "winner_hubs",
 )
 
 
@@ -442,6 +441,65 @@ class TestEngineWiring:
 # ----------------------------------------------------------------------
 
 
+def _churn_delta_oracle(graph, rng, k, th0):
+    """``churn_delta``'s per-edit loop: the same batched draws, scanned
+    one edit at a time (the vectorization oracle)."""
+    n = graph.num_nodes
+    nonhub = graph.degrees < th0
+    indptr, indices = graph.indptr, graph.indices
+    ekeys = graph.edge_keys()
+    eset = set(ekeys.tolist())
+    k_ins = k // 2
+    k_del = k - k_ins
+    ins, seen = [], set()
+    attempts = 0
+    budget = 50 * k_ins + 1_000
+    while len(ins) < k_ins:
+        assert attempts < budget
+        b = min(budget - attempts, max(256, 2 * (k_ins - len(ins))))
+        attempts += b
+        u_batch = rng.integers(0, n, size=b)
+        r1 = rng.random(b)
+        r2 = rng.random(b)
+        for i in range(b):
+            if len(ins) >= k_ins:
+                break
+            u = int(u_batch[i])
+            lo, hi = int(indptr[u]), int(indptr[u + 1])
+            if hi == lo:
+                continue
+            nbrs = indices[lo:hi]
+            local = nbrs[nonhub[nbrs]]
+            pool = local if len(local) else nbrs
+            v = int(pool[int(r1[i] * len(pool))])
+            lo2, hi2 = int(indptr[v]), int(indptr[v + 1])
+            if hi2 == lo2:
+                continue
+            w = int(indices[lo2 + int(r2[i] * (hi2 - lo2))])
+            key = min(u, w) * n + max(u, w)
+            if w == u or key in eset or key in seen:
+                continue
+            seen.add(key)
+            ins.append((u, w))
+    pick = rng.choice(len(ekeys), size=min(4 * k_del, len(ekeys)),
+                      replace=False)
+    dels = []
+    for key in ekeys[pick]:
+        if len(dels) >= k_del:
+            break
+        u, v = int(key) // n, int(key) % n
+        canon = min(u, v) * n + max(u, v)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        dels.append((u, v))
+    assert len(dels) == k_del
+    return GraphDelta.from_edges(
+        insertions=np.asarray(ins, dtype=np.int64).reshape(-1, 2),
+        deletions=np.asarray(dels, dtype=np.int64).reshape(-1, 2),
+    )
+
+
 class TestBenchAndCLI:
     def test_churn_delta_rejects_tiny_graphs(self):
         from repro.eval.bench_incremental import churn_delta
@@ -453,16 +511,16 @@ class TestBenchAndCLI:
     @pytest.mark.parametrize("k", [10, 200])
     def test_churn_delta_vectorized_matches_oracle(self, k):
         # The vectorized candidate extraction consumes the same batched
-        # draws as the original per-edit loop (oracle=True): identical
-        # generator state in, byte-identical delta out.
+        # draws as the original per-edit loop: identical generator
+        # state in, byte-identical delta out.
         from repro.eval.bench_incremental import churn_delta
 
         rng = np.random.default_rng(5)
         graph = random_graph(rng, 600, 8)
         for th0 in (4, 16):
             vec = churn_delta(graph, np.random.default_rng(11), k, th0)
-            orc = churn_delta(
-                graph, np.random.default_rng(11), k, th0, oracle=True
+            orc = _churn_delta_oracle(
+                graph, np.random.default_rng(11), k, th0
             )
             for field in ("insert_src", "insert_dst",
                           "delete_src", "delete_dst"):

@@ -43,8 +43,7 @@ CFG = LocatorConfig(th0=8, partitions=3, incremental=True)
 
 _STATE_FIELDS = (
     "log_hubs", "log_seeds", "log_scans", "log_fetches", "log_bytes",
-    "log_outcomes", "log_offsets", "class_round", "island_round",
-    "island_seed", "island_size", "winner_hubs",
+    "log_outcomes", "log_offsets", "class_round", "winner_hubs",
 )
 
 

@@ -6,6 +6,10 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
+import os
+import signal
+import time
 import warnings
 from pathlib import Path
 
@@ -420,7 +424,7 @@ class TestDiskStore:
         # not inflate entries()/clear() accounting (clear still removes it).
         store = DiskStore(tmp_path)
         store.put("dataset", "a", small_cora)
-        orphan = tmp_path / "dataset" / ".tmp-abandoned.npz"
+        orphan = store.version_dir / "dataset" / ".tmp-abandoned.npz"
         orphan.write_bytes(b"partial write")
         assert store.entries()["dataset"][0] == 1
         assert store.clear() == 1
@@ -428,34 +432,37 @@ class TestDiskStore:
 
 
 class TestEviction:
-    """Size-bounded LRU-by-mtime eviction of the disk tier."""
+    """Size-bounded LRU-by-write-time eviction of the disk tier."""
 
     @staticmethod
     def _total_bytes(store: DiskStore) -> int:
         return sum(size for _, size in store.entries().values())
 
+    @staticmethod
+    def _set_written(store: DiskStore, key: str, when: float) -> None:
+        store._query(
+            "UPDATE rows SET written = ? WHERE name = ?",
+            (when, store._name("summary", key)),
+        )
+
     def _populated(self, tmp_path, count=4):
         store = DiskStore(tmp_path)
-        import os
-
         for i in range(count):
             store.put("summary", f"k{i}", {"row": i, "pad": "x" * 256})
-            # Distinct, strictly increasing mtimes without sleeping.
-            path = store._path("summary", f"k{i}")
-            os.utime(path, (1_000_000 + i, 1_000_000 + i))
+            # Distinct, strictly increasing write times without sleeping.
+            self._set_written(store, f"k{i}", 1_000_000 + i)
         return store
 
     def test_evicts_oldest_first_down_to_budget(self, tmp_path):
         store = self._populated(tmp_path)
-        sizes = [
-            store._path("summary", f"k{i}").stat().st_size for i in range(4)
-        ]
+        sizes = [len(json.dumps({"row": i, "pad": "x" * 256})) for i in range(4)]
+        assert self._total_bytes(store) == sum(sizes)
         budget = sizes[2] + sizes[3]  # room for exactly the newest two
         removed, freed = store.evict(budget)
         assert removed == 2
         assert freed == sizes[0] + sizes[1]
-        assert not store._path("summary", "k0").exists()
-        assert not store._path("summary", "k1").exists()
+        assert store.get("summary", "k0") is MISS
+        assert store.get("summary", "k1") is MISS
         assert store.get("summary", "k2") is not MISS
         assert store.get("summary", "k3") is not MISS
         assert self._total_bytes(store) <= budget
@@ -478,7 +485,7 @@ class TestEviction:
         store.put("dataset", "old", small_cora)
         os.utime(store._path("dataset", "old"), (1, 1))
         store.put("summary", "new", {"row": 1})
-        os.utime(store._path("summary", "new"), (2_000_000_000, 2_000_000_000))
+        self._set_written(store, "new", 2_000_000_000)
         dataset_bytes = store._path("dataset", "old").stat().st_size
         removed, freed = store.evict(self._total_bytes(store) - 1)
         assert removed == 1 and freed == dataset_bytes
@@ -671,7 +678,7 @@ class TestEngineWarmStart:
         def racing_mkstemp(*args, **kwargs):
             if not raced:
                 raced.append(True)
-                shutil.rmtree(tmp_path / "dataset")
+                shutil.rmtree(store.version_dir / "dataset")
                 raise FileNotFoundError("directory swept by clear()")
             return original_mkstemp(*args, **kwargs)
 
@@ -704,9 +711,12 @@ class TestEngineWarmStart:
     def test_disk_key_space_is_versioned(self, small_cora, tmp_path, monkeypatch):
         store = DiskStore(tmp_path)
         store.put("dataset", "k", small_cora)
+        store.put("summary", "k", {"x": 1})
         monkeypatch.setattr(DiskStore, "VERSION", DiskStore.VERSION + 1)
         # A version bump invalidates old entries: they miss, not serve.
-        assert store.get("dataset", "k") is MISS
+        bumped = DiskStore(tmp_path)
+        assert bumped.get("dataset", "k") is MISS
+        assert bumped.get("summary", "k") is MISS
 
     def test_clear_spares_shared_disk_tier_by_default(self, small_cora, tmp_path):
         engine = Engine(cache_dir=str(tmp_path))
@@ -725,11 +735,15 @@ class TestEngineWarmStart:
         root = tmp_path / "never-written"
         store = DiskStore(root)
         assert store.get("dataset", "k") is MISS
+        assert store.get("summary", "k") is MISS
         assert store.entries() == {}
         assert store.clear() == 0
+        assert store.verify().clean and store.gc(dry_run=True).live == 0
         assert not root.exists()  # read-only paths have no side effects
         store.put("dataset", "k", small_cora)
         assert root.exists()
+        assert store.get("summary", "k") is MISS
+        assert not (store.version_dir / "catalogue.sqlite").exists()
 
     def test_store_and_cache_dir_mutually_exclusive(self, tmp_path):
         from repro.errors import ConfigError
@@ -868,31 +882,35 @@ class TestDiskVerify:
         assert report.removed == 0
 
     def test_classification_and_repair(self, seeded):
-        root = seeded.root
-        # Corrupt: well-named files whose codec rejects the contents.
-        bad_json = root / "summary" / ("c" * 32 + ".json")
-        bad_json.write_text("{truncated")
-        bad_npz = root / "islandization" / ("d" * 32 + ".npz")
+        root, version = seeded.root, seeded.version_dir
+        # Corrupt: a well-named file whose codec rejects the contents,
+        # and a summary row that is not JSON.
+        bad_npz = version / "islandization" / ("d" * 32 + ".npz")
         bad_npz.write_bytes(b"PK\x03\x04 not a real archive")
-        # Orphaned: tmp debris, non-digest names, unknown dirs, strays.
-        (root / "islandization" / ".tmp-died").write_bytes(b"x")
-        (root / "islandization" / "notadigest.npz").write_bytes(b"x")
-        (root / "summary" / ("e" * 32 + ".npz")).write_bytes(b"x")
-        (root / "unknown-kind").mkdir()
-        (root / "unknown-kind" / "file.bin").write_bytes(b"x")
+        insert = "INSERT INTO rows VALUES (?, ?, ?, 0)"
+        seeded._query(insert, ("summary", "c" * 32, "{truncated"))
+        # Orphaned: tmp debris, non-digest names, wrong extensions,
+        # unknown dirs, a stray outside the version directory, and a
+        # row of a kind that is not kept as rows.
+        (version / "islandization" / ".tmp-died").write_bytes(b"x")
+        (version / "islandization" / "notadigest.npz").write_bytes(b"x")
+        (version / "islandization" / ("e" * 32 + ".json")).write_bytes(b"x")
+        (version / "unknown-kind").mkdir()
+        (version / "unknown-kind" / "file.bin").write_bytes(b"x")
         (root / "stray.txt").write_text("x")
+        seeded._query(insert, ("retired", "f" * 32, "{}"))
 
         report = seeded.verify()
         assert not report.clean
         assert report.ok == 2
-        assert sorted(Path(p).name for p in report.corrupt) == [
-            "c" * 32 + ".json", "d" * 32 + ".npz",
-        ]
-        assert len(report.orphaned) == 5
+        assert sorted(report.corrupt) == sorted([
+            str(bad_npz), f"{version / 'catalogue.sqlite'}:summary/{'c' * 32}",
+        ])
+        assert len(report.orphaned) == 6
         assert report.removed == 0  # report-only by default
 
         repaired = seeded.verify(repair=True)
-        assert repaired.removed == 7
+        assert repaired.removed == 8
         after = seeded.verify()
         assert after.clean
         assert after.ok == 2  # intact artifacts untouched
@@ -949,7 +967,7 @@ class TestDiskVerify:
 
 
 class TestDiskGC:
-    """Reachability GC: stranded-artifact collection via the put index."""
+    """Location GC: nothing outside the version directory is reachable."""
 
     @pytest.fixture
     def seeded(self, islandization, tmp_path):
@@ -962,65 +980,84 @@ class TestDiskGC:
         report = seeded.gc()
         assert report.live == 2
         assert report.removed == []
-        assert report.indexed
         assert seeded.get("summary", "sum-key") == {"latency_us": 1.0}
 
     def test_stranded_artifact_is_collected(self, seeded):
-        # A well-named, decodable file that no current key addresses —
-        # what a VERSION bump leaves behind.  verify() calls it intact;
-        # gc() knows better.
-        live = seeded._path("summary", "sum-key")
-        stranded = live.parent / ("f" * 32 + ".json")
+        # A well-named, decodable file of an earlier store version —
+        # what a VERSION bump leaves behind.  No present-day lookup
+        # reaches it, so its whole version directory is garbage.
+        live = seeded._path("islandization", "isl-key")
+        old = seeded.root / f"v{DiskStore.VERSION - 1}"
+        stranded = old / "islandization" / live.name
+        stranded.parent.mkdir(parents=True)
         stranded.write_bytes(live.read_bytes())
-        assert seeded.verify().ok == 3  # verify cannot see the problem
 
         report = seeded.gc(dry_run=True)
-        assert [Path(p).name for p in report.removed] == [stranded.name]
+        assert report.removed == [str(old)]
+        assert report.freed == live.stat().st_size
         assert report.removed_count == 0 and stranded.exists()
 
         report = seeded.gc()
         assert report.removed_count == 1
-        assert not stranded.exists()
+        assert not old.exists()
         assert report.live == 2
         assert seeded.get("islandization", "isl-key") is not MISS
 
     def test_shape_orphans_are_collected_too(self, seeded):
-        root = seeded.root
-        (root / "summary" / ".tmp-died").write_bytes(b"x")
-        (root / "unknown-kind").mkdir()
-        (root / "unknown-kind" / "file.bin").write_bytes(b"x")
-        (root / "stray.txt").write_text("x")
+        version = seeded.version_dir
+        died = version / "islandization" / ".tmp-died"
+        died.write_bytes(b"x")
+        os.utime(died, (1, 1))  # older than TMP_GRACE_S
+        in_flight = version / "islandization" / ".tmp-writing"
+        in_flight.write_bytes(b"x")
+        (version / "unknown-kind").mkdir()
+        (version / "unknown-kind" / "file.bin").write_bytes(b"x")
+        (seeded.root / "stray.txt").write_text("x")
+        seeded._query(
+            "INSERT INTO rows VALUES ('retired', ?, '{}', 0)", ("f" * 32,)
+        )
         report = seeded.gc()
-        assert len(report.removed) == 3
+        assert len(report.removed) == 4 and report.removed_count == 4
         assert report.live == 2
+        # A young tmp file may be a live put's: gc leaves it, verify
+        # reports it and repair removes it.
+        assert in_flight.exists()
+        assert seeded.verify().orphaned == [str(in_flight)]
+        assert seeded.verify(repair=True).removed == 1
         assert seeded.verify().clean
 
-    def test_legacy_store_swept_conservatively_then_adopted(self, seeded):
-        # Deleting the index simulates a store written by an older
-        # build: decodable artifacts must survive the first gc (which
-        # adopts them); precision returns on the second.
-        (seeded.root / "index.log").unlink()
-        live = seeded._path("summary", "sum-key")
-        stranded = live.parent / ("f" * 32 + ".json")
-        stranded.write_bytes(live.read_bytes())
+    def test_store_of_an_earlier_commit_is_swept_whole(self, seeded):
+        # The version-2 layout: flat kind directories, summaries as
+        # JSON files, the reachability index and its lockfile.
+        root = seeded.root
+        for kind, ext in (("islandization", ".npz"), ("summary", ".json")):
+            (root / kind).mkdir()
+            (root / kind / ("a" * 32 + ext)).write_bytes(b"old artifact")
+        (root / "index.log").write_text(f"v2 summary/{'a' * 32}.json\n")
+        (root / ".index.lock").write_bytes(b"")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = seeded.gc()
+        assert report.removed_count == 4
+        assert [p.name for p in root.iterdir()] == [seeded.version_dir.name]
+        after = seeded.verify()
+        assert after.clean and after.ok == 2
 
-        first = seeded.gc()
-        assert not first.indexed
-        assert first.live == 3 and stranded.exists()  # conservative
-
-        second = seeded.gc()
-        assert second.indexed
-        assert second.live == 3  # adopted: the copy is now reachable
-
-    def test_full_clear_drops_index(self, seeded):
-        seeded.clear()
-        assert not (seeded.root / "index.log").exists()
+    def test_full_clear_leaves_nothing_to_collect(self, seeded):
+        assert seeded.clear() == 2
         report = seeded.gc()
         assert report.live == 0 and report.removed == []
+        # Rows go, the catalogue stays: other processes may hold it.
+        assert (seeded.version_dir / "catalogue.sqlite").exists()
 
-    def test_verify_spares_the_index(self, seeded):
-        report = seeded.verify()
-        assert report.clean  # index.log is not an orphan
+    def test_sweeps_spare_the_catalogue(self, seeded):
+        names = {p.name for p in seeded.version_dir.iterdir()}
+        # The open connection keeps its WAL and shared-memory files.
+        assert {"catalogue.sqlite", "catalogue.sqlite-wal",
+                "catalogue.sqlite-shm"} <= names
+        assert seeded.verify().clean
+        assert seeded.gc().removed == []
+        assert {p.name for p in seeded.version_dir.iterdir()} == names
 
     def test_gc_missing_root(self, tmp_path):
         report = DiskStore(tmp_path / "never-created").gc()
@@ -1031,9 +1068,9 @@ class TestDiskGC:
 
         store = DiskStore(tmp_path / "store")
         store.put("summary", "k", {"a": 1})
-        live = store._path("summary", "k")
-        stranded = live.parent / ("e" * 32 + ".json")
-        stranded.write_bytes(live.read_bytes())
+        stranded = store.root / "v2" / "summary" / ("e" * 32 + ".json")
+        stranded.parent.mkdir(parents=True)
+        stranded.write_text('{"a": 1}')
         argv = ["cache", "gc", "--cache-dir", str(store.root)]
 
         assert main(argv + ["--dry-run"]) == 0
@@ -1055,198 +1092,174 @@ class TestDiskGC:
         assert "only applies to cache gc" in capsys.readouterr().err
 
 
-class TestIndexLock:
-    """Cross-process gc/put race: the advisory ``.index.lock``."""
+# ----------------------------------------------------------------------
+# The catalogue under concurrent processes, crashes and damage.  Child
+# processes are forked, as the sweep pool's and the queue's workers are.
+# ----------------------------------------------------------------------
+def _fork() -> multiprocessing.context.BaseContext:
+    return multiprocessing.get_context("fork")
 
-    def test_put_creates_lockfile_and_sweeps_spare_it(self, tmp_path):
-        store = DiskStore(tmp_path / "store")
-        store.put("summary", "k", {"x": 1})
-        lock = store.root / ".index.lock"
-        assert lock.exists()
-        assert store.verify().clean          # not an orphan
-        report = store.gc()
-        assert report.removed == []
-        assert lock.exists()                 # gc holds it, never dooms it
-        assert store.entries()["summary"][0] == 1
 
-    def test_two_stores_interleaved_on_one_root(self, tmp_path):
-        # Two engine processes sharing one cache dir: puts from either
-        # side interleaved with the other side's gc must never strand
-        # or collect a just-published artifact.
+def _writer(root: Path, tag: str, shard) -> None:
+    """Put rows and npz files, then exit 0 only if all of them read back."""
+    store = DiskStore(root)
+    for i in range(_WRITES):
+        store.put("summary", f"{tag}{i}", {"tag": tag, "i": i})
+        store.put("shard", f"{tag}{i}", shard)
+    ok = all(
+        store.get("summary", f"{tag}{i}") == {"tag": tag, "i": i}
+        and store.get("shard", f"{tag}{i}") is not MISS
+        for i in range(_WRITES)
+    )
+    raise SystemExit(0 if ok else 1)
+
+
+def _collector(root: Path, stop, sweeps) -> None:
+    """Run gc until told to stop; exit 1 if it ever removes anything."""
+    store = DiskStore(root)
+    while not stop.is_set():
+        if store.gc().removed:
+            raise SystemExit(1)
+        sweeps.value += 1
+
+
+def _hold_uncommitted(root: Path, ready) -> None:
+    """Commit one row, open a write transaction with another, and wait."""
+    store = DiskStore(root)
+    store.put("summary", "child", {"x": 2})
+    db = store._catalogue(create=True)
+    db.execute("BEGIN IMMEDIATE")
+    db.execute(
+        "INSERT INTO rows VALUES ('summary', ?, '{}', 0)",
+        (store._name("summary", "uncommitted"),),
+    )
+    ready.set()
+    time.sleep(120)
+
+
+def _use_inherited(store: DiskStore) -> None:
+    """Use a store the parent opened; exit 0 if it works on its own connection."""
+    store.put("summary", "child", {"from": "child"})
+    ok = (
+        store.get("summary", "parent") == {"from": "parent"}
+        and store.get("summary", "child") == {"from": "child"}
+        and store._conn_pid == os.getpid() and len(store._inherited) == 1
+    )
+    raise SystemExit(0 if ok else 1)
+
+
+#: Rows and npz files each concurrent writer puts.
+_WRITES = 40
+
+
+class TestCatalogue:
+    def test_concurrent_writers_and_gc(self, small_cora, tmp_path):
+        from repro.graph.partition import partition_graph
+
         root = tmp_path / "shared"
-        a, b = DiskStore(root), DiskStore(root)
-        for i in range(4):
-            a.put("summary", f"a{i}", {"from": "a", "i": i})
-            b.put("summary", f"b{i}", {"from": "b", "i": i})
-            report = (a if i % 2 else b).gc()
-            assert report.removed == []
-        assert a.gc(dry_run=True).removed == []
-        for i in range(4):
-            assert a.get("summary", f"b{i}") == {"from": "b", "i": i}
-            assert b.get("summary", f"a{i}") == {"from": "a", "i": i}
-        # One shared index saw every put exactly once.
-        assert a.gc().live == 8
+        shard = partition_graph(small_cora.graph.without_self_loops(), 4).shards[0]
+        ctx = _fork()
+        stop, sweeps = ctx.Event(), ctx.Value("i", 0)
+        collector = ctx.Process(target=_collector, args=(root, stop, sweeps))
+        writers = [
+            ctx.Process(target=_writer, args=(root, tag, shard))
+            for tag in ("a", "b")
+        ]
+        collector.start()
+        for proc in writers:
+            proc.start()
+        for proc in writers:
+            proc.join(120)
+        stop.set()
+        collector.join(120)
+        assert [proc.exitcode for proc in writers] == [0, 0]
+        assert collector.exitcode == 0 and sweeps.value > 0
+        store = DiskStore(root)
+        assert store.entries()["summary"][0] == 2 * _WRITES
+        assert store.entries()["shard"][0] == 2 * _WRITES
+        assert store.gc().removed == [] and store.verify().clean
 
-    def test_lock_excludes_concurrent_put(self, tmp_path):
-        # The actual race: a sweep scanning while another store
-        # publishes.  Holding the lock must block the other side's
-        # put (publish + index append) until release.
+    def test_writer_killed_mid_transaction(self, tmp_path):
+        root = tmp_path / "store"
+        store = DiskStore(root)
+        store.put("summary", "parent", {"x": 1})
+        ctx = _fork()
+        ready = ctx.Event()
+        child = ctx.Process(target=_hold_uncommitted, args=(root, ready))
+        child.start()
+        try:
+            assert ready.wait(60)
+        finally:
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(60)
+        assert child.exitcode == -signal.SIGKILL
+        start = time.perf_counter()
+        store.put("summary", "after", {"x": 3})
+        assert time.perf_counter() - start < 5.0  # not the 30 s busy timeout
+        assert store.get("summary", "parent") == {"x": 1}
+        assert store.get("summary", "child") == {"x": 2}
+        assert store.get("summary", "uncommitted") is MISS
+        assert store.get("summary", "after") == {"x": 3}
+        assert store.verify().clean
+
+    def test_junk_catalogue_degrades_to_a_cold_cache(self, small_cora, tmp_path):
+        writer = DiskStore(tmp_path / "store")
+        writer.put("summary", "k", {"x": 1})
+        writer.put("dataset", "k", small_cora)
+        writer._drop_connection()
+        catalogue = writer.version_dir / "catalogue.sqlite"
+        catalogue.write_bytes(b"not a database " * 100)
+
+        store = DiskStore(writer.root)
+        assert store.get("summary", "k") is MISS
+        store.put("summary", "k", {"x": 2})  # forfeited, not raised
+        assert store.get("dataset", "k") is not MISS  # files unaffected
+        report = store.verify()
+        assert report.corrupt == [str(catalogue)] and report.ok == 1
+        assert store.verify(repair=True).removed == 1
+        assert not catalogue.exists()
+        store.put("summary", "k", {"x": 3})
+        assert store.get("summary", "k") == {"x": 3}
+        assert store.verify().clean
+
+    def test_threads_share_the_connection(self, tmp_path):
+        import sys
         import threading
 
-        fcntl = pytest.importorskip("fcntl")
-        del fcntl
-        root = tmp_path / "shared"
-        holder, writer = DiskStore(root), DiskStore(root)
-        holder.put("summary", "seed", {"x": 0})  # create the root + lock
-        done = threading.Event()
-
-        def blocked_put():
-            writer.put("summary", "raced", {"x": 1})
-            done.set()
-
-        with holder._index_lock():
-            t = threading.Thread(target=blocked_put)
-            t.start()
-            assert not done.wait(0.3)        # put is stuck on the lock
-        t.join(timeout=10)
-        assert done.is_set()                 # released -> put completed
-        assert writer.get("summary", "raced") == {"x": 1}
-        assert holder.gc().live == 2
-
-
-class TestIndexCrashTolerance:
-    """A crashed writer's torn index line degrades, never aborts."""
-
-    @pytest.fixture
-    def seeded(self, tmp_path):
         store = DiskStore(tmp_path / "store")
-        store.put("summary", "a", {"x": 1})
-        store.put("summary", "b", {"x": 2})
-        return store
+        store.put("summary", "main", {"t": -1})  # opened on this thread
+        errors = []
 
-    def test_garbled_bytes_skipped_with_warning(self, seeded):
-        with open(seeded.root / "index.log", "ab") as fh:
-            fh.write(b"\xff\xfe not even text\n")
-        with pytest.warns(RuntimeWarning, match="corrupt index line"):
-            report = seeded.gc(dry_run=True)
-        assert report.live == 2 and report.removed == []
+        def work(t):
+            try:
+                for i in range(50):
+                    store.put("summary", f"{t}-{i}", {"t": t, "i": i})
+                    assert store.get("summary", f"{t}-{i}") == {"t": t, "i": i}
+            except BaseException as exc:  # reported below
+                errors.append(exc)
 
-    def test_truncated_trailing_line_skipped(self, seeded):
-        # SIGKILL mid-append: the last line is cut short.  It no longer
-        # vouches for its artifact (gc forfeits that one entry, exactly
-        # like the lockless put race) but the rest of the index — and
-        # gc itself — must survive.
-        index = seeded.root / "index.log"
-        data = index.read_bytes()
-        index.write_bytes(data[: len(data) - 8])
-        with pytest.warns(RuntimeWarning, match="corrupt index line"):
-            report = seeded.gc()
-        assert report.live == 1 and report.removed_count == 1
-        assert seeded.get("summary", "a") == {"x": 1}
-        # The compaction healed the index: no warning the second time.
-        assert seeded.gc().live == 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.entries()["summary"][0] == 1 + 4 * 50
 
-    def test_compaction_heals_the_index(self, seeded):
-        with open(seeded.root / "index.log", "ab") as fh:
-            fh.write(b"\xffgarbage")
-        with pytest.warns(RuntimeWarning):
-            seeded.gc()
-        report = seeded.gc()  # would re-warn if garbage survived
-        assert report.live == 2
-
-    def test_wrong_shape_lines_skipped(self, seeded):
-        with open(seeded.root / "index.log", "a") as fh:
-            fh.write("no-version-prefix summary/x.json\n")
-            fh.write(f"v{DiskStore.VERSION} nonsense-without-slash\n")
-            fh.write(f"v{DiskStore.VERSION} summary/not-a-digest.json\n")
-        with pytest.warns(RuntimeWarning, match="skipped 3 corrupt"):
-            report = seeded.gc(dry_run=True)
-        assert report.live == 2
-
-    def test_retired_kind_lines_are_not_corruption(self, seeded):
-        # A cache written by a build with a kind this one no longer has
-        # (e.g. the old "clean_graph" kind): its well-formed index lines
-        # are not damage.  gc sweeps the files, then verify is clean.
-        assert "retired" not in DiskStore.CODECS
-        stale = seeded.root / "retired" / ("a" * 32 + ".npz")
-        stale.parent.mkdir()
-        stale.write_bytes(b"x")
-        with open(seeded.root / "index.log", "a") as fh:
-            fh.write(f"v{DiskStore.VERSION} retired/{stale.name}\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert seeded.gc(dry_run=True).removed == [str(stale)]
-            report = seeded.gc()
-        assert report.removed_count == 1 and report.live == 2
-        assert not stale.exists()
-        assert seeded.verify().clean
-
-    def test_old_version_lines_are_not_corruption(self, seeded):
-        # Legacy lines are ignorable history, not damage: no warning.
-        with open(seeded.root / "index.log", "a") as fh:
-            fh.write("v0 summary/aaaa.json\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = seeded.gc(dry_run=True)
-        assert report.live == 2
-
-    def test_cache_gc_cli_survives_corruption(self, seeded, capsys):
-        from repro.cli import main
-
-        with open(seeded.root / "index.log", "ab") as fh:
-            fh.write(b"\xff\xfe torn\n")
-        with pytest.warns(RuntimeWarning):
-            assert main(["cache", "gc", "--cache-dir",
-                         str(seeded.root)]) == 0
-        assert "2 reachable artifacts" in capsys.readouterr().out
-
-
-class TestGCLockRefusal:
-    """Destructive gc without the advisory lock refuses, not sweeps."""
-
-    @pytest.fixture
-    def lockless(self, tmp_path, monkeypatch):
-        import repro.runtime.store as store_mod
-
-        monkeypatch.setattr(store_mod, "fcntl", None)
+    def test_store_used_before_a_fork(self, tmp_path):
         store = DiskStore(tmp_path / "store")
-        store.put("summary", "k", {"x": 1})
-        return store
-
-    def test_destructive_sweep_refused(self, lockless):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="refusing destructive gc"):
-            lockless.gc()
-        assert lockless.get("summary", "k") == {"x": 1}
-
-    def test_dry_run_and_force_still_work(self, lockless):
-        assert lockless.gc(dry_run=True).live == 1
-        report = lockless.gc(force=True)
-        assert report.live == 1 and not report.dry_run
-
-    def test_missing_root_never_refuses(self, tmp_path, monkeypatch):
-        import repro.runtime.store as store_mod
-
-        monkeypatch.setattr(store_mod, "fcntl", None)
-        report = DiskStore(tmp_path / "absent").gc()
-        assert report.live == 0
-
-    def test_cli_refusal_and_force(self, lockless, capsys):
-        from repro.cli import main
-
-        argv = ["cache", "gc", "--cache-dir", str(lockless.root)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "refusing destructive gc" in err and "--force" in err
-        assert main(argv + ["--dry-run"]) == 0
-        capsys.readouterr()
-        assert main(argv + ["--force"]) == 0
-        assert "1 reachable artifacts" in capsys.readouterr().out
-
-    def test_force_flag_needs_gc(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["cache", "stats", "--force",
-                     "--cache-dir", str(tmp_path)]) == 2
-        assert "only applies to cache gc" in capsys.readouterr().err
+        store.put("summary", "parent", {"from": "parent"})
+        child = _fork().Process(target=_use_inherited, args=(store,))
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+        assert store.get("summary", "child") == {"from": "child"}
+        store.put("summary", "after", {"x": 1})
+        assert store.get("summary", "after") == {"x": 1}
+        assert store.verify().clean
